@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Generate the band family, solve every instance, and print the
-width-bucket table of diagram-node peaks (the qualitative cost profile:
+width-bucket table of diagram nodes created (the qualitative cost profile:
 bigger width, exponentially bigger diagrams).
 """
 
@@ -30,7 +30,7 @@ def main():
     ap.add_argument("--cap", type=float, default=60.0)
     args = ap.parse_args()
 
-    peaks = defaultdict(list)
+    created = defaultdict(list)
     for w in args.windows:
         for i in range(args.per_window):
             rng = random.Random(args.seed + 1000 * w + i)
@@ -42,15 +42,15 @@ def main():
             dt = time.perf_counter() - t0
             status = "ok" if dt <= args.cap else "OVER CAP"
             print(f"window={w:2d} inst={i} width={width:2d} "
-                  f"peak={r.stats.diagram_nodes:8d} time={dt:6.2f}s {status}")
-            peaks[bucket_of(width)].append(r.stats.diagram_nodes)
+                  f"nodes_created={r.stats.diagram_nodes:8d} time={dt:6.2f}s {status}")
+            created[bucket_of(width)].append(r.stats.diagram_nodes)
 
-    print("\nwidth bucket -> mean diagram-node peak")
+    print("\nwidth bucket -> mean diagram nodes created")
     prev = None
     for b in BUCKETS:
-        if not peaks[b]:
+        if not created[b]:
             continue
-        mean = sum(peaks[b]) / len(peaks[b])
+        mean = sum(created[b]) / len(created[b])
         mark = "" if prev is None or mean > prev else "  (not monotone!)"
         print(f"  <= {b:2d}: {mean:12.1f}{mark}")
         prev = mean

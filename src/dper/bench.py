@@ -12,9 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
-
-import scipy.stats
+from dataclasses import dataclass
 
 REF_TOLERANCE = 1e-6
 
@@ -26,7 +24,7 @@ class BenchRecord:
     seconds: float
     answer: float | None = None
     width: int | None = None
-    peak_nodes: int | None = None
+    nodes_created: int | None = None
     error: str | None = None
     disqualified: bool = False
 
@@ -53,6 +51,8 @@ class BenchSummary:
 
 def mean_with_ci(scores, confidence: float = 0.95):
     """Mean and Student-t confidence interval of the mean."""
+    import scipy.stats  # slow to import; only `dper bench` gets here
+
     n = len(scores)
     mean = sum(scores) / n
     if n < 2:
@@ -88,7 +88,8 @@ def load_reference_answers(text: str) -> dict[str, float]:
 def records_to_csv(records: list[BenchRecord], cap: float) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["name", "solved", "seconds", "par2", "answer", "width"])
+    writer.writerow(["name", "solved", "seconds", "par2", "answer", "width",
+                     "nodes_created"])
     for r in records:
         writer.writerow([
             r.name,
@@ -97,6 +98,7 @@ def records_to_csv(records: list[BenchRecord], cap: float) -> str:
             f"{r.par2(cap):.6f}",
             "" if r.answer is None else f"{r.answer:.17g}",
             "" if r.width is None else r.width,
+            "" if r.nodes_created is None else r.nodes_created,
         ])
     return buf.getvalue()
 

@@ -1,8 +1,9 @@
 """Command-line front end: solve, plan, bench, and oracle subcommands.
 
-Exit codes: 0 success, 1 input error, 2 deadline exceeded, 3 resource limit.
-The wall-clock deadline covers planning and execution jointly.  The diagram
-node cap can also be set through the DPER_NODE_LIMIT environment variable.
+Exit codes: 0 success, 1 input or usage error, 2 deadline exceeded, 3
+resource limit.  The wall-clock deadline covers planning and execution
+jointly.  The diagram node cap can also be set through the DPER_NODE_LIMIT
+environment variable.
 """
 
 from __future__ import annotations
@@ -43,8 +44,12 @@ class RunConfig:
     verify: bool = True  # re-count the maximizer when the Y block is small
 
     def __post_init__(self):
-        if self.timeout <= 0:
-            raise ValueError("deadline must be positive")
+        if not self.timeout > 0:
+            raise ValueError(f"timeout must be positive, got {self.timeout}")
+
+
+class UsageError(Exception):
+    """A bad option or environment setting; reported with exit code 1."""
 
 
 def _signed_literals(maximizer: dict[int, bool]) -> list[int]:
@@ -184,7 +189,7 @@ def _bench_one(path: str, cfg: RunConfig) -> bench_mod.BenchRecord:
         seconds=elapsed,
         answer=report.get("maximum"),
         width=report.get("width"),
-        peak_nodes=report.get("diagram_nodes"),
+        nodes_created=report.get("diagram_nodes"),
         error=report.get("error"),
     )
 
@@ -254,18 +259,24 @@ def _config_from_args(args) -> RunConfig:
     node_limit = getattr(args, "node_limit", None)
     if node_limit is None:
         env = os.environ.get("DPER_NODE_LIMIT")
-        node_limit = int(env) if env else None
-    return RunConfig(
-        heuristic=getattr(args, "heuristic", "min-fill"),
-        seed=getattr(args, "seed", 0),
-        timeout=getattr(args, "timeout", 1000.0),
-        fmt=getattr(args, "format", "json"),
-        debug_assert=getattr(args, "debug_assert", False),
-        randomize_ties=getattr(args, "randomize_ties", False),
-        free_as_exist=getattr(args, "free_as_exist", False),
-        tree_out=getattr(args, "tree_out", None),
-        node_limit=node_limit,
-    )
+        try:
+            node_limit = int(env) if env else None
+        except ValueError:
+            raise UsageError(f"DPER_NODE_LIMIT must be an integer, got {env!r}") from None
+    try:
+        return RunConfig(
+            heuristic=getattr(args, "heuristic", "min-fill"),
+            seed=getattr(args, "seed", 0),
+            timeout=getattr(args, "timeout", 1000.0),
+            fmt=getattr(args, "format", "json"),
+            debug_assert=getattr(args, "debug_assert", False),
+            randomize_ties=getattr(args, "randomize_ties", False),
+            free_as_exist=getattr(args, "free_as_exist", False),
+            tree_out=getattr(args, "tree_out", None),
+            node_limit=node_limit,
+        )
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 def _add_common(sub):
@@ -321,7 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

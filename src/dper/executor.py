@@ -47,7 +47,6 @@ class SolveStats:
     tree_nodes: int | None = None
     diagram_nodes: int = 0       # total nodes created; the store never shrinks
     max_support: int = 0         # largest support of any intermediate diagram
-    plan_seconds: float = 0.0
     exec_seconds: float = 0.0
 
 
@@ -98,14 +97,15 @@ def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc],
     Leaves valuate to their clause function.  An internal node joins its
     children's valuations left to right and then projects its variable set in
     ascending id order; each existential variable's derivative sign is pushed
-    before that variable is projected.
+    before that variable is projected.  The store's op cache is cleared after
+    every internal node, which bounds its memory to one node's work.
     """
     if store is None:
         store = DiagramStore(tree_var_order(p, t))
 
     def note(f: PbFunc):
         if stats is not None:
-            s = len(f.support)
+            s = f.support_size()
             if s > stats.max_support:
                 stats.max_support = s
 
@@ -126,6 +126,7 @@ def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc],
                 else:
                     f = f.rand_project(x, p.pr[x])
                 note(f)
+            store.clear_cache()
         note(f)
         vals[nid] = f
     return vals[v]
@@ -259,9 +260,9 @@ class _DebugContext:
                                              "projected formula")
 
     def check_diagram(self, f: PbFunc, point: str, node, var=None):
-        if len(f.support) > self.width:
+        if f.support_size() > self.width:
             raise DebugAssertionError(point, node, var,
-                                      detail=f"support {len(f.support)} exceeds "
+                                      detail=f"support {f.support_size()} exceeds "
                                              f"tree width {self.width}")
         for val in f.terminal_values():
             if not (0.0 <= val <= 1.0):

@@ -3,9 +3,20 @@
 Every function lives in a DiagramStore that owns the unique table, so two
 functions from the same store are pointwise equal exactly when they share a
 root handle.  Terminals are double-precision reals deduplicated by value
-equality (no epsilon merging).  Internal nodes branch on a variable; on any
-root-to-terminal path the variable ranks given by the store's VarOrder
-strictly increase.
+equality (no epsilon merging).
+
+Nodes are indexed by level: a node stores the rank of its variable in the
+store's VarOrder, and terminals sit at level len(order).  On any
+root-to-terminal path the levels strictly increase.  One binary recursion
+(`_apply`) serves product, max, convex combination and comparison, and one
+projection walk (`_abstract`) serves existential and randomized projection
+and the derivative sign.  Unique-table and op-cache keys are packed ints;
+handles and levels take HANDLE_BITS each below an unbounded top field (the
+level in a node key, the op id in a cache key), so keys never collide.
+
+Each node's support is a bitmask over levels, set once when the node is
+created, so support sizes cost O(1).  The op cache only saves work: the
+executor clears it after every tree node.
 
 A store and its diagrams belong to a single solve and are used by one worker
 at a time; diagrams are immutable once created.
@@ -17,6 +28,13 @@ import math
 import time
 from dataclasses import dataclass
 from typing import Iterable
+
+HANDLE_BITS = 32  # handles and levels stay below 2**HANDLE_BITS
+
+# Binary op ids are even; `_abstract` keys its cache entries with op | 1.
+# Convex combinations get one even id per distinct probability.
+MUL, MAX, GE, _FIRST_CONVEX = 0, 2, 4, 6
+ZERO, ONE = 0, 1  # handles of the first two terminals of every store
 
 
 class ResourceLimitError(Exception):
@@ -53,80 +71,85 @@ class VarOrder:
 
 
 class DiagramStore:
-    """Hash-consed node store plus operation caches for one solve.
+    """Hash-consed node store plus the op cache for one solve.
 
-    Handles are indices into parallel arrays.  A terminal has var 0 and a
-    value; an internal node has a positive var and two child handles.  The
-    operation cache may be cleared at any point without changing results.
+    Handles are indices into parallel arrays: level, low and high child,
+    terminal value and support mask.  The op cache may be cleared at any
+    point without changing results or handles.
     """
 
     _CHECK_EVERY = 4096  # deadline poll interval, in node creations
 
     def __init__(self, order: VarOrder, node_limit: int | None = None,
                  deadline: float | None = None):
+        if len(order) >= 1 << HANDLE_BITS:
+            raise ValueError(f"{len(order)} variables exceed the level range")
         self.order = order
         self.node_limit = node_limit
         self.deadline = deadline
-        self._var: list[int] = []
+        self._cap = 1 << HANDLE_BITS
+        if node_limit is not None:
+            self._cap = min(node_limit, self._cap)
+        self._tlev = len(order)  # the level of every terminal
+        self._lev: list[int] = []
         self._lo: list[int] = []
         self._hi: list[int] = []
         self._val: list[float] = []
+        self._sup: list[int] = []
         self._terms: dict[float, int] = {}
-        self._unique: dict[tuple[int, int, int], int] = {}
-        self._cache: dict[tuple, int] = {}
-        self._support_cache: dict[int, frozenset[int]] = {}
-        self._since_check = 0
+        self._unique: dict[int, int] = {}
+        self._cache: dict[int, int] = {}
+        self._convex_ops: dict[float, int] = {}
+        self._prob: dict[int, float] = {}  # convex op id -> its probability
         self.zero = self._terminal(0.0)
         self.one = self._terminal(1.0)
 
     # -- node construction -------------------------------------------------
 
-    def _bump(self):
-        if self.node_limit is not None and len(self._var) >= self.node_limit:
-            raise ResourceLimitError(
-                f"diagram store exceeded {self.node_limit} nodes")
-        self._since_check += 1
-        if self.deadline is not None and self._since_check >= self._CHECK_EVERY:
-            self._since_check = 0
-            if time.monotonic() > self.deadline:
-                raise DeadlineExceeded("deadline hit during execution")
+    def _new(self, level: int, lo: int, hi: int, value: float, sup: int) -> int:
+        h = len(self._lev)
+        if h >= self._cap:
+            raise ResourceLimitError(f"diagram store exceeded {self._cap} nodes")
+        if (h % self._CHECK_EVERY == 0 and self.deadline is not None
+                and time.monotonic() > self.deadline):
+            raise DeadlineExceeded("deadline hit during execution")
+        self._lev.append(level)
+        self._lo.append(lo)
+        self._hi.append(hi)
+        self._val.append(value)
+        self._sup.append(sup)
+        return h
 
     def _terminal(self, value: float) -> int:
         h = self._terms.get(value)
-        if h is not None:
-            return h
-        self._bump()
-        h = len(self._var)
-        self._var.append(0)
-        self._lo.append(-1)
-        self._hi.append(-1)
-        self._val.append(value)
-        self._terms[value] = h
+        if h is None:
+            h = self._terms[value] = self._new(self._tlev, -1, -1, value, 0)
         return h
 
-    def _node(self, var: int, lo: int, hi: int) -> int:
+    def _mk(self, level: int, lo: int, hi: int) -> int:
         if lo == hi:
             return lo
-        key = (var, lo, hi)
+        key = (level << HANDLE_BITS | lo) << HANDLE_BITS | hi
         h = self._unique.get(key)
-        if h is not None:
-            return h
-        self._bump()
-        h = len(self._var)
-        self._var.append(var)
-        self._lo.append(lo)
-        self._hi.append(hi)
-        self._val.append(0.0)
-        self._unique[key] = h
+        if h is None:
+            sup = self._sup[lo] | self._sup[hi] | 1 << level
+            h = self._unique[key] = self._new(level, lo, hi, 0.0, sup)
         return h
 
     @property
     def node_count(self) -> int:
         """Total nodes ever created (terminals included); monotone."""
-        return len(self._var)
+        return len(self._lev)
 
     def clear_cache(self):
         self._cache.clear()
+
+    def _convex_op(self, p: float) -> int:
+        op = self._convex_ops.get(p)
+        if op is None:
+            op = self._convex_ops[p] = _FIRST_CONVEX + 2 * len(self._convex_ops)
+            self._prob[op] = p
+        return op
 
     # -- public constructors ------------------------------------------------
 
@@ -141,200 +164,109 @@ class DiagramStore:
         The clause must not mention a variable twice (tautologies have no
         diagram here; an empty clause yields constant 0).
         """
-        lits = sorted(clause, key=lambda l: self.order.rank(abs(l)), reverse=True)
-        h = self.zero
-        for l in lits:
-            v = abs(l)
-            if l > 0:
-                h = self._node(v, h, self.one)
-            else:
-                h = self._node(v, self.one, h)
+        rank = self.order.rank
+        h = ZERO
+        for l in sorted(clause, key=lambda l: rank(abs(l)), reverse=True):
+            r = rank(abs(l))
+            h = self._mk(r, h, ONE) if l > 0 else self._mk(r, ONE, h)
         return PbFunc(self, h)
 
-    # -- internal recursive operations (handle level) -----------------------
+    # -- the recursions (handle level) ----------------------------------------
 
-    def _is_term(self, h: int) -> bool:
-        return self._var[h] == 0
-
-    def _top_rank(self, h: int) -> int:
-        v = self._var[h]
-        return self.order.rank(v) if v else len(self.order)
-
-    def _mul(self, f: int, g: int) -> int:
-        if f == self.one:
-            return g
-        if g == self.one:
-            return f
-        if f == self.zero or g == self.zero:
-            return self.zero
-        if self._var[f] == 0 and self._var[g] == 0:
-            return self._terminal(self._val[f] * self._val[g])
-        if f > g:
-            f, g = g, f
-        key = ("*", f, g)
+    def _apply(self, op: int, f: int, g: int) -> int:
+        """Pointwise op(f, g): f*g, max(f, g), [f >= g], or p*f + (1-p)*g."""
+        if op == MUL:
+            if f == ONE:
+                return g
+            if g == ONE:
+                return f
+            if f == ZERO or g == ZERO:
+                return ZERO
+        elif f == g:
+            return ONE if op == GE else f
+        lev = self._lev
+        lf, lg = lev[f], lev[g]
+        tlev = self._tlev
+        if lf == tlev and lg == tlev:
+            a, b = self._val[f], self._val[g]
+            if op == MUL:
+                return self._terminal(a * b)
+            if op == MAX:
+                return self._terminal(max(a, b))
+            if op == GE:
+                return ONE if a >= b else ZERO
+            p = self._prob[op]
+            return self._terminal(p * a + (1.0 - p) * b)
+        if f > g and op <= MAX:  # product and max commute
+            f, g, lf, lg = g, f, lg, lf
+        key = (op << HANDLE_BITS | f) << HANDLE_BITS | g
         h = self._cache.get(key)
         if h is not None:
             return h
-        rf, rg = self._top_rank(f), self._top_rank(g)
-        r = min(rf, rg)
-        f0, f1 = (self._lo[f], self._hi[f]) if rf == r else (f, f)
-        g0, g1 = (self._lo[g], self._hi[g]) if rg == r else (g, g)
-        h = self._node(self.order.variables[r],
-                       self._mul(f0, g0), self._mul(f1, g1))
-        self._cache[key] = h
-        return h
-
-    def _max2(self, f: int, g: int) -> int:
-        if f == g:
-            return f
-        if self._var[f] == 0 and self._var[g] == 0:
-            return self._terminal(max(self._val[f], self._val[g]))
-        if f > g:
-            f, g = g, f
-        key = ("max", f, g)
-        h = self._cache.get(key)
-        if h is not None:
-            return h
-        rf, rg = self._top_rank(f), self._top_rank(g)
-        r = min(rf, rg)
-        f0, f1 = (self._lo[f], self._hi[f]) if rf == r else (f, f)
-        g0, g1 = (self._lo[g], self._hi[g]) if rg == r else (g, g)
-        h = self._node(self.order.variables[r],
-                       self._max2(f0, g0), self._max2(f1, g1))
-        self._cache[key] = h
-        return h
-
-    def _convex(self, f1: int, f0: int, p: float) -> int:
-        """p * f1 + (1-p) * f0 pointwise."""
-        if f1 == f0:
-            return f1
-        if self._var[f1] == 0 and self._var[f0] == 0:
-            return self._terminal(p * self._val[f1] + (1.0 - p) * self._val[f0])
-        key = ("cvx", f1, f0, p)
-        h = self._cache.get(key)
-        if h is not None:
-            return h
-        r1, r0 = self._top_rank(f1), self._top_rank(f0)
-        r = min(r1, r0)
-        a0, a1 = (self._lo[f1], self._hi[f1]) if r1 == r else (f1, f1)
-        b0, b1 = (self._lo[f0], self._hi[f0]) if r0 == r else (f0, f0)
-        h = self._node(self.order.variables[r],
-                       self._convex(a0, b0, p), self._convex(a1, b1, p))
-        self._cache[key] = h
-        return h
-
-    def _ge(self, f: int, g: int) -> int:
-        """1.0 where f >= g pointwise, else 0.0."""
-        if f == g:
-            return self.one
-        if self._var[f] == 0 and self._var[g] == 0:
-            return self.one if self._val[f] >= self._val[g] else self.zero
-        key = ("ge", f, g)
-        h = self._cache.get(key)
-        if h is not None:
-            return h
-        rf, rg = self._top_rank(f), self._top_rank(g)
-        r = min(rf, rg)
-        f0, f1 = (self._lo[f], self._hi[f]) if rf == r else (f, f)
-        g0, g1 = (self._lo[g], self._hi[g]) if rg == r else (g, g)
-        h = self._node(self.order.variables[r],
-                       self._ge(f0, g0), self._ge(f1, g1))
-        self._cache[key] = h
-        return h
-
-    def _exists(self, f: int, x: int) -> int:
-        rx = self.order.rank(x)
-        if self._top_rank(f) > rx:
-            return f  # x cannot occur below this node
-        if self._var[f] == x:
-            return self._max2(self._lo[f], self._hi[f])
-        key = ("ex", f, x)
-        h = self._cache.get(key)
-        if h is not None:
-            return h
-        h = self._node(self._var[f],
-                       self._exists(self._lo[f], x), self._exists(self._hi[f], x))
-        self._cache[key] = h
-        return h
-
-    def _rand(self, f: int, x: int, p: float) -> int:
-        rx = self.order.rank(x)
-        if self._top_rank(f) > rx:
-            return f  # absent variable: p*f + (1-p)*f = f
-        if self._var[f] == x:
-            return self._convex(self._hi[f], self._lo[f], p)
-        key = ("rp", f, x, p)
-        h = self._cache.get(key)
-        if h is not None:
-            return h
-        h = self._node(self._var[f],
-                       self._rand(self._lo[f], x, p), self._rand(self._hi[f], x, p))
-        self._cache[key] = h
-        return h
-
-    def _dsgn(self, f: int, x: int) -> int:
-        rx = self.order.rank(x)
-        if self._top_rank(f) > rx:
-            return self.one  # cofactors coincide; ties choose 1
-        if self._var[f] == x:
-            return self._ge(self._hi[f], self._lo[f])
-        key = ("ds", f, x)
-        h = self._cache.get(key)
-        if h is not None:
-            return h
-        h = self._node(self._var[f],
-                       self._dsgn(self._lo[f], x), self._dsgn(self._hi[f], x))
-        self._cache[key] = h
-        return h
-
-    def _support(self, f: int) -> frozenset[int]:
-        got = self._support_cache.get(f)
-        if got is not None:
-            return got
-        if self._var[f] == 0:
-            out: frozenset[int] = frozenset()
+        if lf <= lg:
+            level, f0, f1 = lf, self._lo[f], self._hi[f]
         else:
-            out = (self._support(self._lo[f]) | self._support(self._hi[f])
-                   | {self._var[f]})
-        self._support_cache[f] = out
-        return out
+            level, f0, f1 = lg, f, f
+        if lg == level:
+            g0, g1 = self._lo[g], self._hi[g]
+        else:
+            g0 = g1 = g
+        h = self._mk(level, self._apply(op, f0, g0), self._apply(op, f1, g1))
+        self._cache[key] = h
+        return h
 
-    def _terminals(self, f: int) -> set[float]:
-        out: set[float] = set()
-        seen: set[int] = set()
+    def _abstract(self, op: int, f: int, level: int) -> int:
+        """Project the variable at `level` out of f by op(hi cofactor, lo).
+
+        MAX gives existential projection, a convex op randomized projection,
+        GE the derivative sign (ties choose 1, as does an absent variable).
+        """
+        lf = self._lev[f]
+        if lf > level:
+            return ONE if op == GE else f
+        if lf == level:
+            return self._apply(op, self._hi[f], self._lo[f])
+        key = ((op | 1) << HANDLE_BITS | f) << HANDLE_BITS | level
+        h = self._cache.get(key)
+        if h is not None:
+            return h
+        h = self._mk(lf, self._abstract(op, self._lo[f], level),
+                     self._abstract(op, self._hi[f], level))
+        self._cache[key] = h
+        return h
+
+    def _reachable(self, f: int) -> list[int]:
+        """Handles of every node under f, f included, each once."""
+        seen = {f}
         stack = [f]
         while stack:
             h = stack.pop()
-            if h in seen:
-                continue
-            seen.add(h)
-            if self._var[h] == 0:
-                out.add(self._val[h])
-            else:
-                stack.append(self._lo[h])
-                stack.append(self._hi[h])
-        return out
+            if self._lev[h] != self._tlev:
+                for c in (self._lo[h], self._hi[h]):
+                    if c not in seen:
+                        seen.add(c)
+                        stack.append(c)
+        return sorted(seen)
 
     def approx_equal(self, f: "PbFunc", g: "PbFunc", tol: float) -> bool:
         """Pointwise |f - g| <= tol, by simultaneous traversal."""
+        lev, lo, hi = self._lev, self._lo, self._hi
         memo: dict[tuple[int, int], bool] = {}
 
         def rec(a: int, b: int) -> bool:
             if a == b:
                 return True
-            key = (a, b)
-            got = memo.get(key)
+            got = memo.get((a, b))
             if got is not None:
                 return got
-            if self._var[a] == 0 and self._var[b] == 0:
+            la, lb = lev[a], lev[b]
+            if la == lb == self._tlev:
                 ok = abs(self._val[a] - self._val[b]) <= tol
             else:
-                ra, rb = self._top_rank(a), self._top_rank(b)
-                r = min(ra, rb)
-                a0, a1 = (self._lo[a], self._hi[a]) if ra == r else (a, a)
-                b0, b1 = (self._lo[b], self._hi[b]) if rb == r else (b, b)
+                a0, a1 = (lo[a], hi[a]) if la <= lb else (a, a)
+                b0, b1 = (lo[b], hi[b]) if lb <= la else (b, b)
                 ok = rec(a0, b0) and rec(a1, b1)
-            memo[key] = ok
+            memo[(a, b)] = ok
             return ok
 
         if f.store is not self or g.store is not self:
@@ -355,35 +287,37 @@ class PbFunc:
         self.store = store
         self.root = root
 
-    def _check_same_store(self, other: "PbFunc"):
-        if self.store is not other.store:
-            raise ValueError("operands built under different stores/orders")
-
     def join(self, other: "PbFunc") -> "PbFunc":
         """Pointwise product over the union of supports."""
-        self._check_same_store(other)
-        return PbFunc(self.store, self.store._mul(self.root, other.root))
+        if self.store is not other.store:
+            raise ValueError("operands built under different stores/orders")
+        return PbFunc(self.store, self.store._apply(MUL, self.root, other.root))
+
+    def _abstract(self, op: int, x: int) -> "PbFunc":
+        st = self.store
+        return PbFunc(st, st._abstract(op, self.root, st.order.rank(x)))
 
     def exists_project(self, x: int) -> "PbFunc":
         """Pointwise max over the two cofactors of x; identity if x is absent."""
-        return PbFunc(self.store, self.store._exists(self.root, x))
+        return self._abstract(MAX, x)
 
     def rand_project(self, x: int, p: float) -> "PbFunc":
         """Convex combination p*(x=1 cofactor) + (1-p)*(x=0 cofactor)."""
         if not (0.0 <= p <= 1.0):
             raise ValueError(f"probability {p} outside [0, 1]")
-        return PbFunc(self.store, self.store._rand(self.root, x, p))
+        return self._abstract(self.store._convex_op(p), x)
 
     def dsgn(self, x: int) -> "DsgnFunc":
         """Which value of x attains the larger cofactor; ties choose 1."""
-        return DsgnFunc(x, PbFunc(self.store, self.store._dsgn(self.root, x)))
+        return DsgnFunc(x, self._abstract(GE, x))
 
     def evaluate(self, assignment: dict[int, bool]) -> float:
         """Value at a total assignment (w.r.t. this function's support)."""
         st = self.store
+        variables = st.order.variables
         h = self.root
-        while st._var[h] != 0:
-            v = st._var[h]
+        while st._lev[h] != st._tlev:
+            v = variables[st._lev[h]]
             try:
                 b = assignment[v]
             except KeyError:
@@ -393,13 +327,21 @@ class PbFunc:
 
     @property
     def support(self) -> frozenset[int]:
-        return self.store._support(self.root)
+        mask = self.store._sup[self.root]
+        variables = self.store.order.variables
+        return frozenset(variables[i] for i in range(mask.bit_length())
+                         if mask >> i & 1)
+
+    def support_size(self) -> int:
+        return self.store._sup[self.root].bit_count()
 
     def is_constant(self) -> bool:
-        return self.store._var[self.root] == 0
+        return self.store._lev[self.root] == self.store._tlev
 
     def terminal_values(self) -> set[float]:
-        return self.store._terminals(self.root)
+        st = self.store
+        return {st._val[h] for h in st._reachable(self.root)
+                if st._lev[h] == st._tlev}
 
     def __eq__(self, other):
         return (isinstance(other, PbFunc) and other.store is self.store
@@ -417,21 +359,14 @@ class PbFunc:
         """GraphViz rendering; solid edge = assigned 1, dashed = assigned 0."""
         st = self.store
         lines = [f"digraph {name} {{"]
-        seen: set[int] = set()
-        stack = [self.root]
-        while stack:
-            h = stack.pop()
-            if h in seen:
-                continue
-            seen.add(h)
-            if st._var[h] == 0:
+        for h in st._reachable(self.root):
+            if st._lev[h] == st._tlev:
                 lines.append(f'  n{h} [shape=box, label="{st._val[h]:g}"];')
             else:
-                lines.append(f'  n{h} [shape=oval, label="{st._var[h]}"];')
+                var = st.order.variables[st._lev[h]]
+                lines.append(f'  n{h} [shape=oval, label="{var}"];')
                 lines.append(f"  n{h} -> n{st._hi[h]};")
                 lines.append(f"  n{h} -> n{st._lo[h]} [style=dashed];")
-                stack.append(st._lo[h])
-                stack.append(st._hi[h])
         lines.append("}")
         return "\n".join(lines)
 
@@ -448,7 +383,8 @@ class DsgnFunc:
     chooser: PbFunc
 
     def __post_init__(self):
-        assert self.var not in self.chooser.support
+        st = self.chooser.store
+        assert not st._sup[self.chooser.root] >> st.order.rank(self.var) & 1
 
     def pick(self, assignment: dict[int, bool]) -> bool:
         return self.chooser.evaluate(assignment) != 0.0

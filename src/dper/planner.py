@@ -415,6 +415,13 @@ def write_tree(t: PjTree, p: Problem) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int(tok: str, lineno: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise TreeError(f"line {lineno}: expected an integer, got {tok!r}") from None
+
+
 def read_tree(text: str, p: Problem) -> PjTree:
     """Parse and fully validate a tree file against the Problem."""
     nodes: dict[int, PjNode] = {}
@@ -430,11 +437,11 @@ def read_tree(text: str, p: Problem) -> PjTree:
         if toks[0] == "pjt":
             if len(toks) != 4:
                 raise TreeError(f"line {lineno}: malformed header")
-            header = tuple(int(x) for x in toks[1:])
+            header = tuple(_int(x, lineno) for x in toks[1:])
         elif toks[0] == "l":
             if len(toks) != 3:
                 raise TreeError(f"line {lineno}: malformed leaf line")
-            nid, ci = int(toks[1]), int(toks[2])
+            nid, ci = _int(toks[1], lineno), _int(toks[2], lineno)
             if not (1 <= ci <= len(p.clauses)):
                 raise TreeError(
                     f"line {lineno}: clause index {ci} beyond clause count "
@@ -446,12 +453,12 @@ def read_tree(text: str, p: Problem) -> PjTree:
             if "|" not in toks or len(toks) < 4:
                 raise TreeError(f"line {lineno}: malformed internal line")
             bar = toks.index("|")
-            nid = int(toks[1])
+            nid = _int(toks[1], lineno)
             grade = toks[2]
             if grade not in (GRADE_X, GRADE_Y):
                 raise TreeError(f"line {lineno}: bad grade {grade!r}")
-            kids = [int(x) for x in toks[3:bar]]
-            projs = frozenset(int(x) for x in toks[bar + 1:])
+            kids = [_int(x, lineno) for x in toks[3:bar]]
+            projs = frozenset(_int(x, lineno) for x in toks[bar + 1:])
             for c in kids:
                 if c not in nodes:
                     raise TreeError(
@@ -461,7 +468,9 @@ def read_tree(text: str, p: Problem) -> PjTree:
             nodes[nid] = PjNode(id=nid, children=kids, projected=projs)
             (grade_x if grade == GRADE_X else grade_y).add(nid)
         elif toks[0] == "r":
-            root = int(toks[1])
+            if len(toks) != 2:
+                raise TreeError(f"line {lineno}: malformed root line")
+            root = _int(toks[1], lineno)
         else:
             raise TreeError(f"line {lineno}: unknown record {toks[0]!r}")
     if header is None:

@@ -129,7 +129,7 @@ def diagram_from_table(store: DiagramStore, table):
         v = by_rank[i]
         lo = build(i + 1, {**assign, v: False})
         hi = build(i + 1, {**assign, v: True})
-        return store._node(v, lo, hi)
+        return store._mk(store.order.rank(v), lo, hi)
 
     from dper.pbf import PbFunc
 

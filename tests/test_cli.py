@@ -78,6 +78,22 @@ class TestSolveCommand:
         code, out, _ = run_cli(["solve", "--input", example_file], capsys)
         assert code == 3
 
+    def test_non_integer_node_limit_env_exit_1(self, example_file, capsys,
+                                               monkeypatch):
+        monkeypatch.setenv("DPER_NODE_LIMIT", "abc")
+        code, out, err = run_cli(["solve", "--input", example_file], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "DPER_NODE_LIMIT" in err
+
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan"])
+    def test_non_positive_timeout_exit_1(self, example_file, capsys, timeout):
+        code, out, err = run_cli(
+            ["solve", "--input", example_file, "--timeout", timeout], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "timeout" in err
+
     def test_tree_out_is_readable(self, example_file, tmp_path, capsys):
         tree_path = tmp_path / "t.pjt"
         code, _, _ = run_cli(["solve", "--input", example_file,
@@ -127,10 +143,25 @@ class TestBenchCommand:
              "--timeout", "60"], capsys)
         assert code == 0
         rows = out_csv.read_text().splitlines()
-        assert rows[0] == "name,solved,seconds,par2,answer,width"
+        assert rows[0] == "name,solved,seconds,par2,answer,width,nodes_created"
         assert len(rows) == 4
         assert all(r.split(",")[1] == "1" for r in rows[1:])
         assert "mean PAR-2" in err
+
+    def test_nodes_created_column(self, bench_dir, tmp_path, capsys):
+        out_csv = tmp_path / "results.csv"
+        run_cli(["bench", "--dir", str(bench_dir), "--out", str(out_csv),
+                 "--timeout", "60"], capsys)
+        rows = [r.split(",") for r in out_csv.read_text().splitlines()[1:]]
+        for row in rows:
+            report = cli.run_solve(str(bench_dir / row[0]),
+                                   cli.RunConfig(verify=False))
+            assert int(row[6]) == report["diagram_nodes"] > 0
+
+    def test_unsolved_record_leaves_nodes_created_empty(self):
+        r = bench.BenchRecord("t", False, 5.0)
+        row = bench.records_to_csv([r], cap=5.0).splitlines()[1]
+        assert row.split(",")[6] == ""
 
     def test_reference_answers_disqualify(self, bench_dir, tmp_path, capsys):
         refs = tmp_path / "refs.txt"
@@ -218,6 +249,12 @@ class TestParScoring:
 
 
 class TestConsoleScript:
+    def test_import_leaves_scipy_unloaded(self):
+        code = "import sys, dper.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_module_entry_point(self, example_file):
         out = subprocess.run(
             [sys.executable, "-m", "dper.cli", "solve", "--input", example_file],

@@ -4,12 +4,21 @@ Every property runs 500 hypothesis cases over diagrams of up to 10 total
 variables.  Values are drawn from small dyadic pools so that products are
 exact in double precision; where a property is only true for non-negative
 factors (maximization does not distribute over a negative multiplier), the
-generator respects that hypothesis.
+generator respects that hypothesis.  The last three tests check the exact
+support masks, projections under many distinct probabilities, and a solve
+whose every randomized variable has its own probability.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from dper import oracle
+from dper.executor import solve
+from dper.formula import Problem, validate
+from dper.planner import plan
 
 from conftest import (all_assignments, diagram_from_table, fresh_store,
                       tbl_dsgn, tbl_eval, tbl_exists, tbl_from_rows, tbl_join,
@@ -229,3 +238,91 @@ def test_dsgn_survives_positive_factor(case):
             assert joint == d_f.chooser.evaluate(assign)
         elif g_val == 0:
             assert joint == 1.0
+
+
+def walked_support(f):
+    """Variables labelling the nodes reachable from f, by walking the DAG."""
+    st_ = f.store
+    seen, stack, found = set(), [f.root], set()
+    while stack:
+        h = stack.pop()
+        if h in seen or st_._lev[h] == st_._tlev:
+            continue
+        seen.add(h)
+        found.add(st_.order.variables[st_._lev[h]])
+        stack += [st_._lo[h], st_._hi[h]]
+    return found
+
+
+OPS = st.one_of(
+    st.tuples(st.just("join"), st.integers(0, 99)),
+    st.tuples(st.just("exists"), st.sampled_from(VAR_POOL)),
+    st.tuples(st.just("rand"), st.sampled_from(VAR_POOL),
+              st.sampled_from(PROBS)),
+    st.tuples(st.just("dsgn"), st.sampled_from(VAR_POOL)),
+)
+
+
+@CASES
+@given(st.lists(table_and_var(GENERAL_VALUES).map(lambda c: c[0]),
+                min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 99), OPS), min_size=1, max_size=12))
+def test_support_mask_matches_dag_walk(tables, steps):
+    # every result, including choosers, must carry its exact support
+    store = fresh_store(VAR_POOL)
+    pool = [diagram_from_table(store, t) for t in tables]
+    for i, (op, *args) in steps:
+        f = pool[i % len(pool)]
+        if op == "join":
+            g = f.join(pool[args[0] % len(pool)])
+        elif op == "exists":
+            g = f.exists_project(args[0])
+        elif op == "rand":
+            g = f.rand_project(*args)
+        else:
+            g = f.dsgn(args[0]).chooser
+        assert args[0] not in g.support or op == "join"
+        pool.append(g)
+    for f in pool:
+        assert f.support == walked_support(f)
+        assert f.support_size() == len(f.support)
+
+
+def test_rand_project_keeps_each_probability_apart():
+    # the op cache is not cleared between these calls, so probabilities
+    # sharing an op id would get each other's cached results
+    rng = random.Random(5)
+    vars_ = [1, 2, 3, 4]
+    table = tbl_from_rows(vars_, [rng.choice(GENERAL_VALUES) for _ in range(16)])
+    store = fresh_store(vars_)
+    f = diagram_from_table(store, table)
+    for k in range(40):
+        p = (k + 1) / 41
+        for x in vars_:
+            got = f.rand_project(x, p)
+            ref = tbl_rand(table, x, p)
+            for assign in all_assignments(ref[0]):
+                assert got.evaluate(assign) == pytest.approx(
+                    tbl_eval(ref, assign), abs=1e-12)
+
+
+def test_executor_with_a_probability_per_variable():
+    # every randomized variable gets its own probability, so each
+    # randomized projection runs under its own convex op id
+    for seed in range(3):
+        rng = random.Random(7100 + seed)
+        n, num_x = 23, 3
+        clauses = tuple(
+            tuple(v if rng.random() < 0.5 else -v
+                  for v in rng.sample(range(1, n + 1), 3))
+            for _ in range(30))
+        X = frozenset(range(1, num_x + 1))
+        Y = frozenset(range(num_x + 1, n + 1))
+        pr = {y: rng.uniform(0.05, 0.95) for y in Y}
+        assert len(set(pr.values())) >= 20
+        p = Problem(num_vars=n, clauses=clauses, X=X, Y=Y, pr=pr)
+        validate(p)
+        r = solve(p, plan(p))
+        want = oracle.enumerate_solve(p)
+        assert abs(r.maximum - want.maximum) <= 1e-9
+        assert abs(oracle.weighted_count(p, r.maximizer) - r.maximum) <= 1e-9

@@ -189,6 +189,35 @@ class TestTreeFiles:
         with pytest.raises(TreeError, match="before parent"):
             read_tree("\n".join(lines), example)
 
+    @pytest.mark.parametrize("old,new", [
+        ("l 1 1", "l x 1"),
+        ("l 1 1", "l 1 one"),
+        ("pjt ", "pjt q"),
+    ])
+    def test_non_integer_token_names_line(self, example, old, new):
+        text = write_tree(plan(example), example).replace(old, new, 1)
+        lineno = 1 + text.splitlines().index(
+            next(l for l in text.splitlines() if l.startswith(new)))
+        with pytest.raises(TreeError, match=f"line {lineno}: expected an integer"):
+            read_tree(text, example)
+
+    def test_non_integer_internal_token(self, example):
+        lines = write_tree(plan(example), example).splitlines()
+        i = next(k for k, l in enumerate(lines) if l.startswith("i "))
+        nid = lines[i].split()[1]
+        grade = lines[i].split()[2]
+        lines[i] = f"i {nid} {grade} a |"
+        with pytest.raises(TreeError, match=f"line {i + 1}: expected an integer"):
+            read_tree("\n".join(lines), example)
+
+    @pytest.mark.parametrize("root_line", ["r", "r 1 2"])
+    def test_malformed_root_line(self, example, root_line):
+        lines = write_tree(plan(example), example).splitlines()
+        assert lines[-1].startswith("r ")
+        lines[-1] = root_line
+        with pytest.raises(TreeError, match=f"line {len(lines)}: malformed root"):
+            read_tree("\n".join(lines), example)
+
     def test_determinism_same_bytes(self, example):
         a = write_tree(plan(example, "min-fill", seed=3), example)
         b = write_tree(plan(example, "min-fill", seed=3), example)
