@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 input or usage error, 2 deadline exceeded, 3
 resource limit.  The wall-clock deadline covers planning and execution
-jointly.  The diagram node cap can also be set through the DPER_NODE_LIMIT
-environment variable.
+jointly; `plan` honours it while planning.  The diagram node cap can also
+be set through the DPER_NODE_LIMIT environment variable.
 """
 
 from __future__ import annotations
@@ -71,9 +71,15 @@ def run_solve(path: str, cfg: RunConfig) -> dict:
     except (FormulaError, OSError) as e:
         report.update(status="input-error", error=str(e))
         return report
+    if cfg.debug_assert and len(p.quantified) > executor.DEBUG_VAR_CAP:
+        report.update(status="input-error",
+                      error=f"{len(p.quantified)} variables exceed the "
+                            f"--debug-assert cap {executor.DEBUG_VAR_CAP}")
+        return report
     try:
         t_plan = time.perf_counter()
-        tree = planner.plan(p, cfg.heuristic, cfg.seed, cfg.randomize_ties)
+        tree = planner.plan(p, cfg.heuristic, cfg.seed, cfg.randomize_ties,
+                            deadline)
         plan_seconds = time.perf_counter() - t_plan
         # partial stats stay in the report even if the deadline hits later
         report["width"] = planner.width(tree, p)
@@ -153,26 +159,33 @@ def cmd_solve(args) -> int:
 
 def cmd_plan(args) -> int:
     cfg = _config_from_args(args)
+    deadline = time.monotonic() + cfg.timeout
+    report: dict = {"schema_version": SCHEMA_VERSION}
     try:
         p = _load_problem(args.input, cfg)
-        tree = planner.plan(p, cfg.heuristic, cfg.seed, cfg.randomize_ties)
+        tree = planner.plan(p, cfg.heuristic, cfg.seed, cfg.randomize_ties,
+                            deadline)
     except (FormulaError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    text = planner.write_tree(tree, p)
-    if cfg.tree_out:
-        Path(cfg.tree_out).write_text(text)
+    except DeadlineExceeded:
+        report["status"] = "deadline"
     else:
-        sys.stdout.write(text)
-    w = planner.width(tree, p)
-    report = {"schema_version": SCHEMA_VERSION, "status": "ok", "width": w,
-              "tree_nodes": len(tree.nodes)}
+        text = planner.write_tree(tree, p)
+        if cfg.tree_out:
+            Path(cfg.tree_out).write_text(text)
+        else:
+            sys.stdout.write(text)
+        report.update(status="ok", width=planner.width(tree, p),
+                      tree_nodes=len(tree.nodes))
     if cfg.fmt == "json":
         json.dump(report, sys.stdout, indent=2)
         print()
+    elif "width" in report:
+        print(f"width: {report['width']}", file=sys.stderr)
     else:
-        print(f"width: {w}", file=sys.stderr)
-    return EXIT_OK
+        print(f"status: {report['status']}", file=sys.stderr)
+    return _status_exit(report)
 
 
 def _bench_one(path: str, cfg: RunConfig) -> bench_mod.BenchRecord:
@@ -283,7 +296,8 @@ def _add_common(sub):
     sub.add_argument("--heuristic", choices=planner.HEURISTICS, default="min-fill")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--timeout", type=float, default=1000.0,
-                     help="wall-clock cap in seconds for planning + execution")
+                     help="wall-clock cap in seconds for planning + execution "
+                          "(planning alone for plan)")
     sub.add_argument("--format", choices=("json", "text"), default="json")
     sub.add_argument("--randomize-ties", action="store_true")
     sub.add_argument("--free-as-exist", action="store_true",

@@ -7,6 +7,14 @@ existential ones.  Variables that occur in no clause are not part of the
 tree at all (the projection sets partition exactly the variables of the
 formula); the executor assigns such existential variables a default value.
 
+The elimination order is chosen incrementally.  Each block keeps a lazy
+min-heap of (score, variable) entries and, after every elimination, rescores
+only the neighborhood whose score that elimination can change, so min-fill
+plans in time near-linear in the number of variables for bounded width.
+Ties break to the lowest variable id (or by a seeded draw among the tied
+ids), exactly as a full rescan of the block would.  An optional deadline is
+polled once per variable, both while ordering and while building the tree.
+
 Tree file format (text, children listed before parents):
 
     pjt <num_nodes> <num_clauses> <num_vars>
@@ -17,10 +25,13 @@ Tree file format (text, children listed before parents):
 
 from __future__ import annotations
 
+import heapq
 import random
+import time
 from dataclasses import dataclass, field
 
 from .formula import Problem
+from .pbf import DeadlineExceeded
 
 HEURISTICS = ("min-fill", "min-degree", "lex")
 
@@ -120,24 +131,35 @@ class PjTree:
 # -- elimination orders ------------------------------------------------------
 
 
-def _min_fill_cost(adj, v) -> int:
-    nbrs = list(adj[v])
-    cost = 0
-    for i in range(len(nbrs)):
-        for j in range(i + 1, len(nbrs)):
-            if nbrs[j] not in adj[nbrs[i]]:
-                cost += 1
-    return cost
+def _fill(adj, v) -> int:
+    """Pairs of neighbors of v that are not adjacent (undirected, loop-free)."""
+    nbrs = adj[v]
+    d = len(nbrs)
+    return (d * (d - 1) - sum(len(nbrs & adj[a]) for a in nbrs)) // 2
 
 
 def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fill",
-                      seed: int = 0, randomize_ties: bool = False) -> list[int]:
+                      seed: int = 0, randomize_ties: bool = False,
+                      deadline: float | None = None) -> list[int]:
     """Total order over X | Y with every Y variable before every X variable.
 
-    The heuristic scores candidates within the current block on the evolving
-    graph (eliminating a vertex clique-connects its neighbors).  Ties break
-    to the lowest variable id unless randomize_ties is set, in which case the
-    seeded RNG picks among the tied candidates.
+    `graph` is undirected and loop-free, as `primal_graph` builds it.  The
+    heuristic scores candidates within the current block on the evolving
+    graph (eliminating a vertex clique-connects its neighbors): min-fill by
+    the number of edges that elimination would add, min-degree by degree,
+    lex by the variable id itself.  Each block keeps its current scores in a
+    dict and a lazy heap of (score, variable) entries; an entry whose score
+    is no longer current is skipped when popped.  Eliminating `pick` changes
+    only the adjacency of its neighbors N, and every added edge has both
+    ends in N, so min-degree rescores N and min-fill rescores N and the
+    neighbors of N; a new entry is pushed only when a score changes.
+
+    Ties break to the lowest variable id, which is the heap order.  With
+    randomize_ties the seeded RNG picks among all candidates tied at the
+    lowest score, listed in ascending id; it draws once per elimination,
+    even when there is a single candidate.  `deadline` (a time.monotonic()
+    value) is polled once per eliminated variable and raises
+    DeadlineExceeded once passed.
     """
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}; pick from {HEURISTICS}")
@@ -145,41 +167,58 @@ def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fi
     adj = {v: set(ns) for v, ns in graph.items()}
     for v in set(X) | set(Y):
         adj.setdefault(v, set())
+    if heuristic == "min-fill":
+        score_of = lambda v: _fill(adj, v)
+        affected = lambda nbrs: nbrs.union(*(adj[a] for a in nbrs))
+    elif heuristic == "min-degree":
+        score_of = lambda v: len(adj[v])
+        affected = lambda nbrs: nbrs
+    else:
+        score_of = lambda v: v
+        affected = lambda nbrs: ()
 
     order: list[int] = []
-    for block in (sorted(Y), sorted(X)):
-        remaining = set(block)
-        while remaining:
-            if heuristic == "lex":
-                best = [min(remaining)]
-            else:
-                if heuristic == "min-degree":
-                    score = lambda v: len(adj[v])
-                else:
-                    score = lambda v: _min_fill_cost(adj, v)
-                lowest = None
-                best = []
-                for v in sorted(remaining):
-                    s = score(v)
-                    if lowest is None or s < lowest:
-                        lowest, best = s, [v]
-                    elif s == lowest:
+    for block in (Y, X):
+        score = {v: score_of(v) for v in block}
+        heap = [(s, v) for v, s in score.items()]
+        heapq.heapify(heap)
+        while score:
+            s, pick = heapq.heappop(heap)
+            if score.get(pick) != s:
+                continue  # stale entry
+            if deadline is not None and time.monotonic() > deadline:
+                raise DeadlineExceeded("deadline hit during planning")
+            if randomize_ties:
+                best = [pick]
+                while heap and heap[0][0] == s:
+                    v = heapq.heappop(heap)[1]
+                    if score.get(v) == s and v != best[-1]:
                         best.append(v)
-            pick = rng.choice(best) if randomize_ties else best[0]
+                pick = rng.choice(best)
+                for v in best:
+                    if v != pick:
+                        heapq.heappush(heap, (s, v))
             order.append(pick)
-            remaining.discard(pick)
-            nbrs = adj[pick] & set(adj)
+            del score[pick]
+            nbrs = adj.pop(pick)
             for a in nbrs:
-                adj[a] |= nbrs - {a}
-                adj[a].discard(pick)
-            del adj[pick]
+                adj[a] |= nbrs
+                adj[a] -= {a, pick}
+            for w in affected(nbrs):
+                old = score.get(w)
+                if old is not None:
+                    new = score_of(w)
+                    if new != old:
+                        score[w] = new
+                        heapq.heappush(heap, (new, w))
     return order
 
 
 # -- tree construction -------------------------------------------------------
 
 
-def build_graded_tree(p: Problem, order: list[int]) -> PjTree:
+def build_graded_tree(p: Problem, order: list[int],
+                      deadline: float | None = None) -> PjTree:
     """Bucket elimination along `order`, which must list all of Y before any X.
 
     Each clause starts as a leaf in the bucket of its earliest-eliminated
@@ -187,7 +226,8 @@ def build_graded_tree(p: Problem, order: list[int]) -> PjTree:
     node projecting that variable; a single-child chain in the same block is
     merged into one node with a larger projection set.  Clause-free variables
     are skipped entirely: projecting them anywhere would not change any value
-    and they may not appear in the projection sets.
+    and they may not appear in the projection sets.  `deadline` is polled
+    once per variable of `order`, as in elimination_order.
     """
     pos = {v: i for i, v in enumerate(order)}
     y_positions = [pos[v] for v in p.Y if v in pos]
@@ -224,6 +264,8 @@ def build_graded_tree(p: Problem, order: list[int]) -> PjTree:
             done.append(nid)  # empty clause: constant-0 leaf under the root
 
     for i, x in enumerate(order):
+        if deadline is not None and time.monotonic() > deadline:
+            raise DeadlineExceeded("deadline hit during planning")
         group = buckets[i]
         if not group:
             continue  # x occurs in no clause
@@ -314,27 +356,27 @@ def check_tree(t: PjTree, p: Problem) -> None:
         bad.append(f"clause variables never projected: {sorted(uncovered)}")
 
     # criterion 2: the leaf of every clause mentioning a projected variable
-    # lies beneath the projecting node
+    # lies beneath the projecting node.  A subtree is a contiguous run of the
+    # postorder, from its first descendant's position to its own.
     clause_leaf = {t.nodes[l].clause: l for l in t.leaf_ids()}
-    descendants: dict[int, set[int]] = {}
+    post: dict[int, int] = {}
+    first: dict[int, int] = {}
     for nid in t.postorder():
-        n = t.nodes[nid]
-        acc = {nid}
-        for c in n.children:
-            acc |= descendants.get(c, {c})
-        descendants[nid] = acc
+        post[nid] = len(post)
+        kids = t.nodes[nid].children
+        first[nid] = first[kids[0]] if kids else post[nid]
     clauses_with: dict[int, list[int]] = {}
     for ci in range(len(p.clauses)):
         for v in p.clause_vars(ci):
             clauses_with.setdefault(v, []).append(ci)
     for nid in t.internal_ids():
-        under = descendants[nid]
         for v in t.nodes[nid].projected:
             for ci in clauses_with.get(v, ()):
-                if clause_leaf.get(ci) not in under:
+                leaf = clause_leaf.get(ci)
+                if leaf is None or not first[nid] <= post[leaf] <= post[nid]:
                     bad.append(
                         f"node {nid} projects {v} but clause {ci}'s leaf "
-                        f"{clause_leaf.get(ci)} is not beneath it")
+                        f"{leaf} is not beneath it")
     if bad:
         raise TreeError(bad)
 
@@ -343,17 +385,18 @@ def check_graded(t: PjTree, X, Y) -> None:
     """All four gradedness properties; raises TreeError naming the property."""
     bad = []
     internal = set(t.internal_ids())
+    X, Y = set(X), set(Y)
     if (t.grade_x | t.grade_y) != internal or (t.grade_x & t.grade_y):
         bad.append(
             f"property 1: grades ({sorted(t.grade_x)}, {sorted(t.grade_y)}) "
             f"do not partition internal nodes {sorted(internal)}")
     for nid in sorted(t.grade_x & internal):
-        extra = t.nodes[nid].projected - set(X)
+        extra = t.nodes[nid].projected - X
         if extra:
             bad.append(f"property 2: node {nid} in the existential grade "
                        f"projects non-existential {sorted(extra)}")
     for nid in sorted(t.grade_y & internal):
-        extra = t.nodes[nid].projected - set(Y)
+        extra = t.nodes[nid].projected - Y
         if extra:
             bad.append(f"property 3: node {nid} in the randomized grade "
                        f"projects non-randomized {sorted(extra)}")
@@ -488,10 +531,15 @@ def read_tree(text: str, p: Problem) -> PjTree:
 
 
 def plan(p: Problem, heuristic: str = "min-fill", seed: int = 0,
-         randomize_ties: bool = False) -> PjTree:
-    """Elimination order + bucket elimination in one step."""
+         randomize_ties: bool = False, deadline: float | None = None) -> PjTree:
+    """Elimination order + bucket elimination in one step.
+
+    `deadline` (a time.monotonic() value) is polled once per variable in
+    both steps; DeadlineExceeded is raised once it has passed.
+    """
     from .formula import primal_graph
 
     g = primal_graph(p)
-    order = elimination_order(g, p.X, p.Y, heuristic, seed, randomize_ties)
-    return build_graded_tree(p, order)
+    order = elimination_order(g, p.X, p.Y, heuristic, seed, randomize_ties,
+                              deadline)
+    return build_graded_tree(p, order, deadline)

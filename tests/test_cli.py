@@ -1,13 +1,16 @@
 import json
 import math
+import random
 import subprocess
 import sys
 
 import pytest
 import scipy.stats
 
-from dper import bench, cli, planner
-from dper.formula import parse_problem
+from dper import bench, cli, executor, planner
+from dper.formula import parse_problem, serialize
+from dper.gen import band_instance
+from dper.pbf import DeadlineExceeded
 
 from conftest import EXAMPLE_TEXT
 
@@ -65,7 +68,34 @@ class TestSolveCommand:
         assert code == 2
         report = json.loads(out)
         assert report["status"] == "deadline"
-        assert "width" in report  # partial stats survive
+        assert "width" not in report  # it fired while planning
+
+    def test_deadline_after_planning_keeps_plan_stats(self, example_file,
+                                                      capsys, monkeypatch):
+        def expire(*args, **kwargs):
+            raise DeadlineExceeded("deadline hit during execution")
+        monkeypatch.setattr(executor, "solve", expire)
+        code, out, _ = run_cli(["solve", "--input", example_file], capsys)
+        assert code == 2
+        report = json.loads(out)
+        assert report["status"] == "deadline"
+        assert report["width"] == 2  # partial stats survive
+
+    def test_deadline_covers_planning(self, tmp_path):
+        f = tmp_path / "band.cnf"
+        f.write_text(serialize(band_instance(random.Random(7), 8, 40)))
+        report = cli.run_solve(str(f), cli.RunConfig(timeout=1e-9))
+        assert report["status"] == "deadline"
+        assert "width" not in report
+
+    def test_debug_assert_over_cap_exit_1(self, tmp_path, capsys):
+        f = tmp_path / "band.cnf"
+        f.write_text(serialize(band_instance(random.Random(1), 9)))
+        code, out, err = run_cli(
+            ["solve", "--input", str(f), "--debug-assert"], capsys)
+        assert code == 1
+        assert json.loads(out)["status"] == "input-error"
+        assert err.startswith("error:") and "debug-assert cap" in err
 
     def test_node_limit_exit_3(self, example_file, capsys):
         code, out, _ = run_cli(
@@ -124,6 +154,16 @@ class TestPlanCommand:
         f.write_text("nonsense\n")
         code, _, _ = run_cli(["plan", "--input", str(f)], capsys)
         assert code == 1
+
+    def test_deadline_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "band.cnf"
+        f.write_text(serialize(band_instance(random.Random(7), 8, 40)))
+        tree_path = tmp_path / "t.pjt"
+        code, out, _ = run_cli(["plan", "--input", str(f), "--timeout", "1e-9",
+                                "--tree-out", str(tree_path)], capsys)
+        assert code == 2
+        assert json.loads(out)["status"] == "deadline"
+        assert not tree_path.exists()
 
 
 class TestBenchCommand:

@@ -1,10 +1,12 @@
 import copy
 import random
+import time
 
 import pytest
 
 from dper.formula import parse_problem, primal_graph
-from dper.gen import random_instance
+from dper.gen import band_instance, random_instance
+from dper.pbf import DeadlineExceeded
 from dper.planner import (HEURISTICS, PjNode, PjTree, TreeError,
                           build_graded_tree, check_graded, check_tree,
                           elimination_order, plan, read_tree,
@@ -113,6 +115,32 @@ class TestChecks:
         bad.nodes[dst].projected = bad.nodes[dst].projected | {1}
         with pytest.raises(TreeError, match="not beneath"):
             check_tree(bad, example)
+
+    def test_descendant_violations_match_descendant_sets(self):
+        # the interval test must report what explicit descendant sets report,
+        # message for message and in the same order
+        p = band_instance(random.Random(5), 6, 6)
+        t = plan(p)
+        bad = copy.deepcopy(t)
+        ids = sorted(i for i in bad.internal_ids() if bad.nodes[i].projected)
+        for src, dst in zip(ids[-6:], ids[:6]):
+            v = min(bad.nodes[src].projected)
+            bad.nodes[src].projected = bad.nodes[src].projected - {v}
+            bad.nodes[dst].projected = bad.nodes[dst].projected | {v}
+        under = {}
+        for nid in bad.postorder():
+            under[nid] = {nid}.union(*(under[c] for c in bad.nodes[nid].children))
+        leaf_of = {bad.nodes[l].clause: l for l in bad.leaf_ids()}
+        expected = [
+            f"node {nid} projects {v} but clause {ci}'s leaf {leaf_of[ci]} "
+            f"is not beneath it"
+            for nid in bad.internal_ids() for v in bad.nodes[nid].projected
+            for ci in range(len(p.clauses))
+            if v in p.clause_vars(ci) and leaf_of[ci] not in under[nid]]
+        assert expected
+        with pytest.raises(TreeError) as info:
+            check_tree(bad, p)
+        assert info.value.violations == expected
 
     def test_graded_wrong_grade_for_node(self, example):
         t = plan(example)
@@ -235,3 +263,91 @@ class TestFuzzedTrees:
                 check_tree(t, p)
                 check_graded(t, p.X, p.Y)
                 assert sibling_projection_disjoint(t, p)
+
+
+def _reference_order(graph, X, Y, heuristic="min-fill", seed=0,
+                     randomize_ties=False):
+    """The quadratic order the incremental one must reproduce exactly: every
+    step rescans the whole block and rescores every remaining variable."""
+    def fill(adj, v):
+        nbrs = list(adj[v])
+        return sum(1 for i in range(len(nbrs)) for j in range(i + 1, len(nbrs))
+                   if nbrs[j] not in adj[nbrs[i]])
+
+    rng = random.Random(seed)
+    adj = {v: set(ns) for v, ns in graph.items()}
+    for v in set(X) | set(Y):
+        adj.setdefault(v, set())
+    order = []
+    for block in (sorted(Y), sorted(X)):
+        remaining = set(block)
+        while remaining:
+            if heuristic == "lex":
+                best = [min(remaining)]
+            else:
+                score = ((lambda v: len(adj[v])) if heuristic == "min-degree"
+                         else (lambda v: fill(adj, v)))
+                lowest, best = None, []
+                for v in sorted(remaining):
+                    s = score(v)
+                    if lowest is None or s < lowest:
+                        lowest, best = s, [v]
+                    elif s == lowest:
+                        best.append(v)
+            pick = rng.choice(best) if randomize_ties else best[0]
+            order.append(pick)
+            remaining.discard(pick)
+            nbrs = adj[pick] & set(adj)
+            for a in nbrs:
+                adj[a] |= nbrs - {a}
+                adj[a].discard(pick)
+            del adj[pick]
+    return order
+
+
+class TestIncrementalOrder:
+    TIE_MODES = ((False, 0), (True, 0), (True, 3))
+
+    @staticmethod
+    def _instances():
+        rng = random.Random(20260810)
+        for _ in range(200):
+            yield random_instance(rng)
+        for window in (9, 14, 19):
+            for i in range(2):
+                yield band_instance(random.Random(1000 * window + i), window)
+
+    def test_matches_reference_order_and_tree_bytes(self):
+        compared = 0
+        for p in self._instances():
+            g = primal_graph(p)
+            for h in HEURISTICS:
+                for randomize, seed in self.TIE_MODES:
+                    ref = _reference_order(g, p.X, p.Y, h, seed, randomize)
+                    got = elimination_order(g, p.X, p.Y, h, seed, randomize)
+                    assert got == ref, (h, randomize, seed)
+                    assert (write_tree(plan(p, h, seed, randomize), p)
+                            == write_tree(build_graded_tree(p, ref), p))
+                    compared += 1
+        assert compared == 206 * 9
+
+    def test_min_fill_scales_to_1280_variables(self):
+        p = band_instance(random.Random(7), 8, 160)
+        assert len(p.quantified) == 1280
+        g = primal_graph(p)
+        start = time.perf_counter()
+        order = elimination_order(g, p.X, p.Y, "min-fill")
+        assert time.perf_counter() - start < 5.0  # quadratic rescans took ~9 s
+        assert sorted(order) == sorted(p.quantified)
+
+    def test_expired_deadline_raises(self):
+        p = band_instance(random.Random(7), 8, 10)
+        g = primal_graph(p)
+        past = time.monotonic() - 1.0
+        with pytest.raises(DeadlineExceeded):
+            elimination_order(g, p.X, p.Y, deadline=past)
+        order = elimination_order(g, p.X, p.Y)
+        with pytest.raises(DeadlineExceeded):
+            build_graded_tree(p, order, deadline=past)
+        with pytest.raises(DeadlineExceeded):
+            plan(p, deadline=past)
