@@ -90,7 +90,8 @@ def run_solve(path: str, cfg: RunConfig) -> dict:
         if cfg.tree_out:
             Path(cfg.tree_out).write_text(planner.write_tree(tree, p))
         if cfg.debug_assert:
-            result = executor.debug_assert_mode(p, tree)
+            result = executor.debug_assert_mode(p, tree, node_limit=cfg.node_limit,
+                                                deadline=deadline)
         else:
             result = executor.solve(p, tree, node_limit=cfg.node_limit,
                                     deadline=deadline)

@@ -6,6 +6,11 @@ executor first records its derivative sign on a stack; replaying the stack
 afterwards extends the empty assignment into a maximizing one, top projection
 first.  Fixed orders make the output reproducible: children are valuated in
 stored order and projection sets are processed in ascending variable id.
+
+Every solver is the one postorder loop `valuate` plus the one stack replay
+`_replay_stack`: `solve` on a planned tree, `solve_monolithic` on a fixed
+two-node tree, and `debug_assert_mode` on a planned tree with an observer that
+checks the annotated assertions at each point the loop and the replay report.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 from .formula import Problem
 from .pbf import DiagramStore, DsgnFunc, PbFunc, VarOrder
-from .planner import PjTree, check_graded, check_tree
+from .planner import PjNode, PjTree, check_graded, check_tree
 from .planner import width as tree_width
 
 MONOLITHIC_VAR_CAP = 25
@@ -43,8 +48,6 @@ class DebugAssertionError(AssertionError):
 
 @dataclass
 class SolveStats:
-    width: int | None = None
-    tree_nodes: int | None = None
     diagram_nodes: int = 0       # total nodes created; the store never shrinks
     max_support: int = 0         # largest support of any intermediate diagram
     exec_seconds: float = 0.0
@@ -75,30 +78,22 @@ def tree_var_order(p: Problem, t: PjTree) -> VarOrder:
     return VarOrder(seq)
 
 
-def _subtree_postorder(t: PjTree, v: int) -> list[int]:
-    out: list[int] = []
-    stack: list[tuple[int, bool]] = [(v, False)]
-    while stack:
-        nid, expanded = stack.pop()
-        if expanded:
-            out.append(nid)
-            continue
-        stack.append((nid, True))
-        for c in reversed(t.nodes[nid].children):
-            stack.append((c, False))
-    return out
-
-
 def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc],
             store: DiagramStore | None = None,
-            stats: SolveStats | None = None) -> PbFunc:
+            stats: SolveStats | None = None, obs=None) -> PbFunc:
     """Valuation of node v, pushing derivative signs for existential vars.
 
-    Leaves valuate to their clause function.  An internal node joins its
-    children's valuations left to right and then projects its variable set in
-    ascending id order; each existential variable's derivative sign is pushed
-    before that variable is projected.  The store's op cache is cleared after
-    every internal node, which bounds its memory to one node's work.
+    One pass over `t.postorder(v)`.  Leaves valuate to their clause function.
+    An internal node joins its children's valuations left to right and then
+    projects its variable set in ascending id order; each existential
+    variable's derivative sign is pushed before that variable is projected.
+    The store's op cache is cleared after every internal node, which bounds
+    its memory to one node's work.
+
+    An observer `obs`, if given, is called at five points of node `nid`:
+    `enter(nid)`; `joined(nid, prev, h, f)` after each `f = prev.join(h)`;
+    `joins_done(nid, f)` after an internal node's joins; `projected(nid, x,
+    prev, f)` after each projection of `x`; and `leave(nid, f)`.
     """
     if store is None:
         store = DiagramStore(tree_var_order(p, t))
@@ -109,108 +104,122 @@ def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc],
             if s > stats.max_support:
                 stats.max_support = s
 
-    vals: dict[int, PbFunc] = {}
-    for nid in _subtree_postorder(t, v):
+    done: list[PbFunc] = []  # valuations whose parent is still ahead
+    for nid in t.postorder(v):
         n = t.nodes[nid]
+        if obs is not None:
+            obs.enter(nid)
         if n.is_leaf:
             f = store.clause_func(p.clauses[n.clause])
         else:
+            k = len(done) - len(n.children)
+            kids, done[k:] = done[k:], []
             f = store.constant(1.0)
-            for c in n.children:
-                f = f.join(vals.pop(c))
+            for h in kids:
+                prev, f = f, f.join(h)
                 note(f)
+                if obs is not None:
+                    obs.joined(nid, prev, h, f)
+            if obs is not None:
+                obs.joins_done(nid, f)
             for x in sorted(n.projected):
+                prev = f
                 if x in p.X:
                     sigma.append(f.dsgn(x))
                     f = f.exists_project(x)
                 else:
                     f = f.rand_project(x, p.pr[x])
                 note(f)
+                if obs is not None:
+                    obs.projected(nid, x, prev, f)
             store.clear_cache()
         note(f)
-        vals[nid] = f
-    return vals[v]
+        if obs is not None:
+            obs.leave(nid, f)
+        done.append(f)
+    return done[-1]
 
 
-def _replay_stack(p: Problem, sigma: list[DsgnFunc]) -> dict[int, bool]:
+def _replay_stack(p: Problem, sigma: list[DsgnFunc], obs=None) -> dict[int, bool]:
     """Pop derivative signs into a total existential assignment.
 
     Existential variables untouched by any entry (absent from every clause)
-    default to 0; any value is optimal for them.
+    default to 0; any value is optimal for them.  An observer `obs` is called
+    as `picking(entry, tau)` before each pick and `picked(entry, tau)` after.
     """
     tau: dict[int, bool] = {}
     while sigma:
         entry = sigma.pop()
+        if obs is not None:
+            obs.picking(entry, tau)
         tau[entry.var] = entry.pick(tau)
+        if obs is not None:
+            obs.picked(entry, tau)
     for x in p.X:
         tau.setdefault(x, False)
     return tau
 
 
-def solve(p: Problem, t: PjTree, node_limit: int | None = None,
-          deadline: float | None = None) -> SolveResult:
-    """Maximum and a maximizer from a valid graded project-join tree."""
+def _run(p: Problem, t: PjTree, store: DiagramStore, obs=None) -> SolveResult:
+    """Valuate the root, then replay the stack, with `obs` observing both."""
     t0 = time.perf_counter()
-    store = DiagramStore(tree_var_order(p, t), node_limit=node_limit,
-                         deadline=deadline)
-    stats = SolveStats(width=tree_width(t, p), tree_nodes=len(t.nodes))
+    stats = SolveStats()
     sigma: list[DsgnFunc] = []
-    root_val = valuate(p, t, t.root, sigma, store, stats)
-    maximum = root_val.evaluate({})
-    tau = _replay_stack(p, sigma)
+    maximum = valuate(p, t, t.root, sigma, store, stats, obs).evaluate({})
+    tau = _replay_stack(p, sigma, obs)
     stats.diagram_nodes = store.node_count
     stats.exec_seconds = time.perf_counter() - t0
     return SolveResult(maximum=maximum, maximizer=tau, stats=stats)
+
+
+def solve(p: Problem, t: PjTree, node_limit: int | None = None,
+          deadline: float | None = None) -> SolveResult:
+    """Maximum and a maximizer from a valid graded project-join tree."""
+    return _run(p, t, DiagramStore(tree_var_order(p, t), node_limit=node_limit,
+                                   deadline=deadline))
+
+
+def monolithic_tree(p: Problem) -> PjTree:
+    """One Y-grade node over every clause leaf, under one X-grade root; each
+    projects the clause variables of its block.  Leaf i holds clause i."""
+    m = len(p.clauses)
+    cv = p.all_clause_vars()
+    nodes = {i: PjNode(i, clause=i) for i in range(m)}
+    nodes[m] = PjNode(m, children=list(range(m)), projected=cv & p.Y)
+    nodes[m + 1] = PjNode(m + 1, children=[m], projected=cv & p.X)
+    return PjTree(nodes=nodes, root=m + 1, grade_x={m + 1}, grade_y={m})
 
 
 def solve_monolithic(p: Problem, var_cap: int = MONOLITHIC_VAR_CAP,
                      node_limit: int | None = None,
                      deadline: float | None = None) -> SolveResult:
-    """Join every clause, project all of Y, then peel X one variable at a time.
+    """`solve` on `monolithic_tree(p)`: a cross-check that needs no planning.
 
-    This ignores the factored form entirely, so it is guarded by a variable
-    cap.  Every existential variable gets a derivative-sign entry here, even
-    one the joined function no longer depends on (its chooser is constantly
-    1, so such a variable comes back as 1 by the tie rule).
+    Joining every clause at one node ignores the factored form entirely, so
+    this is guarded by a variable cap.  As in `solve`, an existential
+    variable that occurs in no clause comes back as 0.
     """
-    t0 = time.perf_counter()
     n = len(p.quantified)
     if n > var_cap:
         raise ValueError(f"{n} variables exceed the monolithic cap {var_cap}")
-    store = DiagramStore(VarOrder(sorted(p.quantified)), node_limit=node_limit,
-                         deadline=deadline)
-    stats = SolveStats()
-    f = store.constant(1.0)
-    for c in p.clauses:
-        f = f.join(store.clause_func(c))
-    for y in sorted(p.Y):
-        f = f.rand_project(y, p.pr[y])
-    sigma: list[DsgnFunc] = []
-    for x in sorted(p.X, reverse=True):
-        sigma.append(f.dsgn(x))
-        f = f.exists_project(x)
-    maximum = f.evaluate({})
-    tau: dict[int, bool] = {}
-    while sigma:  # reversed push order: replay ascends variable ids
-        entry = sigma.pop()
-        tau[entry.var] = entry.pick(tau)
-    stats.diagram_nodes = store.node_count
-    stats.max_support = n
-    stats.exec_seconds = time.perf_counter() - t0
-    return SolveResult(maximum=maximum, maximizer=tau, stats=stats)
+    return solve(p, monolithic_tree(p), node_limit, deadline)
 
 
 # -- annotated execution ------------------------------------------------------
 
 
 class _DebugContext:
-    """State for the annotated run: eliminated set E and active multiset A.
+    """Observer for the annotated run: eliminated set E and active multiset A.
 
-    The run checks, at every pre/join/project/post point, that the product of
-    the active functions equals the reference function obtained by projecting
-    the eliminated variables out of the fully joined formula.  Equality is
-    pointwise within a tolerance because the two sides multiply in different
-    orders.
+    At every pre/join/project/post point of `valuate` it checks that the
+    product of the active functions equals the reference function obtained by
+    projecting the eliminated variables out of the fully joined formula.
+    Equality is pointwise within a tolerance because the two sides multiply in
+    different orders.  An internal node's pre-condition follows its last
+    child's post-condition, on the same product.  Around each pick of
+    `_replay_stack` it checks that tau maximizes the formula with the
+    still-eliminated variables projected out; what reads tau is checked before
+    the pick, so a bad chooser fails here and not in `pick`.
     """
 
     def __init__(self, p: Problem, t: PjTree, store: DiagramStore, tol: float):
@@ -219,20 +228,18 @@ class _DebugContext:
         self.store = store
         self.tol = tol
         self.width = tree_width(t, p)
-        self.clause_funcs = [store.clause_func(c) for c in p.clauses]
-        joined = store.constant(1.0)
-        for cf in self.clause_funcs:
-            joined = joined.join(cf)
-        self.joined_all = joined
+        clause_funcs = [store.clause_func(c) for c in p.clauses]
+        self.joined_all = store.constant(1.0)
+        for cf in clause_funcs:
+            self.joined_all = self.joined_all.join(cf)
         self.eliminated: set[int] = set()
-        self.active: Counter[int] = Counter(cf.root for cf in self.clause_funcs)
+        self.active: Counter[int] = Counter(cf.root for cf in clause_funcs)
 
-    def reference(self, eliminated=None) -> PbFunc:
+    def reference(self) -> PbFunc:
         g = self.joined_all
-        elim = self.eliminated if eliminated is None else eliminated
-        for y in sorted(elim & self.p.Y):
+        for y in sorted(self.eliminated & self.p.Y):
             g = g.rand_project(y, self.p.pr[y])
-        for x in sorted(elim & self.p.X):
+        for x in sorted(self.eliminated & self.p.X):
             g = g.exists_project(x)
         return g
 
@@ -242,24 +249,15 @@ class _DebugContext:
             f = f.join(PbFunc(self.store, h))
         return f
 
-    def remove_active(self, f: PbFunc, point: str, node):
-        if self.active[f.root] <= 0:
-            raise DebugAssertionError(point, node,
-                                      detail="active multiset missing a function")
-        self.active[f.root] -= 1
-
-    def insert_active(self, f: PbFunc):
+    def replace_active(self, old, f: PbFunc, point: str, node, var=None):
+        """Swap the active functions `old` for `f`, computed from them; `f`'s
+        support must fit the tree width and its terminals lie in [0, 1]."""
+        for g in old:
+            if self.active[g.root] <= 0:
+                raise DebugAssertionError(
+                    point, node, detail="active multiset missing a function")
+            self.active[g.root] -= 1
         self.active[f.root] += 1
-
-    def check(self, point: str, node=None, var=None):
-        lhs = self.active_product()
-        rhs = self.reference()
-        if not self.store.approx_equal(lhs, rhs, self.tol):
-            raise DebugAssertionError(point, node, var,
-                                      detail="active product diverged from "
-                                             "projected formula")
-
-    def check_diagram(self, f: PbFunc, point: str, node, var=None):
         if f.support_size() > self.width:
             raise DebugAssertionError(point, node, var,
                                       detail=f"support {f.support_size()} exceeds "
@@ -269,81 +267,44 @@ class _DebugContext:
                 raise DebugAssertionError(point, node, var,
                                           detail=f"terminal {val} outside [0, 1]")
 
+    def check(self, point: str, node=None, var=None):
+        lhs = self.active_product()
+        rhs = self.reference()
+        if not self.store.approx_equal(lhs, rhs, self.tol):
+            raise DebugAssertionError(point, node, var,
+                                      detail="active product diverged from "
+                                             "projected formula")
 
-def _debug_valuate(ctx: _DebugContext, v: int, sigma: list[DsgnFunc]) -> PbFunc:
-    p, t = ctx.p, ctx.t
-    ctx.check("pre-condition", v)
-    n = t.nodes[v]
-    if n.is_leaf:
-        f = ctx.clause_funcs[n.clause]
-    else:
-        f = ctx.store.constant(1.0)
-        ctx.insert_active(f)
-        for u in n.children:
-            h = _debug_valuate(ctx, u, sigma)
-            prev = f
-            f = prev.join(h)
-            ctx.remove_active(h, "join-condition", v)
-            ctx.remove_active(prev, "join-condition", v)
-            ctx.insert_active(f)
-            ctx.check_diagram(f, "join-condition", v)
-        ctx.check("join-condition", v)
-        for x in sorted(n.projected):
-            prev = f
-            if x in p.X:
-                sigma.append(prev.dsgn(x))
-                f = prev.exists_project(x)
-            else:
-                f = prev.rand_project(x, p.pr[x])
-            ctx.eliminated.add(x)
-            ctx.remove_active(prev, "project-condition", v)
-            ctx.insert_active(f)
-            ctx.check_diagram(f, "project-condition", v, x)
-            ctx.check("project-condition", v, x)
-    ctx.check("post-condition", v)
-    return f
+    def enter(self, node):
+        self.check("pre-condition", node)
+        if not self.t.nodes[node].is_leaf:
+            self.active[self.store.constant(1.0).root] += 1
 
+    def joined(self, node, prev: PbFunc, h: PbFunc, f: PbFunc):
+        self.replace_active((h, prev), f, "join-condition", node)
 
-def debug_assert_mode(p: Problem, t: PjTree, var_cap: int = DEBUG_VAR_CAP,
-                      tol: float = DEBUG_TOL, validate: bool = True) -> SolveResult:
-    """Solve while checking every annotated-algorithm assertion.
+    def joins_done(self, node, f: PbFunc):
+        self.check("join-condition", node)
 
-    The checked identity materializes the fully joined formula, so the run is
-    guarded by a variable cap.  With validate=True the structural tree checks
-    run first; either way a corrupted tree trips an assertion before any
-    answer is returned.
-    """
-    if len(p.quantified) > var_cap:
-        raise ValueError(f"{len(p.quantified)} variables exceed the debug cap "
-                         f"{var_cap}")
-    if validate:
-        check_tree(t, p)
-        check_graded(t, p.X, p.Y)
-    t0 = time.perf_counter()
-    store = DiagramStore(tree_var_order(p, t))
-    ctx = _DebugContext(p, t, store, tol)
-    stats = SolveStats(width=ctx.width, tree_nodes=len(t.nodes))
-    sigma: list[DsgnFunc] = []
-    root_val = _debug_valuate(ctx, t.root, sigma)
+    def projected(self, node, x: int, prev: PbFunc, f: PbFunc):
+        self.eliminated.add(x)
+        self.replace_active((prev,), f, "project-condition", node, x)
+        self.check("project-condition", node, x)
 
-    formula_vars = p.all_clause_vars()
-    if ctx.eliminated != formula_vars:
-        raise DebugAssertionError(
-            "post-condition", t.root,
-            detail=f"eliminated {sorted(ctx.eliminated)} != formula variables "
-                   f"{sorted(formula_vars)}")
-    if not root_val.is_constant():
-        raise DebugAssertionError("post-condition", t.root,
-                                  detail="root valuation is not constant")
-    maximum = root_val.evaluate({})
+    def leave(self, node, f: PbFunc):
+        self.check("post-condition", node)
+        if node == self.t.root and self.eliminated != self.p.all_clause_vars():
+            raise DebugAssertionError(
+                "post-condition", node,
+                detail=f"eliminated {sorted(self.eliminated)} != formula "
+                       f"variables {sorted(self.p.all_clause_vars())}")
+        if node == self.t.root and not f.is_constant():
+            raise DebugAssertionError("post-condition", node,
+                                      detail="root valuation is not constant")
 
-    # maximizer assertions: after each pop, tau maximizes the formula with the
-    # still-eliminated variables projected out
-    tau: dict[int, bool] = {}
-    while sigma:
-        entry = sigma.pop()
+    def picking(self, entry: DsgnFunc, tau: dict[int, bool]):
         x = entry.var
-        if x not in ctx.eliminated or x in tau:
+        if x not in self.eliminated or x in tau:
             raise DebugAssertionError("maximizer", var=x,
                                       detail="popped variable not pending")
         unassigned = entry.chooser.support - set(tau)
@@ -351,25 +312,39 @@ def debug_assert_mode(p: Problem, t: PjTree, var_cap: int = DEBUG_VAR_CAP,
             raise DebugAssertionError(
                 "maximizer", var=x,
                 detail=f"chooser depends on unassigned {sorted(unassigned)}")
-        tau[x] = entry.pick(tau)
-        ctx.eliminated.discard(x)
-        g = ctx.reference()
+
+    def picked(self, entry: DsgnFunc, tau: dict[int, bool]):
+        self.eliminated.discard(entry.var)
+        g = self.reference()
         m_here = g
         for v2 in sorted(g.support):
             m_here = m_here.exists_project(v2)
         val_at_tau = g.evaluate(tau)
-        if abs(val_at_tau - m_here.evaluate({})) > tol:
+        if abs(val_at_tau - m_here.evaluate({})) > self.tol:
             raise DebugAssertionError(
-                "maximizer", var=x,
+                "maximizer", var=entry.var,
                 detail=f"assignment value {val_at_tau} is not the maximum "
                        f"{m_here.evaluate({})}")
-    if ctx.eliminated & p.X:
-        raise DebugAssertionError(
-            "maximizer",
-            detail=f"existential variables never popped: "
-                   f"{sorted(ctx.eliminated & p.X)}")
-    for x in p.X:
-        tau.setdefault(x, False)
-    stats.diagram_nodes = store.node_count
-    stats.exec_seconds = time.perf_counter() - t0
-    return SolveResult(maximum=maximum, maximizer=tau, stats=stats)
+
+
+def debug_assert_mode(p: Problem, t: PjTree, var_cap: int = DEBUG_VAR_CAP,
+                      tol: float = DEBUG_TOL, validate: bool = True,
+                      node_limit: int | None = None,
+                      deadline: float | None = None) -> SolveResult:
+    """Solve while checking every annotated-algorithm assertion.
+
+    The checked identity materializes the fully joined formula, so the run is
+    guarded by a variable cap.  With validate=True the structural tree checks
+    run first; either way a corrupted tree trips an assertion before any
+    answer is returned.  `node_limit` and `deadline` act as in `solve`; the
+    limit also counts the nodes the checks create.
+    """
+    if len(p.quantified) > var_cap:
+        raise ValueError(f"{len(p.quantified)} variables exceed the debug cap "
+                         f"{var_cap}")
+    if validate:
+        check_tree(t, p)
+        check_graded(t, p.X, p.Y)
+    store = DiagramStore(tree_var_order(p, t), node_limit=node_limit,
+                         deadline=deadline)
+    return _run(p, t, store, _DebugContext(p, t, store, tol))

@@ -74,10 +74,14 @@ class PjTree:
     def leaf_ids(self):
         return [i for i, n in self.nodes.items() if n.is_leaf]
 
-    def postorder(self) -> list[int]:
-        """Children before parents, left-to-right in stored child order."""
+    def postorder(self, start: int | None = None) -> list[int]:
+        """Children before parents, left-to-right in stored child order.
+
+        Covers the subtree of `start`, by default the whole tree.
+        """
         out: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
+        stack: list[tuple[int, bool]] = [
+            (self.root if start is None else start, False)]
         while stack:
             nid, expanded = stack.pop()
             if expanded:

@@ -53,7 +53,10 @@ class TestSolveCommand:
         code, out, _ = run_cli(
             ["solve", "--input", example_file, "--debug-assert"], capsys)
         assert code == 0
-        assert json.loads(out)["maximum"] == 0.75
+        report = json.loads(out)
+        assert report["maximum"] == 0.75
+        _, plain, _ = run_cli(["solve", "--input", example_file], capsys)
+        assert report["max_support"] == json.loads(plain)["max_support"] == 2
 
     def test_malformed_input_exit_1(self, tmp_path, capsys):
         f = tmp_path / "bad.cnf"
@@ -100,6 +103,12 @@ class TestSolveCommand:
     def test_node_limit_exit_3(self, example_file, capsys):
         code, out, _ = run_cli(
             ["solve", "--input", example_file, "--node-limit", "5"], capsys)
+        assert code == 3
+        assert json.loads(out)["status"] == "resource"
+
+    def test_debug_assert_node_limit_exit_3(self, example_file, capsys):
+        code, out, _ = run_cli(["solve", "--input", example_file,
+                                "--debug-assert", "--node-limit", "5"], capsys)
         assert code == 3
         assert json.loads(out)["status"] == "resource"
 

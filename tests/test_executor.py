@@ -1,11 +1,13 @@
 import copy
 import random
+import time
 
 import pytest
 
 from dper import oracle
-from dper.executor import (DebugAssertionError, debug_assert_mode, solve,
-                           solve_monolithic, tree_var_order, valuate)
+from dper.executor import (DebugAssertionError, debug_assert_mode,
+                           monolithic_tree, solve, solve_monolithic,
+                           tree_var_order, valuate)
 from dper.formula import parse_problem
 from dper.gen import random_instance
 from dper.pbf import DeadlineExceeded, DiagramStore, ResourceLimitError
@@ -74,18 +76,19 @@ class TestSolve:
         assert r.maximizer == {1: True}
 
     def test_unused_existential_defaults_to_zero(self):
+        # variable 1 occurs in no clause; the tree solver and the monolithic
+        # cross-check both return it as 0
         p = parse_problem("p cnf 2 1\ne 1 2 0\n2 0\n")
-        r = solve(p, plan(p))
-        assert r.maximum == 1.0
-        assert r.maximizer == {1: False, 2: True}
+        for r in (solve(p, plan(p)), solve_monolithic(p)):
+            assert r.maximum == 1.0
+            assert r.maximizer == {1: False, 2: True}
 
     def test_stats_populated(self, example):
         t = plan(example)
         r = solve(example, t)
-        assert r.stats.width == 2
-        assert r.stats.tree_nodes == len(t.nodes)
         assert r.stats.diagram_nodes > 0
-        assert 0 < r.stats.max_support <= r.stats.width
+        assert tree_width(t, example) == 2
+        assert 0 < r.stats.max_support <= tree_width(t, example)
 
     def test_support_bounded_by_width_fuzz(self):
         rng = random.Random(5)
@@ -109,7 +112,6 @@ class TestSolve:
 
     def test_deadline(self, example, monkeypatch):
         monkeypatch.setattr(DiagramStore, "_CHECK_EVERY", 1)
-        import time
         with pytest.raises(DeadlineExceeded):
             solve(example, plan(example), deadline=time.monotonic() - 1.0)
 
@@ -138,6 +140,13 @@ class TestSolveMonolithic:
             a = solve(p, plan(p)).maximum
             b = solve_monolithic(p).maximum
             assert abs(a - b) <= 1e-9
+
+    def test_two_node_tree_is_graded(self, example):
+        rng = random.Random(41)
+        for p in [example] + [random_instance(rng) for _ in range(50)]:
+            t = monolithic_tree(p)
+            check_tree(t, p)
+            check_graded(t, p.X, p.Y)
 
 
 # -- corrupted-tree battery ----------------------------------------------------
@@ -230,6 +239,21 @@ STRUCTURAL_MUTATIONS = [
 ]
 ALL_MUTATIONS = SEMANTIC_MUTATIONS + STRUCTURAL_MUTATIONS
 
+# (point, node, var) of the first annotated assertion each semantic mutation
+# trips with structural validation off; nodes are worked-example tree ids
+TRIP_POINTS = {
+    "move_x_projection_down": ("project-condition", 9, 1),
+    "drop_projection": ("post-condition", 10, None),
+    "duplicate_projection": ("maximizer", None, 5),
+    "duplicate_leaf_clause": ("join-condition", 7, None),
+    "reparent_leaf": ("project-condition", 6, 2),
+    "root_to_subtree": ("post-condition", 8, None),
+    "remove_leaf": ("project-condition", 9, 3),
+    "swap_projection_sets": ("project-condition", 6, 1),
+    "leaf_with_two_parents": ("join-condition", 10, None),
+    "project_foreign_var": ("project-condition", 7, 5),
+}
+
 
 class TestDebugAssertMode:
     def test_clean_run_matches_solve(self, example):
@@ -265,8 +289,20 @@ class TestDebugAssertMode:
                                                            mutate):
         bad = copy.deepcopy(plan(example))
         mutate(bad)
-        with pytest.raises(DebugAssertionError):
+        with pytest.raises(DebugAssertionError) as info:
             debug_assert_mode(example, bad, validate=False)
+        e = info.value
+        assert (e.point, e.node, e.var) == TRIP_POINTS[mutate.__name__]
+
+    def test_node_limit(self, example):
+        with pytest.raises(ResourceLimitError):
+            debug_assert_mode(example, plan(example), node_limit=5)
+
+    def test_deadline(self, example, monkeypatch):
+        monkeypatch.setattr(DiagramStore, "_CHECK_EVERY", 1)
+        with pytest.raises(DeadlineExceeded):
+            debug_assert_mode(example, plan(example),
+                              deadline=time.monotonic() - 1.0)
 
     def test_mutations_are_real_corruptions(self, example):
         # sanity: the pristine tree passes both structural checks
