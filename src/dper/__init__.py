@@ -8,7 +8,6 @@ maximizing existential assignment from the recorded derivative signs.
 
 from .executor import SolveResult, debug_assert_mode, solve, solve_monolithic
 from .formula import Problem, parse_problem, primal_graph, serialize, validate
-from .oracle import enumerate_solve, weighted_count
 from .planner import PjTree, build_graded_tree, check_graded, check_tree, plan
 from .planner import elimination_order, read_tree, width, write_tree
 
@@ -19,5 +18,4 @@ __all__ = [
     "PjTree", "plan", "elimination_order", "build_graded_tree",
     "check_tree", "check_graded", "width", "write_tree", "read_tree",
     "solve", "solve_monolithic", "debug_assert_mode", "SolveResult",
-    "weighted_count", "enumerate_solve",
 ]

@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import bench as bench_mod
-from . import executor, oracle, planner
-from .formula import FormulaError, Problem, parse_problem
+from . import executor, planner
+from .formula import FormulaError, Problem, condition, parse_problem
 from .pbf import DeadlineExceeded, ResourceLimitError
 
 EXIT_OK = 0
@@ -28,6 +28,11 @@ EXIT_DEADLINE = 2
 EXIT_RESOURCE = 3
 
 SCHEMA_VERSION = 1
+
+# The maximizer is re-counted only when |Y| is at most this.  The re-count
+# plans and valuates its own tree; on wider Y blocks (50 on the band-wide
+# benchmark pool) that would add about 75% to execution.
+RECOUNT_MAX_Y = 24
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,25 @@ def _load_problem(path: str, cfg: RunConfig) -> Problem:
     return parse_problem(text, free_as_exist=cfg.free_as_exist)
 
 
+def recount(p: Problem, tau_x: dict[int, bool], cfg: RunConfig,
+            deadline: float | None = None) -> float:
+    """Probability that a random assignment to Y satisfies p under tau_x.
+
+    A weighted model count of `condition(p, tau_x)`, planned and valuated on
+    a tree and store of its own, so that it stays independent of the solve
+    it checks.  With X empty the valuation runs no max, `dsgn` or replay.
+    """
+    q = condition(p, tau_x)
+    if () in q.clauses:
+        return 0.0
+    if not q.clauses:
+        return 1.0
+    tree = planner.plan(q, cfg.heuristic, cfg.seed, cfg.randomize_ties,
+                        deadline)
+    return executor.solve(q, tree, node_limit=cfg.node_limit,
+                          deadline=deadline).maximum
+
+
 def run_solve(path: str, cfg: RunConfig) -> dict:
     """Full pipeline on one instance; returns a JSON-ready report dict."""
     started = time.perf_counter()
@@ -88,7 +112,11 @@ def run_solve(path: str, cfg: RunConfig) -> dict:
         if time.monotonic() > deadline:
             raise DeadlineExceeded("deadline hit after planning")
         if cfg.tree_out:
-            Path(cfg.tree_out).write_text(planner.write_tree(tree, p))
+            try:
+                Path(cfg.tree_out).write_text(planner.write_tree(tree, p))
+            except OSError as e:
+                report.update(status="input-error", error=str(e))
+                return report
         if cfg.debug_assert:
             result = executor.debug_assert_mode(p, tree, node_limit=cfg.node_limit,
                                                 deadline=deadline)
@@ -104,14 +132,16 @@ def run_solve(path: str, cfg: RunConfig) -> dict:
             exec_seconds=result.stats.exec_seconds,
             total_seconds=time.perf_counter() - started,
         )
-        if cfg.verify and len(p.Y) <= oracle.ENUM_GUARD:
-            recount = oracle.weighted_count(p, result.maximizer)
-            agrees = abs(recount - result.maximum) <= 1e-9
+        if cfg.verify and len(p.Y) <= RECOUNT_MAX_Y:
+            t_check = time.perf_counter()
+            count = recount(p, result.maximizer, cfg, deadline)
+            agrees = abs(count - result.maximum) <= 1e-9
             report["verification"] = {
-                "checked": True, "weighted_count": recount, "agrees": agrees,
+                "checked": True, "weighted_count": count, "agrees": agrees,
+                "seconds": time.perf_counter() - t_check,
             }
             if not agrees:
-                print(f"warning: maximizer re-count {recount!r} disagrees with "
+                print(f"warning: maximizer re-count {count!r} disagrees with "
                       f"maximum {result.maximum!r}", file=sys.stderr)
         elif cfg.verify:
             report["verification"] = {"checked": False}
@@ -166,16 +196,16 @@ def cmd_plan(args) -> int:
         p = _load_problem(args.input, cfg)
         tree = planner.plan(p, cfg.heuristic, cfg.seed, cfg.randomize_ties,
                             deadline)
-    except (FormulaError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except DeadlineExceeded:
-        report["status"] = "deadline"
-    else:
         text = planner.write_tree(tree, p)
         if cfg.tree_out:
             Path(cfg.tree_out).write_text(text)
-        else:
+    except (FormulaError, OSError) as e:
+        report.update(status="input-error", error=str(e))
+        print(f"error: {e}", file=sys.stderr)
+    except DeadlineExceeded:
+        report["status"] = "deadline"
+    else:
+        if not cfg.tree_out:
             sys.stdout.write(text)
         report.update(status="ok", width=planner.width(tree, p),
                       tree_nodes=len(tree.nodes))
@@ -252,6 +282,11 @@ def cmd_bench(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _config_from_args(args)
+    try:
+        from . import oracle  # numpy; the solve path never imports it
+    except ImportError:
+        print("error: dper oracle needs numpy", file=sys.stderr)
+        return EXIT_INPUT
     try:
         p = _load_problem(args.input, cfg)
         result = oracle.enumerate_solve(p)

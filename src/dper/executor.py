@@ -211,12 +211,13 @@ def solve_monolithic(p: Problem, var_cap: int = MONOLITHIC_VAR_CAP,
 class _DebugContext:
     """Observer for the annotated run: eliminated set E and active multiset A.
 
-    At every pre/join/project/post point of `valuate` it checks that the
-    product of the active functions equals the reference function obtained by
+    At every join/project/post point of `valuate` it checks that the product
+    of the active functions equals the reference function obtained by
     projecting the eliminated variables out of the fully joined formula.
     Equality is pointwise within a tolerance because the two sides multiply in
-    different orders.  An internal node's pre-condition follows its last
-    child's post-condition, on the same product.  Around each pick of
+    different orders.  Entering a node checks nothing: the product is still
+    the one the previous node's post-condition passed, or before the first
+    node the clause product the reference starts from.  Around each pick of
     `_replay_stack` it checks that tau maximizes the formula with the
     still-eliminated variables projected out; what reads tau is checked before
     the pick, so a bad chooser fails here and not in `pick`.
@@ -276,7 +277,6 @@ class _DebugContext:
                                              "projected formula")
 
     def enter(self, node):
-        self.check("pre-condition", node)
         if not self.t.nodes[node].is_leaf:
             self.active[self.store.constant(1.0).root] += 1
 

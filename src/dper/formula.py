@@ -18,10 +18,13 @@ variable twice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 
 Variable = int
 Clause = tuple[int, ...]  # signed DIMACS literals, no repeated variable
+
+FREE_VARS_SHOWN = 5  # free variables named in the parse error
 
 
 class FormulaError(Exception):
@@ -187,14 +190,20 @@ def parse_problem(text: str, free_as_exist: bool = False) -> Problem:
             f"header declares {num_clauses} clauses but file has {raw_clause_lines}"
         )
 
-    free = set(range(1, num_vars + 1)) - X - Y
-    if free:
-        if not free_as_exist:
-            raise ParseError(
-                f"unquantified unused variables {sorted(free)}; "
-                "pass --free-as-exist to treat them as existential"
-            )
-        X |= free
+    # X and Y lie within 1..num_vars, so the free variables are counted, not
+    # listed: a header may declare far more variables than the file holds
+    num_free = num_vars - len(X) - len(Y)
+    if num_free and not free_as_exist:
+        first = list(islice((v for v in range(1, num_vars + 1)
+                             if v not in X and v not in Y), FREE_VARS_SHOWN))
+        more = ", ..." if num_free > len(first) else ""
+        raise ParseError(
+            f"{num_free} unquantified unused variables "
+            f"({', '.join(map(str, first))}{more}); "
+            "pass --free-as-exist to treat them as existential"
+        )
+    if num_free:
+        X |= set(range(1, num_vars + 1)) - X - Y
 
     problem = Problem(
         num_vars=num_vars,
@@ -276,3 +285,29 @@ def primal_graph(p: Problem) -> dict[Variable, set[Variable]]:
                 adj[vs[i]].add(vs[j])
                 adj[vs[j]].add(vs[i])
     return adj
+
+
+def condition(p: Problem, tau_x: dict[Variable, bool]) -> Problem:
+    """The formula under a total existential assignment, with X = {}.
+
+    Drops every clause that a literal of `tau_x` satisfies and strips the
+    false existential literals from the rest, keeping clause order.  A clause
+    whose literals were all existential and false comes back empty.  Y and
+    `pr` are those of `p`, so solving the result is weighted model counting.
+    """
+    missing = p.X - set(tau_x)
+    if missing:
+        raise ValueError(f"assignment missing existential variables {sorted(missing)}")
+    clauses = []
+    for c in p.clauses:
+        rest = []
+        for l in c:
+            v = abs(l)
+            if v not in p.X:
+                rest.append(l)
+            elif tau_x[v] == (l > 0):
+                break
+        else:
+            clauses.append(tuple(rest))
+    return Problem(num_vars=p.num_vars, clauses=tuple(clauses), X=frozenset(),
+                   Y=p.Y, pr=p.pr)

@@ -7,9 +7,9 @@ import sys
 import pytest
 import scipy.stats
 
-from dper import bench, cli, executor, planner
-from dper.formula import parse_problem, serialize
-from dper.gen import band_instance
+from dper import bench, cli, executor, oracle, planner
+from dper.formula import Problem, condition, parse_problem, serialize
+from dper.gen import band_instance, random_instance
 from dper.pbf import DeadlineExceeded
 
 from conftest import EXAMPLE_TEXT
@@ -133,6 +133,36 @@ class TestSolveCommand:
         assert out == ""
         assert err.startswith("error:") and "timeout" in err
 
+    def test_deadline_inside_recount_exit_2(self, example_file, capsys,
+                                            monkeypatch):
+        calls = []
+        real_solve = executor.solve
+
+        def second_expires(p, t, **limits):
+            calls.append((p, limits))
+            if len(calls) == 2:
+                raise DeadlineExceeded("deadline hit during execution")
+            return real_solve(p, t, **limits)
+        monkeypatch.setattr(executor, "solve", second_expires)
+        code, out, _ = run_cli(["solve", "--input", example_file,
+                                "--node-limit", "1000"], capsys)
+        assert code == 2
+        report = json.loads(out)
+        assert report["status"] == "deadline"
+        assert "verification" not in report
+        (_, solve_limits), (recounted, recount_limits) = calls
+        assert not recounted.X  # the conditioned formula
+        assert recount_limits == solve_limits
+        assert solve_limits["node_limit"] == 1000
+
+    def test_unwritable_tree_out_exit_1(self, example_file, tmp_path, capsys):
+        tree_path = tmp_path / "missing" / "t.pjt"
+        code, out, err = run_cli(["solve", "--input", example_file,
+                                  "--tree-out", str(tree_path)], capsys)
+        assert code == 1
+        assert json.loads(out)["status"] == "input-error"
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_tree_out_is_readable(self, example_file, tmp_path, capsys):
         tree_path = tmp_path / "t.pjt"
         code, _, _ = run_cli(["solve", "--input", example_file,
@@ -163,6 +193,14 @@ class TestPlanCommand:
         f.write_text("nonsense\n")
         code, _, _ = run_cli(["plan", "--input", str(f)], capsys)
         assert code == 1
+
+    def test_unwritable_tree_out_exit_1(self, example_file, tmp_path, capsys):
+        tree_path = tmp_path / "missing" / "t.pjt"
+        code, out, err = run_cli(["plan", "--input", example_file,
+                                  "--tree-out", str(tree_path)], capsys)
+        assert code == 1
+        assert json.loads(out)["status"] == "input-error"
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_deadline_exit_2(self, tmp_path, capsys):
         f = tmp_path / "band.cnf"
@@ -246,6 +284,49 @@ class TestOracleCommand:
         assert report["num_maximizers"] == 2
 
 
+class TestRecount:
+    def test_agrees_with_enumeration_on_fuzz(self):
+        cfg = cli.RunConfig()
+        zeros = ones = counted = no_x = 0
+        for i in range(600):
+            p = random_instance(random.Random(20260810 + i))
+            rng = random.Random(i)
+            tau = {x: rng.random() < 0.5 for x in p.X}
+            got = cli.recount(p, tau, cfg)
+            assert abs(got - oracle.weighted_count(p, tau)) <= 1e-9, i
+            q = condition(p, tau)
+            if () in q.clauses:
+                zeros += 1
+            elif not q.clauses:
+                ones += 1
+            else:
+                counted += 1
+            no_x += not p.X
+        assert min(zeros, ones, counted, no_x) > 0
+
+    def test_short_cuts_skip_planning(self, example, monkeypatch):
+        def no_plan(*args, **kwargs):
+            raise AssertionError("planned a trivial re-count")
+        monkeypatch.setattr(planner, "plan", no_plan)
+        cfg = cli.RunConfig()
+        p = Problem(2, ((1,), (1, 2)), frozenset({1}), frozenset({2}),
+                    {2: 0.5})
+        assert cli.recount(p, {1: False}, cfg) == 0.0
+        assert cli.recount(p, {1: True}, cfg) == 1.0
+
+    def test_follows_run_heuristic(self, example, monkeypatch):
+        seen = []
+        real_plan = planner.plan
+
+        def spy(p, heuristic, *args):
+            seen.append(heuristic)
+            return real_plan(p, heuristic, *args)
+        monkeypatch.setattr(planner, "plan", spy)
+        cfg = cli.RunConfig(heuristic="lex")
+        assert cli.recount(example, {1: True, 3: False, 5: True}, cfg) == 0.75
+        assert seen == ["lex"]
+
+
 class TestParScoring:
     def test_mean_of_three_solved(self):
         records = [bench.BenchRecord(f"i{k}", True, float(k))
@@ -303,6 +384,32 @@ class TestConsoleScript:
         out = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_import_leaves_numpy_unloaded(self):
+        code = "import sys, dper, dper.cli; print('numpy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_solve_without_numpy(self, example_file):
+        code = ("import sys; sys.modules['numpy'] = None; "
+                "from dper import cli; "
+                f"sys.exit(cli.main(['solve', '--input', {example_file!r}]))")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        check = json.loads(out.stdout)["verification"]
+        assert check["checked"] and check["agrees"]
+        assert check["weighted_count"] == 0.75
+
+    def test_oracle_without_numpy_exit_1(self, example_file):
+        code = ("import sys; sys.modules['numpy'] = None; "
+                "from dper import cli; "
+                f"sys.exit(cli.main(['oracle', '--input', {example_file!r}]))")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True)
+        assert out.returncode == 1
+        assert out.stderr == "error: dper oracle needs numpy\n"
 
     def test_module_entry_point(self, example_file):
         out = subprocess.run(

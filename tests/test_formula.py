@@ -1,11 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dper.formula import (ParseError, Problem, ValidationError, parse_problem,
-                          primal_graph, serialize, validate)
+from dper.formula import (ParseError, Problem, ValidationError, condition,
+                          parse_problem, primal_graph, serialize, validate)
 from dper.gen import random_instance
 
 
@@ -92,6 +93,23 @@ class TestParseErrors:
         p = parse_problem("p cnf 2 1\ne 1 0\n1 0\n", free_as_exist=True)
         assert p.X == {1, 2}
 
+    def test_free_variable_error_names_first_few_and_count(self):
+        with pytest.raises(ParseError) as err:
+            parse_problem("p cnf 9 1\ne 2 0\nr 0.5 4 0\n2 4 0\n")
+        assert "7 unquantified unused variables (1, 3, 5, 6, 7, ...)" in str(err.value)
+
+    def test_huge_header_bounded(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                parse_problem("p cnf 3000000 0\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(str(err.value)) < 200
+        assert "3000000" in str(err.value)
+        assert peak < 10 * 2**20
+
 
 class TestValidate:
     def test_worked_example_ok(self, example):
@@ -118,6 +136,28 @@ class TestValidate:
         with pytest.raises(ValidationError) as err:
             validate(p)
         assert len(err.value.violations) >= 3
+
+
+class TestCondition:
+    def test_worked_example(self, example):
+        q = condition(example, {1: True, 3: False, 5: True})
+        assert q.clauses == ((2, -4),)
+        assert q.X == frozenset() and q.Y == example.Y and q.pr == example.pr
+        assert q.num_vars == example.num_vars
+
+    def test_false_literals_stripped_in_order(self, example):
+        q = condition(example, {1: False, 3: True, 5: True})
+        assert q.clauses == ((2, -4), (6,), (), ())
+
+    def test_no_existential_block_unchanged(self):
+        p = Problem(2, ((1, -2), (2,)), frozenset(), frozenset({1, 2}),
+                    {1: 0.4, 2: 0.5})
+        q = condition(p, {})
+        assert q == p
+
+    def test_missing_existential_var_rejected(self, example):
+        with pytest.raises(ValueError, match="missing"):
+            condition(example, {1: True})
 
 
 class TestPrimalGraph:
