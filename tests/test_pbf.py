@@ -200,6 +200,16 @@ class TestSupport:
         assert f.exists_project(2).support <= {1, 3}
         assert f.rand_project(2, 0.5).support <= {1, 3}
 
+    def test_equal_masks_are_one_object(self):
+        # Python caches ints up to 256 only; above that, each node would
+        # otherwise hold its own copy of a mask many nodes share
+        st = fresh_store(list(range(1, 13)))
+        f = st.clause_func((10, 11)).join(st.clause_func((-10, 12)))
+        f.join(st.clause_func((11, -12))).rand_project(10, 0.3)
+        masks = [m for m in st._sup if m > 256]
+        assert len(masks) > len(set(masks))
+        assert len({id(m) for m in masks}) == len(set(masks))
+
 
 class TestCanonicity:
     def test_equal_tables_equal_handles(self):
