@@ -1,9 +1,14 @@
 """Command-line front end: solve, plan, bench, and oracle subcommands.
 
-Exit codes: 0 success, 1 input or usage error, 2 deadline exceeded, 3
-resource limit.  The wall-clock deadline covers planning and execution
-jointly; `plan` honours it while planning.  The diagram node cap can also
-be set through the DPER_NODE_LIMIT environment variable.
+Every way a run can fail maps, through the one table `FAILURES`, to a report
+status and an exit code: 0 `ok`, 1 `input-error` (a bad option, environment
+setting or input file, a file that is not UTF-8 included), 2 `deadline`, 3
+`resource` (the diagram node cap).  `solve`, `plan` and `oracle` each print
+one report through `_finish`; a bad option or environment setting is found
+before any report exists and prints only its `error:` line.  The wall-clock
+deadline covers planning, execution and the maximizer re-count jointly;
+`plan` honours it while planning.  The diagram node cap can also be set
+through the DPER_NODE_LIMIT environment variable.
 """
 
 from __future__ import annotations
@@ -14,18 +19,14 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from pathlib import Path
 
 from . import bench as bench_mod
 from . import executor, planner
 from .formula import FormulaError, Problem, condition, parse_problem
 from .pbf import DeadlineExceeded, ResourceLimitError
-
-EXIT_OK = 0
-EXIT_INPUT = 1
-EXIT_DEADLINE = 2
-EXIT_RESOURCE = 3
 
 SCHEMA_VERSION = 1
 
@@ -51,10 +52,32 @@ class RunConfig:
     def __post_init__(self):
         if not self.timeout > 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
+        if self.node_limit is not None and self.node_limit < 1:
+            raise ValueError(f"node limit must be at least 1, got {self.node_limit}")
 
 
 class UsageError(Exception):
-    """A bad option or environment setting; reported with exit code 1."""
+    """A bad option, environment setting or input size; reported with exit code 1."""
+
+
+# The one map from a failure to its report status and exit code.
+FAILURES: dict[type[Exception], tuple[str, int]] = {
+    FormulaError: ("input-error", 1),
+    OSError: ("input-error", 1),
+    UnicodeDecodeError: ("input-error", 1),
+    UsageError: ("input-error", 1),
+    DeadlineExceeded: ("deadline", 2),
+    ResourceLimitError: ("resource", 3),
+}
+_FAILURE_TYPES = tuple(FAILURES)
+_EXIT_CODES = {"ok": 0, **dict(FAILURES.values())}
+
+
+def _fail(report: dict, e: Exception) -> dict:
+    """Record failure `e` in `report` under its status from FAILURES."""
+    cls = next(c for c in type(e).__mro__ if c in FAILURES)
+    report.update(status=FAILURES[cls][0], error=str(e))
+    return report
 
 
 def _signed_literals(maximizer: dict[int, bool]) -> list[int]:
@@ -62,8 +85,32 @@ def _signed_literals(maximizer: dict[int, bool]) -> list[int]:
 
 
 def _load_problem(path: str, cfg: RunConfig) -> Problem:
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="utf-8")
     return parse_problem(text, free_as_exist=cfg.free_as_exist)
+
+
+def _check_cap(p: Problem, cap: int, what: str):
+    if len(p.quantified) > cap:
+        raise UsageError(f"{len(p.quantified)} variables exceed the {what} cap {cap}")
+
+
+def _plan(p: Problem, cfg: RunConfig, deadline: float, report: dict):
+    """Plan `p`, record the plan's stats in `report` and write `--tree-out`.
+
+    The stats stay in the report even if the deadline hits later.
+    """
+    t_plan = time.perf_counter()
+    tree = planner.plan(p, cfg.heuristic, cfg.seed, cfg.randomize_ties,
+                        deadline)
+    plan_seconds = time.perf_counter() - t_plan
+    report["width"] = planner.width(tree, p)
+    report["tree_nodes"] = len(tree.nodes)
+    report["plan_seconds"] = plan_seconds
+    if time.monotonic() > deadline:
+        raise DeadlineExceeded("deadline hit after planning")
+    if cfg.tree_out:
+        Path(cfg.tree_out).write_text(planner.write_tree(tree, p))
+    return tree
 
 
 def recount(p: Problem, tau_x: dict[int, bool], cfg: RunConfig,
@@ -92,31 +139,9 @@ def run_solve(path: str, cfg: RunConfig) -> dict:
     report: dict = {"schema_version": SCHEMA_VERSION, "instance": path}
     try:
         p = _load_problem(path, cfg)
-    except (FormulaError, OSError) as e:
-        report.update(status="input-error", error=str(e))
-        return report
-    if cfg.debug_assert and len(p.quantified) > executor.DEBUG_VAR_CAP:
-        report.update(status="input-error",
-                      error=f"{len(p.quantified)} variables exceed the "
-                            f"--debug-assert cap {executor.DEBUG_VAR_CAP}")
-        return report
-    try:
-        t_plan = time.perf_counter()
-        tree = planner.plan(p, cfg.heuristic, cfg.seed, cfg.randomize_ties,
-                            deadline)
-        plan_seconds = time.perf_counter() - t_plan
-        # partial stats stay in the report even if the deadline hits later
-        report["width"] = planner.width(tree, p)
-        report["tree_nodes"] = len(tree.nodes)
-        report["plan_seconds"] = plan_seconds
-        if time.monotonic() > deadline:
-            raise DeadlineExceeded("deadline hit after planning")
-        if cfg.tree_out:
-            try:
-                Path(cfg.tree_out).write_text(planner.write_tree(tree, p))
-            except OSError as e:
-                report.update(status="input-error", error=str(e))
-                return report
+        if cfg.debug_assert:
+            _check_cap(p, executor.DEBUG_VAR_CAP, "--debug-assert")
+        tree = _plan(p, cfg, deadline, report)
         if cfg.debug_assert:
             result = executor.debug_assert_mode(p, tree, node_limit=cfg.node_limit,
                                                 deadline=deadline)
@@ -130,7 +155,6 @@ def run_solve(path: str, cfg: RunConfig) -> dict:
             diagram_nodes=result.stats.diagram_nodes,
             max_support=result.stats.max_support,
             exec_seconds=result.stats.exec_seconds,
-            total_seconds=time.perf_counter() - started,
         )
         if cfg.verify and len(p.Y) <= RECOUNT_MAX_Y:
             t_check = time.perf_counter()
@@ -145,78 +169,59 @@ def run_solve(path: str, cfg: RunConfig) -> dict:
                       f"maximum {result.maximum!r}", file=sys.stderr)
         elif cfg.verify:
             report["verification"] = {"checked": False}
-    except DeadlineExceeded:
-        report.update(status="deadline",
-                      total_seconds=time.perf_counter() - started)
-    except ResourceLimitError as e:
-        report.update(status="resource", error=str(e),
-                      total_seconds=time.perf_counter() - started)
+    except _FAILURE_TYPES as e:
+        _fail(report, e)
+    report["total_seconds"] = time.perf_counter() - started
     return report
 
 
-def _print_report(report: dict, fmt: str):
+def _finish(report: dict, fmt: str | None) -> int:
+    """Print a subcommand's report in `fmt` and return its exit code.
+
+    A failed run also prints `error: <message>` on stderr.  JSON is one
+    document on stdout.  Text is one `key: value` line per field on stdout,
+    except that a report holding a tree (`plan` without `--tree-out`) puts
+    the tree alone on stdout and its other lines on stderr.  With no `fmt`
+    (a bad option, found before any report) only the error line is printed.
+    """
+    if "error" in report:
+        print(f"error: {report['error']}", file=sys.stderr)
     if fmt == "json":
         json.dump(report, sys.stdout, indent=2)
         print()
-        return
-    for key, value in report.items():
-        if key == "maximum":
-            print(f"maximum: {value:.17g}")
-        elif key == "maximizer":
-            print("maximizer: " + " ".join(str(l) for l in value))
-        elif isinstance(value, dict):
-            print(f"{key}: " + " ".join(f"{k}={v}" for k, v in value.items()))
-        else:
-            print(f"{key}: {value}")
+    elif fmt == "text":
+        lines = dict(report)
+        tree = lines.pop("tree", None)
+        out = sys.stdout if tree is None else sys.stderr
+        for key, value in lines.items():
+            if key == "maximum":
+                value = f"{value:.17g}"
+            elif key == "maximizer":
+                value = " ".join(str(l) for l in value)
+            elif isinstance(value, dict):
+                value = " ".join(f"{k}={v}" for k, v in value.items())
+            print(f"{key}: {value}", file=out)
+        if tree is not None:
+            sys.stdout.write(tree)
+    return _EXIT_CODES[report["status"]]
 
 
-def _status_exit(report: dict) -> int:
-    return {
-        "ok": EXIT_OK,
-        "input-error": EXIT_INPUT,
-        "deadline": EXIT_DEADLINE,
-        "resource": EXIT_RESOURCE,
-    }[report["status"]]
+def cmd_solve(args, cfg: RunConfig) -> int:
+    return _finish(run_solve(args.input, cfg), cfg.fmt)
 
 
-def cmd_solve(args) -> int:
-    cfg = _config_from_args(args)
-    report = run_solve(args.input, cfg)
-    _print_report(report, cfg.fmt)
-    if report["status"] == "input-error":
-        print(f"error: {report['error']}", file=sys.stderr)
-    return _status_exit(report)
-
-
-def cmd_plan(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_plan(args, cfg: RunConfig) -> int:
     deadline = time.monotonic() + cfg.timeout
-    report: dict = {"schema_version": SCHEMA_VERSION}
+    report: dict = {"schema_version": SCHEMA_VERSION, "instance": args.input}
     try:
         p = _load_problem(args.input, cfg)
-        tree = planner.plan(p, cfg.heuristic, cfg.seed, cfg.randomize_ties,
-                            deadline)
-        text = planner.write_tree(tree, p)
-        if cfg.tree_out:
-            Path(cfg.tree_out).write_text(text)
-    except (FormulaError, OSError) as e:
-        report.update(status="input-error", error=str(e))
-        print(f"error: {e}", file=sys.stderr)
-    except DeadlineExceeded:
-        report["status"] = "deadline"
-    else:
+        tree = _plan(p, cfg, deadline, report)
+        report["status"] = "ok"
         if not cfg.tree_out:
-            sys.stdout.write(text)
-        report.update(status="ok", width=planner.width(tree, p),
-                      tree_nodes=len(tree.nodes))
-    if cfg.fmt == "json":
-        json.dump(report, sys.stdout, indent=2)
-        print()
-    elif "width" in report:
-        print(f"width: {report['width']}", file=sys.stderr)
-    else:
-        print(f"status: {report['status']}", file=sys.stderr)
-    return _status_exit(report)
+            report["tree"] = planner.write_tree(tree, p)
+    except _FAILURE_TYPES as e:
+        _fail(report, e)
+    return _finish(report, cfg.fmt)
 
 
 def _bench_one(path: str, cfg: RunConfig) -> bench_mod.BenchRecord:
@@ -238,27 +243,17 @@ def _bench_one(path: str, cfg: RunConfig) -> bench_mod.BenchRecord:
     )
 
 
-def _bench_worker(task):
-    path, cfg_kwargs = task
-    return _bench_one(path, RunConfig(**cfg_kwargs))
-
-
-def cmd_bench(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_bench(args, cfg: RunConfig) -> int:
     base = Path(args.dir)
     if not base.is_dir():
-        print(f"error: {base} is not a directory", file=sys.stderr)
-        return EXIT_INPUT
+        raise UsageError(f"{base} is not a directory")
     paths = sorted(str(f) for f in base.iterdir() if f.is_file())
     if not paths:
-        print(f"error: no instances in {base}", file=sys.stderr)
-        return EXIT_INPUT
+        raise UsageError(f"no instances in {base}")
 
     if args.jobs > 1:
-        cfg_kwargs = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_bench_worker,
-                                    [(p, cfg_kwargs) for p in paths]))
+            records = list(pool.map(_bench_one, paths, repeat(cfg)))
     else:
         records = [_bench_one(p, cfg) for p in paths]
 
@@ -277,69 +272,58 @@ def cmd_bench(args) -> int:
           f"disqualified: {summary.disqualified}", file=sys.stderr)
     print(f"mean PAR-2: {summary.mean_par2:.3f}  "
           f"95% CI: [{lo:.3f}, {hi:.3f}]", file=sys.stderr)
-    return EXIT_OK
+    return 0
 
 
-def cmd_oracle(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_oracle(args, cfg: RunConfig) -> int:
     try:
         from . import oracle  # numpy; the solve path never imports it
     except ImportError:
-        print("error: dper oracle needs numpy", file=sys.stderr)
-        return EXIT_INPUT
+        raise UsageError("dper oracle needs numpy") from None
+    report: dict = {"schema_version": SCHEMA_VERSION, "instance": args.input}
     try:
         p = _load_problem(args.input, cfg)
+        _check_cap(p, oracle.ENUM_GUARD, "oracle enumeration")
         result = oracle.enumerate_solve(p)
-    except (FormulaError, OSError, oracle.EnumerationGuardError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "status": "ok",
-        "maximum": result.maximum,
-        "num_maximizers": len(result.maximizers),
-        "maximizer": _signed_literals(result.maximizers[0]),
-    }
-    _print_report(report, cfg.fmt)
-    return EXIT_OK
+        report.update(
+            status="ok",
+            maximum=result.maximum,
+            num_maximizers=len(result.maximizers),
+            maximizer=_signed_literals(result.maximizers[0]),
+        )
+    except _FAILURE_TYPES as e:
+        _fail(report, e)
+    return _finish(report, cfg.fmt)
 
 
 def _config_from_args(args) -> RunConfig:
-    node_limit = getattr(args, "node_limit", None)
-    if node_limit is None:
-        env = os.environ.get("DPER_NODE_LIMIT")
+    """A RunConfig from the options given; RunConfig holds every default."""
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if hasattr(args, f.name)}
+    env = os.environ.get("DPER_NODE_LIMIT")
+    if "node_limit" not in given and env:
         try:
-            node_limit = int(env) if env else None
+            given["node_limit"] = int(env)
         except ValueError:
             raise UsageError(f"DPER_NODE_LIMIT must be an integer, got {env!r}") from None
     try:
-        return RunConfig(
-            heuristic=getattr(args, "heuristic", "min-fill"),
-            seed=getattr(args, "seed", 0),
-            timeout=getattr(args, "timeout", 1000.0),
-            fmt=getattr(args, "format", "json"),
-            debug_assert=getattr(args, "debug_assert", False),
-            randomize_ties=getattr(args, "randomize_ties", False),
-            free_as_exist=getattr(args, "free_as_exist", False),
-            tree_out=getattr(args, "tree_out", None),
-            node_limit=node_limit,
-        )
+        return RunConfig(**given)
     except ValueError as e:
         raise UsageError(str(e)) from None
 
 
 def _add_common(sub):
-    sub.add_argument("--heuristic", choices=planner.HEURISTICS, default="min-fill")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--timeout", type=float, default=1000.0,
+    sub.add_argument("--heuristic", choices=planner.HEURISTICS)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--timeout", type=float,
                      help="wall-clock cap in seconds for planning + execution "
                           "(planning alone for plan)")
-    sub.add_argument("--format", choices=("json", "text"), default="json")
+    sub.add_argument("--format", dest="fmt", choices=("json", "text"))
     sub.add_argument("--randomize-ties", action="store_true")
     sub.add_argument("--free-as-exist", action="store_true",
                      help="treat declared-but-unquantified unused variables "
                           "as existential")
-    sub.add_argument("--node-limit", type=int, default=None,
+    sub.add_argument("--node-limit", type=int,
                      help="diagram node cap (also via DPER_NODE_LIMIT)")
 
 
@@ -349,33 +333,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact exist-random stochastic satisfiability solver.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("solve", help="solve one instance")
+    def add(name, func, summary):
+        # options not given stay unset, so RunConfig supplies their defaults
+        s = subs.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        s.set_defaults(func=func)
+        _add_common(s)
+        return s
+
+    s = add("solve", cmd_solve, "solve one instance")
     s.add_argument("--input", required=True)
     s.add_argument("--debug-assert", action="store_true",
                    help="run with every annotated assertion checked")
-    s.add_argument("--tree-out", default=None)
-    _add_common(s)
-    s.set_defaults(func=cmd_solve)
+    s.add_argument("--tree-out")
 
-    s = subs.add_parser("plan", help="emit a graded project-join tree")
+    s = add("plan", cmd_plan, "emit a graded project-join tree")
     s.add_argument("--input", required=True)
-    s.add_argument("--tree-out", default=None)
-    _add_common(s)
-    s.set_defaults(func=cmd_plan)
+    s.add_argument("--tree-out")
 
-    s = subs.add_parser("bench", help="run a directory of instances")
+    s = add("bench", cmd_bench, "run a directory of instances")
     s.add_argument("--dir", required=True)
     s.add_argument("--ref-answers", default=None,
                    help="file of 'name value' reference answers")
     s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--out", default=None, help="CSV output path")
-    _add_common(s)
-    s.set_defaults(func=cmd_bench)
 
-    s = subs.add_parser("oracle", help="brute-force enumeration (debugging)")
+    s = add("oracle", cmd_oracle, "brute-force enumeration (debugging)")
     s.add_argument("--input", required=True)
-    _add_common(s)
-    s.set_defaults(func=cmd_oracle)
 
     return parser
 
@@ -383,10 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        return args.func(args, _config_from_args(args))
+    except _FAILURE_TYPES as e:
+        # a bad option or environment setting, or a bench file: no report
+        return _finish(_fail({}, e), None)
 
 
 if __name__ == "__main__":

@@ -102,7 +102,7 @@ def parse_problem(text: str, free_as_exist: bool = False) -> Problem:
     Y: set[int] = set()
     pr: dict[int, float] = {}
     clauses: list[Clause] = []
-    saw_clause = False
+    raw_clause_lines = 0  # tautologies are dropped from `clauses` but counted here
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -126,7 +126,7 @@ def parse_problem(text: str, free_as_exist: bool = False) -> Problem:
             raise ParseError(f"{toks[0]!r} before 'p cnf' header", lineno)
 
         if toks[0] == "e" or toks[0] == "r":
-            if saw_clause:
+            if raw_clause_lines:
                 raise ParseError("quantifier line after clause lines", lineno)
             body = toks[1:]
             prob = None
@@ -161,7 +161,7 @@ def parse_problem(text: str, free_as_exist: bool = False) -> Problem:
             continue
 
         # clause line
-        saw_clause = True
+        raw_clause_lines += 1
         try:
             lits = [int(t) for t in toks]
         except ValueError:
@@ -183,8 +183,6 @@ def parse_problem(text: str, free_as_exist: bool = False) -> Problem:
 
     if num_vars is None:
         raise ParseError("missing 'p cnf' header")
-    # tautologies were dropped from `clauses`, so compare against the raw line count
-    raw_clause_lines = _count_clause_lines(text)
     if raw_clause_lines != num_clauses:
         raise ParseError(
             f"header declares {num_clauses} clauses but file has {raw_clause_lines}"
@@ -214,24 +212,6 @@ def parse_problem(text: str, free_as_exist: bool = False) -> Problem:
     )
     validate(problem)
     return problem
-
-
-def _count_clause_lines(text: str) -> int:
-    n = 0
-    past_header = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line == "c" or line.startswith("c ") or line.startswith("c\t"):
-            continue
-        toks = line.split()
-        if toks[0] == "p":
-            past_header = True
-            continue
-        if toks[0] in ("e", "r"):
-            continue
-        if past_header:
-            n += 1
-    return n
 
 
 def validate(p: Problem) -> None:

@@ -1,11 +1,18 @@
+import io
 import json
 import math
 import random
 import subprocess
 import sys
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dper import bench, cli, executor, oracle, planner
 from dper.formula import Problem, condition, parse_problem, serialize
@@ -133,6 +140,42 @@ class TestSolveCommand:
         assert out == ""
         assert err.startswith("error:") and "timeout" in err
 
+    @pytest.mark.parametrize("flag, env", [("-5", None), ("0", None),
+                                           (None, "0")])
+    def test_node_limit_below_1_exit_1(self, example_file, capsys,
+                                       monkeypatch, flag, env):
+        argv = ["solve", "--input", example_file]
+        if flag is not None:
+            argv += ["--node-limit", flag]
+        if env is not None:
+            monkeypatch.setenv("DPER_NODE_LIMIT", env)
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "node limit" in err
+
+    def test_total_seconds_covers_recount(self, example_file, capsys,
+                                          monkeypatch):
+        real_recount = cli.recount
+
+        def slow_recount(*args):
+            time.sleep(0.02)
+            return real_recount(*args)
+        monkeypatch.setattr(cli, "recount", slow_recount)
+        _, out, _ = run_cli(["solve", "--input", example_file], capsys)
+        report = json.loads(out)
+        assert report["verification"]["seconds"] >= 0.02
+        assert report["total_seconds"] >= report["verification"]["seconds"]
+
+    @pytest.mark.parametrize("command", ["solve", "plan"])
+    def test_non_utf8_input_exit_1(self, tmp_path, capsys, command):
+        f = tmp_path / "latin1.cnf"
+        f.write_bytes(EXAMPLE_TEXT.replace("worked", "w\xf6rked").encode("latin-1"))
+        code, out, err = run_cli([command, "--input", str(f)], capsys)
+        assert code == 1
+        assert json.loads(out)["status"] == "input-error"
+        assert err.startswith("error:") and "utf-8" in err
+
     def test_deadline_inside_recount_exit_2(self, example_file, capsys,
                                             monkeypatch):
         calls = []
@@ -174,6 +217,15 @@ class TestSolveCommand:
 
 
 class TestPlanCommand:
+    def test_json_report_holds_tree(self, example_file, capsys):
+        code, out, _ = run_cli(["plan", "--input", example_file], capsys)
+        assert code == 0
+        report = json.loads(out)  # one document, the tree inside it
+        p = parse_problem(EXAMPLE_TEXT)
+        tree = planner.read_tree(report["tree"], p)
+        assert report["width"] == planner.width(tree, p) == 2
+        assert report["tree_nodes"] == len(tree.nodes)
+
     def test_deterministic_bytes(self, example_file, capsys):
         args = ["plan", "--input", example_file, "--heuristic", "lex",
                 "--format", "text"]
@@ -211,6 +263,48 @@ class TestPlanCommand:
         assert code == 2
         assert json.loads(out)["status"] == "deadline"
         assert not tree_path.exists()
+
+
+STATUS_EXIT = {"ok": 0, "input-error": 1, "deadline": 2, "resource": 3}
+
+
+@st.composite
+def mutated_er_dimacs(draw):
+    """A few byte edits of the worked example or a small random instance."""
+    seed = draw(st.none() | st.integers(0, 2**32 - 1))
+    text = (EXAMPLE_TEXT if seed is None
+            else serialize(random_instance(random.Random(seed))))
+    data = bytearray(text.encode())
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from(b" -0123456789\nprec.") | st.integers(0, 255))
+        op = draw(st.sampled_from(("replace", "insert", "delete")))
+        if op == "insert":
+            data.insert(i, byte)
+        elif i < len(data) and op == "replace":
+            data[i] = byte
+        elif i < len(data):
+            del data[i]
+    return bytes(data)
+
+
+class TestCliFuzz:
+    @given(data=mutated_er_dimacs())
+    def test_every_run_ends_in_a_status(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "fuzz.cnf"
+            path.write_bytes(data)
+            for command in ("solve", "plan", "oracle"):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli.main([command, "--input", str(path),
+                                     "--timeout", "5"])
+                report = json.loads(out.getvalue())  # exactly one document
+                assert code == STATUS_EXIT[report["status"]], command
+                if report["status"] != "ok":
+                    assert err.getvalue() == f"error: {report['error']}\n"
+                check = report.get("verification", {})
+                assert check.get("agrees", True), report
 
 
 class TestBenchCommand:
@@ -260,6 +354,14 @@ class TestBenchCommand:
         assert code == 0
         assert "disqualified: 1" in err
 
+    def test_unwritable_out_exit_1(self, bench_dir, tmp_path, capsys):
+        out_csv = tmp_path / "missing" / "results.csv"
+        code, out, err = run_cli(["bench", "--dir", str(bench_dir),
+                                  "--out", str(out_csv)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_parallel_jobs_match_serial(self, bench_dir, tmp_path, capsys):
         a = tmp_path / "serial.csv"
         b = tmp_path / "parallel.csv"
@@ -282,6 +384,14 @@ class TestOracleCommand:
         report = json.loads(out)
         assert report["maximum"] == 0.75
         assert report["num_maximizers"] == 2
+
+    def test_missing_file_reports_input_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cnf"
+        code, out, err = run_cli(["oracle", "--input", str(missing)], capsys)
+        assert code == 1
+        report = json.loads(out)
+        assert report["status"] == "input-error"
+        assert err == f"error: {report['error']}\n"
 
 
 class TestRecount:

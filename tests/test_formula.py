@@ -84,6 +84,11 @@ class TestParseErrors:
     def test_clause_count_mismatch(self):
         with pytest.raises(ParseError, match="declares"):
             parse_problem("p cnf 1 2\ne 1 0\n1 0\n")
+        # comment lines are not clauses; a dropped tautology still is one
+        with pytest.raises(ParseError, match="declares 2 clauses but file has 1"):
+            parse_problem("c head\np cnf 1 2\ne 1 0\nc 1 0\nc\n1 0\nc\ttail\n")
+        with pytest.raises(ParseError, match="declares 1 clauses but file has 2"):
+            parse_problem("p cnf 1 1\ne 1 0\n1 -1 0\n1 0\n")
 
     def test_free_variables_rejected_by_default(self):
         with pytest.raises(ParseError, match="free-as-exist"):
