@@ -49,8 +49,8 @@ class BenchSummary:
             self.mean_par2, self.ci95 = mean_with_ci(scores)
 
 
-def mean_with_ci(scores, confidence: float = 0.95):
-    """Mean and Student-t confidence interval of the mean."""
+def mean_with_ci(scores):
+    """Mean and 95% Student-t confidence interval of the mean."""
     import scipy.stats  # slow to import; only `dper bench` gets here
 
     n = len(scores)
@@ -58,7 +58,7 @@ def mean_with_ci(scores, confidence: float = 0.95):
     if n < 2:
         return mean, (mean, mean)
     var = sum((s - mean) ** 2 for s in scores) / (n - 1)
-    half = scipy.stats.t.ppf(0.5 + confidence / 2.0, n - 1) * math.sqrt(var / n)
+    half = scipy.stats.t.ppf(0.975, n - 1) * math.sqrt(var / n)
     return mean, (mean - half, mean + half)
 
 
@@ -74,14 +74,21 @@ def apply_reference_answers(records: list[BenchRecord],
 
 
 def load_reference_answers(text: str) -> dict[str, float]:
-    """Parse 'name value' lines; '#' starts a comment."""
+    """Parse 'name value' lines; '#' starts a comment.
+
+    Raises ValueError naming the 1-based line of the first malformed entry.
+    """
     out: dict[str, float] = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        name, value = line.rsplit(None, 1)
-        out[name] = float(value)
+        try:
+            name, value = line.rsplit(None, 1)
+            out[name] = float(value)
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected 'name value', got "
+                             f"{line!r}") from None
     return out
 
 

@@ -4,9 +4,10 @@ Every way a run can fail maps, through the one table `FAILURES`, to a report
 status and an exit code: 0 `ok`, 1 `input-error` (a bad option, environment
 setting or input file, a file that is not UTF-8 included), 2 `deadline`, 3
 `resource` (the diagram node cap).  `solve`, `plan` and `oracle` each print
-one report through `_finish`; a bad option or environment setting is found
-before any report exists and prints only its `error:` line.  The wall-clock
-deadline covers planning, execution and the maximizer re-count jointly;
+one report through `_finish`.  A usage error (a missing `--input`, an unknown
+option), a bad option value or a bad environment setting is found before any
+report exists and prints only its `error:` line.  The wall-clock deadline
+covers planning, execution and the maximizer re-count jointly;
 `plan` honours it while planning.  The diagram node cap can also be set
 through the DPER_NODE_LIMIT environment variable.
 """
@@ -18,7 +19,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
@@ -39,11 +39,9 @@ RECOUNT_MAX_Y = 24
 @dataclass(frozen=True)
 class RunConfig:
     heuristic: str = "min-fill"
-    seed: int = 0
     timeout: float = 1000.0
     fmt: str = "json"
     debug_assert: bool = False
-    randomize_ties: bool = False
     free_as_exist: bool = False
     tree_out: str | None = None
     node_limit: int | None = None
@@ -100,8 +98,7 @@ def _plan(p: Problem, cfg: RunConfig, deadline: float, report: dict):
     The stats stay in the report even if the deadline hits later.
     """
     t_plan = time.perf_counter()
-    tree = planner.plan(p, cfg.heuristic, cfg.seed, cfg.randomize_ties,
-                        deadline)
+    tree = planner.plan(p, cfg.heuristic, deadline=deadline)
     plan_seconds = time.perf_counter() - t_plan
     report["width"] = planner.width(tree, p)
     report["tree_nodes"] = len(tree.nodes)
@@ -126,8 +123,7 @@ def recount(p: Problem, tau_x: dict[int, bool], cfg: RunConfig,
         return 0.0
     if not q.clauses:
         return 1.0
-    tree = planner.plan(q, cfg.heuristic, cfg.seed, cfg.randomize_ties,
-                        deadline)
+    tree = planner.plan(q, cfg.heuristic, deadline=deadline)
     return executor.solve(q, tree, node_limit=cfg.node_limit,
                           deadline=deadline).maximum
 
@@ -250,16 +246,23 @@ def cmd_bench(args, cfg: RunConfig) -> int:
     paths = sorted(str(f) for f in base.iterdir() if f.is_file())
     if not paths:
         raise UsageError(f"no instances in {base}")
+    refs: dict[str, float] = {}
+    if args.ref_answers:  # read before the sweep, so a bad file costs no solves
+        text = Path(args.ref_answers).read_text(encoding="utf-8")
+        try:
+            refs = bench_mod.load_reference_answers(text)
+        except ValueError as e:
+            raise UsageError(f"{args.ref_answers}: {e}") from None
 
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             records = list(pool.map(_bench_one, paths, repeat(cfg)))
     else:
         records = [_bench_one(p, cfg) for p in paths]
 
-    if args.ref_answers:
-        refs = bench_mod.load_reference_answers(Path(args.ref_answers).read_text())
-        bench_mod.apply_reference_answers(records, refs)
+    bench_mod.apply_reference_answers(records, refs)
 
     csv_text = bench_mod.records_to_csv(records, cfg.timeout)
     if args.out:
@@ -314,12 +317,10 @@ def _config_from_args(args) -> RunConfig:
 
 def _add_common(sub):
     sub.add_argument("--heuristic", choices=planner.HEURISTICS)
-    sub.add_argument("--seed", type=int)
     sub.add_argument("--timeout", type=float,
                      help="wall-clock cap in seconds for planning + execution "
                           "(planning alone for plan)")
     sub.add_argument("--format", dest="fmt", choices=("json", "text"))
-    sub.add_argument("--randomize-ties", action="store_true")
     sub.add_argument("--free-as-exist", action="store_true",
                      help="treat declared-but-unquantified unused variables "
                           "as existential")
@@ -327,8 +328,16 @@ def _add_common(sub):
                      help="diagram node cap (also via DPER_NODE_LIMIT)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are UsageError (exit 1), not
+    argparse's exit 2, which is the deadline's code."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dper",
         description="Exact exist-random stochastic satisfiability solver.")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -364,11 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, _config_from_args(args))
     except _FAILURE_TYPES as e:
-        # a bad option or environment setting, or a bench file: no report
+        # a usage error, a bad option or environment setting, or a bench
+        # file: no report
         return _finish(_fail({}, e), None)
 
 

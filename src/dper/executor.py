@@ -79,8 +79,8 @@ def tree_var_order(p: Problem, t: PjTree) -> VarOrder:
 
 
 def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc],
-            store: DiagramStore | None = None,
-            stats: SolveStats | None = None, obs=None) -> PbFunc:
+            store: DiagramStore, stats: SolveStats | None = None,
+            obs=None) -> PbFunc:
     """Valuation of node v, pushing derivative signs for existential vars.
 
     One pass over `t.postorder(v)`.  Leaves valuate to their clause function.
@@ -95,8 +95,6 @@ def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc],
     `joins_done(nid, f)` after an internal node's joins; `projected(nid, x,
     prev, f)` after each projection of `x`; and `leave(nid, f)`.
     """
-    if store is None:
-        store = DiagramStore(tree_var_order(p, t))
 
     def note(f: PbFunc):
         if stats is not None:
@@ -190,18 +188,18 @@ def monolithic_tree(p: Problem) -> PjTree:
     return PjTree(nodes=nodes, root=m + 1, grade_x={m + 1}, grade_y={m})
 
 
-def solve_monolithic(p: Problem, var_cap: int = MONOLITHIC_VAR_CAP,
-                     node_limit: int | None = None,
+def solve_monolithic(p: Problem, *, node_limit: int | None = None,
                      deadline: float | None = None) -> SolveResult:
     """`solve` on `monolithic_tree(p)`: a cross-check that needs no planning.
 
     Joining every clause at one node ignores the factored form entirely, so
-    this is guarded by a variable cap.  As in `solve`, an existential
-    variable that occurs in no clause comes back as 0.
+    this is guarded by a cap of MONOLITHIC_VAR_CAP variables.  As in `solve`,
+    an existential variable that occurs in no clause comes back as 0.
     """
     n = len(p.quantified)
-    if n > var_cap:
-        raise ValueError(f"{n} variables exceed the monolithic cap {var_cap}")
+    if n > MONOLITHIC_VAR_CAP:
+        raise ValueError(f"{n} variables exceed the monolithic cap "
+                         f"{MONOLITHIC_VAR_CAP}")
     return solve(p, monolithic_tree(p), node_limit, deadline)
 
 
@@ -223,11 +221,10 @@ class _DebugContext:
     the pick, so a bad chooser fails here and not in `pick`.
     """
 
-    def __init__(self, p: Problem, t: PjTree, store: DiagramStore, tol: float):
+    def __init__(self, p: Problem, t: PjTree, store: DiagramStore):
         self.p = p
         self.t = t
         self.store = store
-        self.tol = tol
         self.width = tree_width(t, p)
         clause_funcs = [store.clause_func(c) for c in p.clauses]
         self.joined_all = store.constant(1.0)
@@ -271,7 +268,7 @@ class _DebugContext:
     def check(self, point: str, node=None, var=None):
         lhs = self.active_product()
         rhs = self.reference()
-        if not self.store.approx_equal(lhs, rhs, self.tol):
+        if not self.store.approx_equal(lhs, rhs, DEBUG_TOL):
             raise DebugAssertionError(point, node, var,
                                       detail="active product diverged from "
                                              "projected formula")
@@ -320,31 +317,31 @@ class _DebugContext:
         for v2 in sorted(g.support):
             m_here = m_here.exists_project(v2)
         val_at_tau = g.evaluate(tau)
-        if abs(val_at_tau - m_here.evaluate({})) > self.tol:
+        if abs(val_at_tau - m_here.evaluate({})) > DEBUG_TOL:
             raise DebugAssertionError(
                 "maximizer", var=entry.var,
                 detail=f"assignment value {val_at_tau} is not the maximum "
                        f"{m_here.evaluate({})}")
 
 
-def debug_assert_mode(p: Problem, t: PjTree, var_cap: int = DEBUG_VAR_CAP,
-                      tol: float = DEBUG_TOL, validate: bool = True,
+def debug_assert_mode(p: Problem, t: PjTree, *, validate: bool = True,
                       node_limit: int | None = None,
                       deadline: float | None = None) -> SolveResult:
     """Solve while checking every annotated-algorithm assertion.
 
     The checked identity materializes the fully joined formula, so the run is
-    guarded by a variable cap.  With validate=True the structural tree checks
-    run first; either way a corrupted tree trips an assertion before any
-    answer is returned.  `node_limit` and `deadline` act as in `solve`; the
+    guarded by a cap of DEBUG_VAR_CAP variables; values are compared within
+    DEBUG_TOL.  With validate=True the structural tree checks run first;
+    either way a corrupted tree trips an assertion before any answer is
+    returned.  `node_limit` and `deadline` act as in `solve`; the
     limit also counts the nodes the checks create.
     """
-    if len(p.quantified) > var_cap:
+    if len(p.quantified) > DEBUG_VAR_CAP:
         raise ValueError(f"{len(p.quantified)} variables exceed the debug cap "
-                         f"{var_cap}")
+                         f"{DEBUG_VAR_CAP}")
     if validate:
         check_tree(t, p)
         check_graded(t, p.X, p.Y)
     store = DiagramStore(tree_var_order(p, t), node_limit=node_limit,
                          deadline=deadline)
-    return _run(p, t, store, _DebugContext(p, t, store, tol))
+    return _run(p, t, store, _DebugContext(p, t, store))

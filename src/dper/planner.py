@@ -11,8 +11,8 @@ The elimination order is chosen incrementally.  Each block keeps a lazy
 min-heap of (score, variable) entries and, after every elimination, rescores
 only the neighborhood whose score that elimination can change, so min-fill
 plans in time near-linear in the number of variables for bounded width.
-Ties break to the lowest variable id (or by a seeded draw among the tied
-ids), exactly as a full rescan of the block would.  An optional deadline is
+Ties break to the lowest variable id, exactly as a full rescan of the block
+would, so each heuristic gives one plan per formula.  An optional deadline is
 polled once per variable, both while ordering and while building the tree.
 
 Tree file format (text, children listed before parents):
@@ -26,11 +26,10 @@ Tree file format (text, children listed before parents):
 from __future__ import annotations
 
 import heapq
-import random
 import time
 from dataclasses import dataclass, field
 
-from .formula import Problem
+from .formula import Problem, primal_graph
 from .pbf import DeadlineExceeded
 
 HEURISTICS = ("min-fill", "min-degree", "lex")
@@ -143,8 +142,7 @@ def _fill(adj, v) -> int:
 
 
 def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fill",
-                      seed: int = 0, randomize_ties: bool = False,
-                      deadline: float | None = None) -> list[int]:
+                      *, deadline: float | None = None) -> list[int]:
     """Total order over X | Y with every Y variable before every X variable.
 
     `graph` is undirected and loop-free, as `primal_graph` builds it.  The
@@ -158,16 +156,12 @@ def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fi
     ends in N, so min-degree rescores N and min-fill rescores N and the
     neighbors of N; a new entry is pushed only when a score changes.
 
-    Ties break to the lowest variable id, which is the heap order.  With
-    randomize_ties the seeded RNG picks among all candidates tied at the
-    lowest score, listed in ascending id; it draws once per elimination,
-    even when there is a single candidate.  `deadline` (a time.monotonic()
-    value) is polled once per eliminated variable and raises
-    DeadlineExceeded once passed.
+    Ties break to the lowest variable id, which is the heap order.
+    `deadline` (a time.monotonic() value) is polled once per eliminated
+    variable and raises DeadlineExceeded once passed.
     """
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}; pick from {HEURISTICS}")
-    rng = random.Random(seed)
     adj = {v: set(ns) for v, ns in graph.items()}
     for v in set(X) | set(Y):
         adj.setdefault(v, set())
@@ -192,16 +186,6 @@ def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fi
                 continue  # stale entry
             if deadline is not None and time.monotonic() > deadline:
                 raise DeadlineExceeded("deadline hit during planning")
-            if randomize_ties:
-                best = [pick]
-                while heap and heap[0][0] == s:
-                    v = heapq.heappop(heap)[1]
-                    if score.get(v) == s and v != best[-1]:
-                        best.append(v)
-                pick = rng.choice(best)
-                for v in best:
-                    if v != pick:
-                        heapq.heappush(heap, (s, v))
             order.append(pick)
             del score[pick]
             nbrs = adj.pop(pick)
@@ -534,16 +518,13 @@ def read_tree(text: str, p: Problem) -> PjTree:
     return t
 
 
-def plan(p: Problem, heuristic: str = "min-fill", seed: int = 0,
-         randomize_ties: bool = False, deadline: float | None = None) -> PjTree:
+def plan(p: Problem, heuristic: str = "min-fill", *,
+         deadline: float | None = None) -> PjTree:
     """Elimination order + bucket elimination in one step.
 
     `deadline` (a time.monotonic() value) is polled once per variable in
     both steps; DeadlineExceeded is raised once it has passed.
     """
-    from .formula import primal_graph
-
-    g = primal_graph(p)
-    order = elimination_order(g, p.X, p.Y, heuristic, seed, randomize_ties,
-                              deadline)
-    return build_graded_tree(p, order, deadline)
+    order = elimination_order(primal_graph(p), p.X, p.Y, heuristic,
+                              deadline=deadline)
+    return build_graded_tree(p, order, deadline=deadline)

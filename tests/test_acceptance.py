@@ -121,7 +121,7 @@ def test_criterion_5_structural_guarantees():
     while plans < 1200:
         p = random_instance(rng)
         for h in HEURISTICS:
-            t = planner.plan(p, h, seed=plans, randomize_ties=(plans % 2 == 0))
+            t = planner.plan(p, h)
             planner.check_tree(t, p)
             planner.check_graded(t, p.X, p.Y)
             assert planner.sibling_projection_disjoint(t, p)

@@ -216,6 +216,31 @@ class TestSolveCommand:
         assert planner.width(t, p) == 2
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["solve"],
+        ["solve", "--input", "{f}", "--seed", "3"],
+        ["plan", "--input", "{f}", "--randomize-ties"],
+        ["solve", "--input", "{f}", "--timeout", "abc"],
+        ["solve", "--input", "{f}", "--heuristic", "bogus"],
+        [],
+        ["bogus"],
+    ], ids=["no-input", "seed", "randomize-ties", "timeout-abc",
+            "unknown-heuristic", "no-subcommand", "unknown-subcommand"])
+    def test_exit_1_with_one_error_line(self, example_file, capsys, argv):
+        code, out, err = run_cli([a.format(f=example_file) for a in argv],
+                                 capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["solve", "--help"])
+        assert info.value.code == 0
+        assert "--input" in capsys.readouterr().out
+
+
 class TestPlanCommand:
     def test_json_report_holds_tree(self, example_file, capsys):
         code, out, _ = run_cli(["plan", "--input", example_file], capsys)
@@ -354,6 +379,26 @@ class TestBenchCommand:
         assert code == 0
         assert "disqualified: 1" in err
 
+    @pytest.mark.parametrize("text, problem", [
+        ("a.cnf 0.75\nb.cnf\n", "line 2: expected 'name value'"),
+        ("# refs\n\na.cnf abc\n", "line 3: expected 'name value'"),
+        (None, "No such file"),
+    ], ids=["one-field", "not-a-number", "missing"])
+    def test_bad_reference_file_exit_1_before_solving(
+            self, bench_dir, tmp_path, capsys, monkeypatch, text, problem):
+        refs = tmp_path / "refs.txt"
+        if text is not None:
+            refs.write_text(text)
+        solved = []
+        monkeypatch.setattr(cli, "run_solve", lambda *a: solved.append(a))
+        code, out, err = run_cli(["bench", "--dir", str(bench_dir),
+                                  "--ref-answers", str(refs)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and problem in err
+        assert err.count("\n") == 1
+        assert solved == []
+
     def test_unwritable_out_exit_1(self, bench_dir, tmp_path, capsys):
         out_csv = tmp_path / "missing" / "results.csv"
         code, out, err = run_cli(["bench", "--dir", str(bench_dir),
@@ -428,9 +473,9 @@ class TestRecount:
         seen = []
         real_plan = planner.plan
 
-        def spy(p, heuristic, *args):
+        def spy(p, heuristic, **kwargs):
             seen.append(heuristic)
-            return real_plan(p, heuristic, *args)
+            return real_plan(p, heuristic, **kwargs)
         monkeypatch.setattr(planner, "plan", spy)
         cfg = cli.RunConfig(heuristic="lex")
         assert cli.recount(example, {1: True, 3: False, 5: True}, cfg) == 0.75
@@ -489,14 +534,9 @@ class TestParScoring:
 
 
 class TestConsoleScript:
-    def test_import_leaves_scipy_unloaded(self):
-        code = "import sys, dper.cli; print('scipy' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code],
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
-
-    def test_import_leaves_numpy_unloaded(self):
-        code = "import sys, dper, dper.cli; print('numpy' in sys.modules)"
+    @pytest.mark.parametrize("module", ["scipy", "numpy", "multiprocessing"])
+    def test_import_leaves_module_unloaded(self, module):
+        code = f"import sys, dper, dper.cli; print({module!r} in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"

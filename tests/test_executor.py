@@ -102,8 +102,7 @@ class TestSolve:
         rng = random.Random(17)
         for _ in range(60):
             p = random_instance(rng)
-            values = {solve(p, plan(p, h, seed=s)).maximum
-                      for h in HEURISTICS for s in (0, 1)}
+            values = {solve(p, plan(p, h)).maximum for h in HEURISTICS}
             assert max(values) - min(values) <= 1e-9
 
     def test_node_limit(self, example):
@@ -131,7 +130,7 @@ class TestSolveMonolithic:
         p = parse_problem("p cnf 30 0\ne " +
                           " ".join(map(str, range(1, 31))) + " 0\n")
         with pytest.raises(ValueError, match="cap"):
-            solve_monolithic(p, var_cap=25)
+            solve_monolithic(p)
 
     def test_agrees_with_tree_solver(self):
         rng = random.Random(23)
