@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Generate the band family, solve every instance, and print the
 width-bucket table of diagram nodes created (the qualitative cost profile:
-bigger width, exponentially bigger diagrams).
+bigger width, exponentially bigger diagrams).  Each instance's line also
+shows the most nodes its diagram store held at once (peak_live_nodes).
 """
 
 import argparse
@@ -42,7 +43,9 @@ def main():
             dt = time.perf_counter() - t0
             status = "ok" if dt <= args.cap else "OVER CAP"
             print(f"window={w:2d} inst={i} width={width:2d} "
-                  f"nodes_created={r.stats.diagram_nodes:8d} time={dt:6.2f}s {status}")
+                  f"nodes_created={r.stats.diagram_nodes:8d} "
+                  f"peak_live_nodes={r.stats.peak_live_nodes:7d} "
+                  f"time={dt:6.2f}s {status}")
             created[bucket_of(width)].append(r.stats.diagram_nodes)
 
     print("\nwidth bucket -> mean diagram nodes created")

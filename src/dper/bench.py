@@ -25,6 +25,7 @@ class BenchRecord:
     answer: float | None = None
     width: int | None = None
     nodes_created: int | None = None
+    peak_live_nodes: int | None = None
     error: str | None = None
     disqualified: bool = False
 
@@ -96,7 +97,7 @@ def records_to_csv(records: list[BenchRecord], cap: float) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["name", "solved", "seconds", "par2", "answer", "width",
-                     "nodes_created"])
+                     "nodes_created", "peak_live_nodes"])
     for r in records:
         writer.writerow([
             r.name,
@@ -106,6 +107,7 @@ def records_to_csv(records: list[BenchRecord], cap: float) -> str:
             "" if r.answer is None else f"{r.answer:.17g}",
             "" if r.width is None else r.width,
             "" if r.nodes_created is None else r.nodes_created,
+            "" if r.peak_live_nodes is None else r.peak_live_nodes,
         ])
     return buf.getvalue()
 

@@ -8,8 +8,9 @@ one report through `_finish`.  A usage error (a missing `--input`, an unknown
 option), a bad option value or a bad environment setting is found before any
 report exists and prints only its `error:` line.  The wall-clock deadline
 covers planning, execution and the maximizer re-count jointly;
-`plan` honours it while planning.  The diagram node cap can also be set
-through the DPER_NODE_LIMIT environment variable.
+`plan` honours it while planning.  The node limit caps the diagram nodes a
+store holds at once (dead ones are reclaimed between tree nodes); it can
+also be set through the DPER_NODE_LIMIT environment variable.
 """
 
 from __future__ import annotations
@@ -149,7 +150,9 @@ def run_solve(path: str, cfg: RunConfig) -> dict:
             maximum=result.maximum,
             maximizer=_signed_literals(result.maximizer),
             diagram_nodes=result.stats.diagram_nodes,
+            peak_live_nodes=result.stats.peak_live_nodes,
             max_support=result.stats.max_support,
+            underflow=result.stats.underflow,
             exec_seconds=result.stats.exec_seconds,
         )
         if cfg.verify and len(p.Y) <= RECOUNT_MAX_Y:
@@ -235,11 +238,14 @@ def _bench_one(path: str, cfg: RunConfig) -> bench_mod.BenchRecord:
         answer=report.get("maximum"),
         width=report.get("width"),
         nodes_created=report.get("diagram_nodes"),
+        peak_live_nodes=report.get("peak_live_nodes"),
         error=report.get("error"),
     )
 
 
 def cmd_bench(args, cfg: RunConfig) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     base = Path(args.dir)
     if not base.is_dir():
         raise UsageError(f"{base} is not a directory")
@@ -253,6 +259,11 @@ def cmd_bench(args, cfg: RunConfig) -> int:
             refs = bench_mod.load_reference_answers(text)
         except ValueError as e:
             raise UsageError(f"{args.ref_answers}: {e}") from None
+        unmatched = sorted(refs.keys() - {Path(p).name for p in paths})
+        if unmatched:
+            raise UsageError(
+                f"{args.ref_answers}: {len(unmatched)} reference names match "
+                f"no instance in {base}: {' '.join(unmatched[:5])}")
 
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
@@ -272,7 +283,8 @@ def cmd_bench(args, cfg: RunConfig) -> int:
     summary = bench_mod.summarize(records, cfg.timeout)
     lo, hi = summary.ci95
     print(f"instances: {len(records)}  solved: {summary.solved}  "
-          f"disqualified: {summary.disqualified}", file=sys.stderr)
+          f"disqualified: {summary.disqualified}  "
+          f"unchecked: {len(records) - len(refs)}", file=sys.stderr)
     print(f"mean PAR-2: {summary.mean_par2:.3f}  "
           f"95% CI: [{lo:.3f}, {hi:.3f}]", file=sys.stderr)
     return 0
@@ -325,7 +337,8 @@ def _add_common(sub):
                      help="treat declared-but-unquantified unused variables "
                           "as existential")
     sub.add_argument("--node-limit", type=int,
-                     help="diagram node cap (also via DPER_NODE_LIMIT)")
+                     help="most diagram nodes held at once "
+                          "(also via DPER_NODE_LIMIT)")
 
 
 class _Parser(argparse.ArgumentParser):

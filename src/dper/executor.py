@@ -28,6 +28,13 @@ MONOLITHIC_VAR_CAP = 25
 DEBUG_VAR_CAP = 16
 DEBUG_TOL = 1e-9
 
+# `valuate` reclaims dead diagram nodes at a tree-node boundary once the store
+# holds more than COLLECT_FLOOR nodes and COLLECT_GROWTH times the nodes that
+# survived its last collection, so collections cost time in proportion to
+# the nodes made since the last one.
+COLLECT_FLOOR = 1 << 14
+COLLECT_GROWTH = 2
+
 
 class DebugAssertionError(AssertionError):
     """An annotated-run assertion failed, with its program point."""
@@ -48,8 +55,11 @@ class DebugAssertionError(AssertionError):
 
 @dataclass
 class SolveStats:
-    diagram_nodes: int = 0       # total nodes created; the store never shrinks
+    diagram_nodes: int = 0       # nodes created, reclaimed ones included
+    peak_live_nodes: int = 0     # most nodes the store held at once
     max_support: int = 0         # largest support of any intermediate diagram
+    underflow: bool = False      # a nonzero product or combination rounded
+                                 # to 0 or to a subnormal
     exec_seconds: float = 0.0
 
 
@@ -88,12 +98,16 @@ def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc],
     projects its variable set in ascending id order; each existential
     variable's derivative sign is pushed before that variable is projected.
     The store's op cache is cleared after every internal node, which bounds
-    its memory to one node's work.
+    its memory to one node's work.  At that point the store also reclaims
+    dead nodes once it has grown enough (COLLECT_FLOOR, COLLECT_GROWTH).  The
+    roots are the pending valuations, the node's own and every chooser on
+    `sigma`; any other function of the store is invalid after a collection.
 
     An observer `obs`, if given, is called at five points of node `nid`:
     `enter(nid)`; `joined(nid, prev, h, f)` after each `f = prev.join(h)`;
     `joins_done(nid, f)` after an internal node's joins; `projected(nid, x,
-    prev, f)` after each projection of `x`; and `leave(nid, f)`.
+    prev, f)` after each projection of `x`; and `leave(nid, f)`.  Its
+    `roots()` gives the handles it still needs, which every collection keeps.
     """
 
     def note(f: PbFunc):
@@ -103,6 +117,7 @@ def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc],
                 stats.max_support = s
 
     done: list[PbFunc] = []  # valuations whose parent is still ahead
+    threshold = COLLECT_FLOOR  # collect once the store holds more nodes
     for nid in t.postorder(v):
         n = t.nodes[nid]
         if obs is not None:
@@ -131,6 +146,14 @@ def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc],
                 if obs is not None:
                     obs.projected(nid, x, prev, f)
             store.clear_cache()
+            if store.held_count > threshold:
+                roots = [g.root for g in done]
+                roots.append(f.root)
+                roots.extend(s.chooser.root for s in sigma)
+                if obs is not None:
+                    roots.extend(obs.roots())
+                store.collect(roots)
+                threshold = max(COLLECT_FLOOR, COLLECT_GROWTH * store.held_count)
         note(f)
         if obs is not None:
             obs.leave(nid, f)
@@ -166,6 +189,8 @@ def _run(p: Problem, t: PjTree, store: DiagramStore, obs=None) -> SolveResult:
     maximum = valuate(p, t, t.root, sigma, store, stats, obs).evaluate({})
     tau = _replay_stack(p, sigma, obs)
     stats.diagram_nodes = store.node_count
+    stats.peak_live_nodes = store.peak_held
+    stats.underflow = store.underflow
     stats.exec_seconds = time.perf_counter() - t0
     return SolveResult(maximum=maximum, maximizer=tau, stats=stats)
 
@@ -232,6 +257,10 @@ class _DebugContext:
             self.joined_all = self.joined_all.join(cf)
         self.eliminated: set[int] = set()
         self.active: Counter[int] = Counter(cf.root for cf in clause_funcs)
+
+    def roots(self) -> list[int]:
+        """The fully joined formula and every active function, for `collect`."""
+        return [self.joined_all.root, *(+self.active)]
 
     def reference(self) -> PbFunc:
         g = self.joined_all

@@ -21,6 +21,17 @@ the largest rand-exist benchmark instance), and an int per node would be
 an eighth of a solve's peak memory.  The op cache only saves work: the
 executor clears it after every tree node.
 
+`collect(roots)` is a non-moving mark-and-sweep, as in the ADD packages that
+reclaim dead nodes (Sylvan: van Dijk & van de Pol, STTT 2017).  It keeps the
+nodes reachable from the roots, puts every other handle on a free list, and
+`_new` reuses free handles before it grows the arrays.  Live handles never
+move, so functions built before a collection stay valid if and only if they
+are reachable from its roots.  The node limit caps the nodes held at once:
+live ones plus those not yet reclaimed.
+
+A product or convex combination whose exact value is nonzero but rounds to
+0 or to a subnormal sets the store's `underflow` flag.
+
 A store and its diagrams belong to a single solve and are used by one worker
 at a time; diagrams are immutable once created.
 """
@@ -28,8 +39,10 @@ at a time; diagrams are immutable once created.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 HANDLE_BITS = 32  # handles and levels stay below 2**HANDLE_BITS
@@ -38,10 +51,12 @@ HANDLE_BITS = 32  # handles and levels stay below 2**HANDLE_BITS
 # Convex combinations get one even id per distinct probability.
 MUL, MAX, GE, _FIRST_CONVEX = 0, 2, 4, 6
 ZERO, ONE = 0, 1  # handles of the first two terminals of every store
+_MIN_NORMAL = sys.float_info.min  # below it a nonzero double is subnormal
+_NOT = bytes([1]) + bytes(255)  # bytes.translate table: 0 -> 1, 1 -> 0
 
 
 class ResourceLimitError(Exception):
-    """Diagram node count exceeded the configured cap."""
+    """The diagram store would hold more nodes than the configured cap."""
 
 
 class DeadlineExceeded(Exception):
@@ -78,7 +93,8 @@ class DiagramStore:
 
     Handles are indices into parallel arrays: level, low and high child,
     terminal value and support mask.  The op cache may be cleared at any
-    point without changing results or handles.
+    point without changing results or handles.  A handle on the free list
+    indexes a reclaimed slot whose entries are stale until `_new` reuses it.
     """
 
     _CHECK_EVERY = 4096  # deadline poll interval, in node creations
@@ -105,24 +121,47 @@ class DiagramStore:
         self._cache: dict[int, int] = {}
         self._convex_ops: dict[float, int] = {}
         self._prob: dict[int, float] = {}  # convex op id -> its probability
+        self._free: list[int] = []  # reclaimed handles, reused before appending
+        self._free_after = 0  # free handles right after the last collection
+        self._reused = 0  # free handles reused before the last collection
+        self._peak = 0  # most nodes held at once, as of the last collection
+        self.underflow = False
         self.zero = self._terminal(0.0)
         self.one = self._terminal(1.0)
 
     # -- node construction -------------------------------------------------
 
     def _new(self, level: int, lo: int, hi: int, value: float, sup: int) -> int:
+        # The clock is polled every _CHECK_EVERY appends and every
+        # _CHECK_EVERY reuses, counted by array and free-list length.
+        free = self._free
+        if free:
+            h = free.pop()
+            if len(free) % self._CHECK_EVERY == 0:
+                self._poll_deadline()
+            self._lev[h] = level
+            self._lo[h] = lo
+            self._hi[h] = hi
+            self._val[h] = value
+            self._sup[h] = sup
+            return h
+        # with no free handle every slot is held, so this caps held nodes
         h = len(self._lev)
         if h >= self._cap:
-            raise ResourceLimitError(f"diagram store exceeded {self._cap} nodes")
-        if (h % self._CHECK_EVERY == 0 and self.deadline is not None
-                and time.monotonic() > self.deadline):
-            raise DeadlineExceeded("deadline hit during execution")
+            raise ResourceLimitError(f"diagram store would hold more than "
+                                     f"{self._cap} nodes")
+        if h % self._CHECK_EVERY == 0:
+            self._poll_deadline()
         self._lev.append(level)
         self._lo.append(lo)
         self._hi.append(hi)
         self._val.append(value)
         self._sup.append(sup)
         return h
+
+    def _poll_deadline(self):
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise DeadlineExceeded("deadline hit during execution")
 
     def _terminal(self, value: float) -> int:
         h = self._terms.get(value)
@@ -144,10 +183,51 @@ class DiagramStore:
     @property
     def node_count(self) -> int:
         """Total nodes ever created (terminals included); monotone."""
-        return len(self._lev)
+        reused = self._reused + self._free_after - len(self._free)
+        return len(self._lev) + reused
+
+    @property
+    def held_count(self) -> int:
+        """Nodes held now: live ones plus those not yet reclaimed."""
+        return len(self._lev) - len(self._free)
+
+    @property
+    def peak_held(self) -> int:
+        """Most nodes held at once so far."""
+        return max(self._peak, self.held_count)
 
     def clear_cache(self):
         self._cache.clear()
+
+    def collect(self, roots: Iterable[int]):
+        """Reclaim every node unreachable from ZERO, ONE and `roots`.
+
+        Clears the op cache.  Reachable handles keep their slots; every
+        other handle becomes free, so a function not reachable from `roots`
+        is invalid afterwards.
+        """
+        self._peak = self.peak_held
+        self._reused += self._free_after - len(self._free)
+        self._cache.clear()
+        lev, lo, hi, tlev = self._lev, self._lo, self._hi, self._tlev
+        mark = bytearray(len(lev))
+        inner = []  # the marked non-terminals
+        stack = [ZERO, ONE, *roots]
+        while stack:
+            h = stack.pop()
+            if not mark[h]:
+                mark[h] = 1
+                if lev[h] != tlev:
+                    inner.append(h)
+                    stack.append(lo[h])
+                    stack.append(hi[h])
+        # most nodes are dead, so rebuilding the unique table from the live
+        # ones costs less than filtering it
+        self._unique = {(lev[h] << HANDLE_BITS | lo[h]) << HANDLE_BITS | hi[h]: h
+                        for h in inner}
+        self._terms = {v: h for v, h in self._terms.items() if mark[h]}
+        self._free = list(compress(range(len(mark)), mark.translate(_NOT)))
+        self._free_after = len(self._free)
 
     def _convex_op(self, p: float) -> int:
         op = self._convex_ops.get(p)
@@ -195,13 +275,20 @@ class DiagramStore:
         if lf == tlev and lg == tlev:
             a, b = self._val[f], self._val[g]
             if op == MUL:
-                return self._terminal(a * b)
+                r = a * b
+                if r < _MIN_NORMAL and r > -_MIN_NORMAL:  # neither side is ZERO
+                    self.underflow = True
+                return self._terminal(r)
             if op == MAX:
                 return self._terminal(max(a, b))
             if op == GE:
                 return ONE if a >= b else ZERO
             p = self._prob[op]
-            return self._terminal(p * a + (1.0 - p) * b)
+            r = p * a + (1.0 - p) * b
+            if (r < _MIN_NORMAL and r > -_MIN_NORMAL
+                    and (p and a or p != 1.0 and b)):
+                self.underflow = True
+            return self._terminal(r)
         if f > g and op <= MAX:  # product and max commute
             f, g, lf, lg = g, f, lg, lf
         key = (op << HANDLE_BITS | f) << HANDLE_BITS | g

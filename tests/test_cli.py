@@ -107,6 +107,25 @@ class TestSolveCommand:
         assert json.loads(out)["status"] == "input-error"
         assert err.startswith("error:") and "debug-assert cap" in err
 
+    def test_node_counts_reported(self, example_file, capsys):
+        _, out, _ = run_cli(["solve", "--input", example_file], capsys)
+        report = json.loads(out)
+        assert 0 < report["peak_live_nodes"] <= report["diagram_nodes"]
+        assert report["underflow"] is False
+
+    @pytest.mark.parametrize("text, maximum", [
+        ("p cnf 1 1\nr 1e-320 1 0\n1 0\n", 1e-320),
+        ("p cnf 2 2\nr 1e-200 1 2 0\n1 0\n2 0\n", 0.0),
+    ], ids=["subnormal", "zero"])
+    def test_underflow_flagged(self, tmp_path, capsys, text, maximum):
+        f = tmp_path / "tiny.cnf"
+        f.write_text(text)
+        code, out, _ = run_cli(["solve", "--input", str(f)], capsys)
+        report = json.loads(out)
+        assert code == 0
+        assert report["maximum"] == maximum
+        assert report["underflow"] is True
+
     def test_node_limit_exit_3(self, example_file, capsys):
         code, out, _ = run_cli(
             ["solve", "--input", example_file, "--node-limit", "5"], capsys)
@@ -349,7 +368,8 @@ class TestBenchCommand:
              "--timeout", "60"], capsys)
         assert code == 0
         rows = out_csv.read_text().splitlines()
-        assert rows[0] == "name,solved,seconds,par2,answer,width,nodes_created"
+        assert rows[0] == ("name,solved,seconds,par2,answer,width,"
+                           "nodes_created,peak_live_nodes")
         assert len(rows) == 4
         assert all(r.split(",")[1] == "1" for r in rows[1:])
         assert "mean PAR-2" in err
@@ -363,11 +383,12 @@ class TestBenchCommand:
             report = cli.run_solve(str(bench_dir / row[0]),
                                    cli.RunConfig(verify=False))
             assert int(row[6]) == report["diagram_nodes"] > 0
+            assert int(row[7]) == report["peak_live_nodes"] > 0
 
     def test_unsolved_record_leaves_nodes_created_empty(self):
         r = bench.BenchRecord("t", False, 5.0)
         row = bench.records_to_csv([r], cap=5.0).splitlines()[1]
-        assert row.split(",")[6] == ""
+        assert row.split(",")[6] == row.split(",")[7] == ""
 
     def test_reference_answers_disqualify(self, bench_dir, tmp_path, capsys):
         refs = tmp_path / "refs.txt"
@@ -377,7 +398,31 @@ class TestBenchCommand:
             ["bench", "--dir", str(bench_dir), "--ref-answers", str(refs),
              "--timeout", "60"], capsys)
         assert code == 0
-        assert "disqualified: 1" in err
+        assert "disqualified: 1  unchecked: 1" in err  # c.cnf has no reference
+
+    def test_unmatched_reference_exit_1_before_solving(
+            self, bench_dir, tmp_path, capsys, monkeypatch):
+        refs = tmp_path / "refs.txt"
+        refs.write_text("a.cnf 0.75\n" + "".join(f"x{i}.cnf 0.5\n"
+                                                  for i in range(7)))
+        solved = []
+        monkeypatch.setattr(cli, "run_solve", lambda *a: solved.append(a))
+        code, out, err = run_cli(["bench", "--dir", str(bench_dir),
+                                  "--ref-answers", str(refs)], capsys)
+        assert code == 1
+        assert out == "" and solved == []
+        assert err == (f"error: {refs}: 7 reference names match no instance "
+                       f"in {bench_dir}: x0.cnf x1.cnf x2.cnf x3.cnf x4.cnf\n")
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_1_exit_1(self, bench_dir, capsys, monkeypatch, jobs):
+        solved = []
+        monkeypatch.setattr(cli, "run_solve", lambda *a: solved.append(a))
+        code, out, err = run_cli(["bench", "--dir", str(bench_dir),
+                                  "--jobs", jobs], capsys)
+        assert code == 1
+        assert out == "" and solved == []
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
     @pytest.mark.parametrize("text, problem", [
         ("a.cnf 0.75\nb.cnf\n", "line 2: expected 'name value'"),

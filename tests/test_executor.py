@@ -4,12 +4,12 @@ import time
 
 import pytest
 
-from dper import oracle
+from dper import executor, oracle
 from dper.executor import (DebugAssertionError, debug_assert_mode,
                            monolithic_tree, solve, solve_monolithic,
                            tree_var_order, valuate)
 from dper.formula import parse_problem
-from dper.gen import random_instance
+from dper.gen import band_instance, random_instance
 from dper.pbf import DeadlineExceeded, DiagramStore, ResourceLimitError
 from dper.planner import HEURISTICS, TreeError, check_graded, check_tree, plan
 from dper.planner import width as tree_width
@@ -113,6 +113,51 @@ class TestSolve:
         monkeypatch.setattr(DiagramStore, "_CHECK_EVERY", 1)
         with pytest.raises(DeadlineExceeded):
             solve(example, plan(example), deadline=time.monotonic() - 1.0)
+
+
+def collect_everywhere(monkeypatch):
+    """Make `valuate` collect at every tree-node boundary."""
+    monkeypatch.setattr(executor, "COLLECT_FLOOR", 0)
+    monkeypatch.setattr(executor, "COLLECT_GROWTH", 0)
+
+
+class TestCollection:
+    def test_same_answers_with_collection_at_every_boundary(self, monkeypatch):
+        problems = [random_instance(random.Random(20260810 + i))
+                    for i in range(600)]
+        trees = [plan(p) for p in problems]
+
+        def answers():
+            out = []
+            for p, t in zip(problems, trees):
+                r = solve(p, t)
+                out.append((r.maximum.hex(), r.maximizer, r.stats.max_support))
+            return out
+
+        monkeypatch.setattr(executor, "COLLECT_FLOOR", 1 << 62)
+        never = answers()
+        collect_everywhere(monkeypatch)
+        assert answers() == never
+
+    def test_collection_lowers_peak_live_nodes(self, monkeypatch):
+        p = random_instance(random.Random(5))
+        t = plan(p)
+        kept = solve(p, t).stats
+        collect_everywhere(monkeypatch)
+        swept = solve(p, t).stats
+        assert kept.peak_live_nodes == kept.diagram_nodes
+        assert swept.peak_live_nodes < kept.peak_live_nodes
+        assert swept.diagram_nodes >= kept.diagram_nodes
+
+    def test_node_limit_counts_held_nodes(self, monkeypatch):
+        p = band_instance(random.Random(19000), 19)
+        t = plan(p)
+        stats = solve(p, t).stats
+        limit = (stats.peak_live_nodes + stats.diagram_nodes) // 2
+        solve(p, t, node_limit=limit)  # holds fewer nodes than it creates
+        monkeypatch.setattr(executor, "COLLECT_FLOOR", 1 << 62)
+        with pytest.raises(ResourceLimitError):
+            solve(p, t, node_limit=limit)
 
 
 class TestSolveMonolithic:
@@ -292,6 +337,26 @@ class TestDebugAssertMode:
             debug_assert_mode(example, bad, validate=False)
         e = info.value
         assert (e.point, e.node, e.var) == TRIP_POINTS[mutate.__name__]
+
+    @pytest.mark.parametrize("mutate", SEMANTIC_MUTATIONS,
+                             ids=lambda m: m.__name__)
+    def test_trip_points_hold_under_collection(self, example, mutate,
+                                               monkeypatch):
+        collect_everywhere(monkeypatch)
+        bad = copy.deepcopy(plan(example))
+        mutate(bad)
+        with pytest.raises(DebugAssertionError) as info:
+            debug_assert_mode(example, bad, validate=False)
+        e = info.value
+        assert (e.point, e.node, e.var) == TRIP_POINTS[mutate.__name__]
+
+    def test_fuzz_passes_under_collection(self, monkeypatch):
+        collect_everywhere(monkeypatch)
+        rng = random.Random(32)
+        for _ in range(30):
+            p = random_instance(rng)
+            t = plan(p)
+            assert debug_assert_mode(p, t).maximum == solve(p, t).maximum
 
     def test_node_limit(self, example):
         with pytest.raises(ResourceLimitError):

@@ -1,8 +1,10 @@
 import math
+import time
 
 import pytest
 
-from dper.pbf import DiagramStore, ResourceLimitError, VarOrder
+from dper.pbf import (DeadlineExceeded, DiagramStore, ResourceLimitError,
+                      VarOrder)
 
 from conftest import (all_assignments, assert_diagram_matches_table,
                       diagram_from_table, fresh_store, tbl_from_rows)
@@ -246,6 +248,110 @@ class TestStoreLimits:
         before = f.join(g)
         st.clear_cache()
         assert f.join(g) == before
+
+
+def chain(st, variables, p=0.3):
+    """A function built by joins and projections over `variables`, each
+    also with its successor."""
+    f = st.constant(1.0)
+    for v in variables:
+        f = f.join(st.clause_func((v,))).rand_project(v, p).join(
+            st.clause_func((v, -(v + 1))))
+    return f
+
+
+class TestCollect:
+    def test_roots_keep_handles_and_values(self):
+        st = fresh_store(range(1, 9))
+        f = chain(st, [1, 3, 5])
+        g = st.clause_func((2, -4)).join(st.clause_func((4, 6, -8)))
+        chain(st, [2, 4, 6])  # dead
+        before = {h: [(a, h.evaluate(a)) for a in all_assignments(h.support)]
+                  for h in (f, g)}
+        supports = {h: h.support for h in (f, g)}
+        st.collect([f.root, g.root])
+        assert st._free
+        for h, rows in before.items():
+            assert h.support == supports[h]
+            assert [(a, h.evaluate(a)) for a, _ in rows] == rows
+
+    def test_freed_handles_are_reused(self):
+        st = fresh_store(range(1, 9))
+        chain(st, [1, 3, 5, 7])
+        st.collect([])
+        freed, size = set(st._free), len(st._lev)
+        f = chain(st, [2, 4])
+        assert len(st._lev) == size  # nothing appended
+        assert set(st._reachable(f.root)) - {0, 1} <= freed
+
+    def test_rebuilding_a_live_node_returns_its_handle(self):
+        st = fresh_store(range(1, 9))
+
+        def build():
+            f = st.clause_func((1, -2)).join(st.clause_func((2, 3)))
+            return f.rand_project(3, 0.3)
+
+        f = build()
+        chain(st, [4, 5, 6], p=0.6)  # dead
+        st.collect([f.root])
+        assert build().root == f.root
+        assert st.constant(0.3).root in st._reachable(f.root)
+
+    def test_node_count_includes_reused_nodes(self):
+        st = fresh_store(range(1, 9))
+        chain(st, [1, 3, 5, 7])
+        created = st.node_count
+        st.collect([])
+        assert st.held_count == 2
+        assert st.peak_held == created  # taken before the collection
+        chain(st, [1, 3, 5, 7])  # the same nodes again, in reused slots
+        assert st.node_count == 2 * created - 2
+        assert st.peak_held == st.held_count == created
+
+    def test_deadline_fires_under_handle_reuse(self, monkeypatch):
+        monkeypatch.setattr(DiagramStore, "_CHECK_EVERY", 1)
+        st = fresh_store(range(1, 9))
+        chain(st, [1, 3, 5, 7])
+        st.collect([])
+        size = len(st._lev)
+        st.deadline = time.monotonic() - 1.0
+        with pytest.raises(DeadlineExceeded):
+            chain(st, [2, 4])
+        assert len(st._lev) == size  # it fired on the reuse path
+
+    def test_node_limit_counts_held_nodes(self):
+        st = DiagramStore(VarOrder(range(1, 10)), node_limit=150)
+        for _ in range(5):
+            chain(st, range(1, 9))  # 139 nodes, all dead after collect
+            st.collect([])
+        assert st.node_count > 5 * 139
+        assert st.peak_held <= 150
+        f = chain(st, range(1, 9))
+        st.collect([f.root])
+        with pytest.raises(ResourceLimitError):
+            chain(st, range(1, 9), p=0.7)  # 139 nodes more than f's
+
+
+class TestUnderflow:
+    def test_product_rounding_to_zero(self):
+        st = fresh_store([1])
+        h = st.constant(1e-200).join(st.constant(1e-200))
+        assert h == st.constant(0.0)
+        assert st.underflow
+
+    def test_convex_combination_rounding_to_subnormal(self):
+        st = fresh_store([1])
+        h = st.clause_func((1,)).rand_project(1, 1e-320)
+        assert h.evaluate({}) == 1e-320
+        assert st.underflow
+
+    def test_exact_zero_is_not_underflow(self):
+        st = fresh_store([1, 2])
+        f = st.clause_func((1,)).join(st.clause_func((-1,)))
+        assert f.rand_project(1, 0.5) == st.constant(0.0)
+        assert st.clause_func((2,)).rand_project(2, 0.0) == st.constant(0.0)
+        assert st.constant(1e-300).join(st.constant(1e-7)).evaluate({}) > 0
+        assert not st.underflow
 
 
 class TestDotExport:
