@@ -30,6 +30,7 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--cap", type=float, default=60.0)
     args = ap.parse_args()
+    executor.DENSE_MAX_WORK = 0  # the table profiles diagrams, even for small trees
 
     created = defaultdict(list)
     for w in args.windows:

@@ -1,9 +1,10 @@
 """Exact exist-random stochastic satisfiability by dynamic programming.
 
 Pipeline: parse a quantified weighted CNF, plan a graded project-join tree by
-blockwise bucket elimination, valuate the tree bottom-up with decision-diagram
-operations, and read off the maximum satisfaction probability plus a
-maximizing existential assignment from the recorded derivative signs.
+blockwise bucket elimination, valuate the tree bottom-up over decision
+diagrams or, for a small tree, dense tables, and read off the maximum
+satisfaction probability plus a maximizing existential assignment from the
+recorded derivative signs.
 """
 
 from .executor import SolveResult, debug_assert_mode, solve, solve_monolithic

@@ -26,6 +26,7 @@ class BenchRecord:
     width: int | None = None
     nodes_created: int | None = None
     peak_live_nodes: int | None = None
+    executor: str | None = None
     error: str | None = None
     disqualified: bool = False
 
@@ -97,7 +98,7 @@ def records_to_csv(records: list[BenchRecord], cap: float) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["name", "solved", "seconds", "par2", "answer", "width",
-                     "nodes_created", "peak_live_nodes"])
+                     "nodes_created", "peak_live_nodes", "executor"])
     for r in records:
         writer.writerow([
             r.name,
@@ -108,6 +109,7 @@ def records_to_csv(records: list[BenchRecord], cap: float) -> str:
             "" if r.width is None else r.width,
             "" if r.nodes_created is None else r.nodes_created,
             "" if r.peak_live_nodes is None else r.peak_live_nodes,
+            r.executor or "",
         ])
     return buf.getvalue()
 

@@ -8,9 +8,13 @@ one report through `_finish`.  A usage error (a missing `--input`, an unknown
 option), a bad option value or a bad environment setting is found before any
 report exists and prints only its `error:` line.  The wall-clock deadline
 covers planning, execution and the maximizer re-count jointly;
-`plan` honours it while planning.  The node limit caps the diagram nodes a
-store holds at once (dead ones are reclaimed between tree nodes); it can
-also be set through the DPER_NODE_LIMIT environment variable.
+`plan` honours it while planning.  A solve runs on dense tables when its
+tree is small enough (`executor.DENSE_MAX_WORK`) and on decision diagrams
+otherwise; the report's `executor` field names the one that ran.  The node
+limit caps what a solve holds at once: diagram nodes (dead ones are
+reclaimed between tree nodes), or the entries of the dense tables alive,
+pending valuations and chooser tables included.  It can also be set through
+the DPER_NODE_LIMIT environment variable.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from dataclasses import dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
 
-from . import bench as bench_mod
 from . import executor, planner
 from .formula import FormulaError, Problem, condition, parse_problem
 from .pbf import DeadlineExceeded, ResourceLimitError
@@ -149,6 +152,7 @@ def run_solve(path: str, cfg: RunConfig) -> dict:
             status="ok",
             maximum=result.maximum,
             maximizer=_signed_literals(result.maximizer),
+            executor=result.stats.executor,
             diagram_nodes=result.stats.diagram_nodes,
             peak_live_nodes=result.stats.peak_live_nodes,
             max_support=result.stats.max_support,
@@ -172,6 +176,13 @@ def run_solve(path: str, cfg: RunConfig) -> dict:
         _fail(report, e)
     report["total_seconds"] = time.perf_counter() - started
     return report
+
+
+def _text(value) -> str:
+    """A report value as text: booleans as JSON spells them."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def _finish(report: dict, fmt: str | None) -> int:
@@ -198,8 +209,8 @@ def _finish(report: dict, fmt: str | None) -> int:
             elif key == "maximizer":
                 value = " ".join(str(l) for l in value)
             elif isinstance(value, dict):
-                value = " ".join(f"{k}={v}" for k, v in value.items())
-            print(f"{key}: {value}", file=out)
+                value = " ".join(f"{k}={_text(v)}" for k, v in value.items())
+            print(f"{key}: {_text(value)}", file=out)
         if tree is not None:
             sys.stdout.write(tree)
     return _EXIT_CODES[report["status"]]
@@ -223,7 +234,9 @@ def cmd_plan(args, cfg: RunConfig) -> int:
     return _finish(report, cfg.fmt)
 
 
-def _bench_one(path: str, cfg: RunConfig) -> bench_mod.BenchRecord:
+def _bench_one(path: str, cfg: RunConfig):
+    from . import bench as bench_mod  # with csv, loaded only by `dper bench`
+
     started = time.perf_counter()
     try:
         # reference answers replace the per-run verification sub-step here
@@ -239,11 +252,14 @@ def _bench_one(path: str, cfg: RunConfig) -> bench_mod.BenchRecord:
         width=report.get("width"),
         nodes_created=report.get("diagram_nodes"),
         peak_live_nodes=report.get("peak_live_nodes"),
+        executor=report.get("executor"),
         error=report.get("error"),
     )
 
 
 def cmd_bench(args, cfg: RunConfig) -> int:
+    from . import bench as bench_mod
+
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     base = Path(args.dir)
@@ -337,7 +353,8 @@ def _add_common(sub):
                      help="treat declared-but-unquantified unused variables "
                           "as existential")
     sub.add_argument("--node-limit", type=int,
-                     help="most diagram nodes held at once "
+                     help="most diagram nodes held at once, or dense table "
+                          "entries on a tree small enough for dense tables "
                           "(also via DPER_NODE_LIMIT)")
 
 

@@ -11,6 +11,20 @@ Every solver is the one postorder loop `valuate` plus the one stack replay
 `_replay_stack`: `solve` on a planned tree, `solve_monolithic` on a fixed
 two-node tree, and `debug_assert_mode` on a planned tree with an observer that
 checks the annotated assertions at each point the loop and the replay report.
+
+The loop and the replay run on either of two stores, chosen per solve before
+execution (see DENSE_MAX_WORK): decision diagrams (`pbf.DiagramStore`) or
+dense tables (`dense.DenseStore`).  They use this contract and nothing more:
+
+- a store gives `constant(c)`, `clause_func(clause)` and `node_done(live)`,
+  the step after each internal tree node, where `live()` yields every
+  function still needed; after the run it reports `node_count`,
+  `peak_held`, `underflow` and its `name`;
+- a function gives `join`, `exists_project`, `rand_project`, `dsgn` (a
+  `pbf.DsgnFunc`), `evaluate`, `support_size` (the true support),
+  `support_bound` (an O(1) upper bound on it) and `depends_on(var)`.
+
+The debug run stays on diagrams: its checks compare diagrams directly.
 """
 
 from __future__ import annotations
@@ -18,22 +32,30 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
+from .dense import DenseStore
 from .formula import Problem
 from .pbf import DiagramStore, DsgnFunc, PbFunc, VarOrder
-from .planner import PjNode, PjTree, check_graded, check_tree
+from .planner import PjNode, PjTree, check_graded, check_tree, table_entries
 from .planner import width as tree_width
 
 MONOLITHIC_VAR_CAP = 25
 DEBUG_VAR_CAP = 16
 DEBUG_TOL = 1e-9
 
-# `valuate` reclaims dead diagram nodes at a tree-node boundary once the store
-# holds more than COLLECT_FLOOR nodes and COLLECT_GROWTH times the nodes that
-# survived its last collection, so collections cost time in proportion to
-# the nodes made since the last one.
-COLLECT_FLOOR = 1 << 14
-COLLECT_GROWTH = 2
+# A solve runs on dense tables when the tree's tables hold fewer than
+# DENSE_MAX_WORK entries in all: the sum over internal nodes of 2 to the
+# number of variables joined there (`planner.table_entries`).  That is the
+# exact cost of tables, which is the same whatever the function; a diagram
+# can be far smaller, so the cost of diagrams cannot be read off the tree.
+# Measured execution times, tables against diagrams: the benchmark's
+# rand-verify trees (at most 126k entries) run 2.8 times as fast on tables
+# and band-long trees (45k) 1.6 times; bands of widths 12 and 13 (35k-81k)
+# run between 1.6 times as fast and 2.6 times as slow, and bands of width 14
+# (157k), which stay on diagrams, would run 3 times as slow.  Fewer than 2^17 entries also keeps every table below
+# width 17.
+DENSE_MAX_WORK = 1 << 17
 
 
 class DebugAssertionError(AssertionError):
@@ -55,9 +77,11 @@ class DebugAssertionError(AssertionError):
 
 @dataclass
 class SolveStats:
-    diagram_nodes: int = 0       # nodes created, reclaimed ones included
+    executor: str = "diagram"    # the store that ran: "diagram" or "dense"
+    diagram_nodes: int = 0       # nodes created, reclaimed ones included;
+                                 # 0 on dense tables
     peak_live_nodes: int = 0     # most nodes the store held at once
-    max_support: int = 0         # largest support of any intermediate diagram
+    max_support: int = 0         # largest support of any intermediate function
     underflow: bool = False      # a nonzero product or combination rounded
                                  # to 0 or to a subnormal
     exec_seconds: float = 0.0
@@ -88,36 +112,36 @@ def tree_var_order(p: Problem, t: PjTree) -> VarOrder:
     return VarOrder(seq)
 
 
-def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc],
-            store: DiagramStore, stats: SolveStats | None = None,
-            obs=None) -> PbFunc:
+def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc], store,
+            stats: SolveStats | None = None, obs=None):
     """Valuation of node v, pushing derivative signs for existential vars.
 
     One pass over `t.postorder(v)`.  Leaves valuate to their clause function.
     An internal node joins its children's valuations left to right and then
     projects its variable set in ascending id order; each existential
     variable's derivative sign is pushed before that variable is projected.
-    The store's op cache is cleared after every internal node, which bounds
-    its memory to one node's work.  At that point the store also reclaims
-    dead nodes once it has grown enough (COLLECT_FLOOR, COLLECT_GROWTH).  The
-    roots are the pending valuations, the node's own and every chooser on
-    `sigma`; any other function of the store is invalid after a collection.
+    After every internal node the store takes its `node_done` step: a
+    diagram store clears its op cache, which bounds its memory to one node's
+    work, and reclaims dead nodes once it has grown enough; a dense store
+    polls the deadline.  The live functions are the pending valuations, the
+    node's own and every chooser on `sigma`.
 
     An observer `obs`, if given, is called at five points of node `nid`:
     `enter(nid)`; `joined(nid, prev, h, f)` after each `f = prev.join(h)`;
     `joins_done(nid, f)` after an internal node's joins; `projected(nid, x,
     prev, f)` after each projection of `x`; and `leave(nid, f)`.  Its
-    `roots()` gives the handles it still needs, which every collection keeps.
+    `live()` gives the functions it still needs, which stay live too.
     """
 
-    def note(f: PbFunc):
-        if stats is not None:
-            s = f.support_size()
-            if s > stats.max_support:
-                stats.max_support = s
+    def note(f):
+        if stats is not None and f.support_bound() > stats.max_support:
+            stats.max_support = max(stats.max_support, f.support_size())
 
-    done: list[PbFunc] = []  # valuations whose parent is still ahead
-    threshold = COLLECT_FLOOR  # collect once the store holds more nodes
+    def live():
+        return chain(done, (f,), (s.chooser for s in sigma),
+                     obs.live() if obs is not None else ())
+
+    done = []  # valuations whose parent is still ahead
     for nid in t.postorder(v):
         n = t.nodes[nid]
         if obs is not None:
@@ -145,15 +169,7 @@ def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc],
                 note(f)
                 if obs is not None:
                     obs.projected(nid, x, prev, f)
-            store.clear_cache()
-            if store.held_count > threshold:
-                roots = [g.root for g in done]
-                roots.append(f.root)
-                roots.extend(s.chooser.root for s in sigma)
-                if obs is not None:
-                    roots.extend(obs.roots())
-                store.collect(roots)
-                threshold = max(COLLECT_FLOOR, COLLECT_GROWTH * store.held_count)
+            store.node_done(live)
         note(f)
         if obs is not None:
             obs.leave(nid, f)
@@ -181,13 +197,14 @@ def _replay_stack(p: Problem, sigma: list[DsgnFunc], obs=None) -> dict[int, bool
     return tau
 
 
-def _run(p: Problem, t: PjTree, store: DiagramStore, obs=None) -> SolveResult:
+def _run(p: Problem, t: PjTree, store, obs=None) -> SolveResult:
     """Valuate the root, then replay the stack, with `obs` observing both."""
     t0 = time.perf_counter()
     stats = SolveStats()
     sigma: list[DsgnFunc] = []
     maximum = valuate(p, t, t.root, sigma, store, stats, obs).evaluate({})
     tau = _replay_stack(p, sigma, obs)
+    stats.executor = store.name
     stats.diagram_nodes = store.node_count
     stats.peak_live_nodes = store.peak_held
     stats.underflow = store.underflow
@@ -197,9 +214,16 @@ def _run(p: Problem, t: PjTree, store: DiagramStore, obs=None) -> SolveResult:
 
 def solve(p: Problem, t: PjTree, node_limit: int | None = None,
           deadline: float | None = None) -> SolveResult:
-    """Maximum and a maximizer from a valid graded project-join tree."""
-    return _run(p, t, DiagramStore(tree_var_order(p, t), node_limit=node_limit,
-                                   deadline=deadline))
+    """Maximum and a maximizer from a valid graded project-join tree.
+
+    Runs on dense tables if the tree's tables hold fewer than DENSE_MAX_WORK
+    entries, on decision diagrams otherwise.  `node_limit` caps the table
+    entries alive on the one and the diagram nodes held on the other.
+    """
+    dense = table_entries(t, p) < DENSE_MAX_WORK
+    store = DenseStore if dense else DiagramStore
+    return _run(p, t, store(tree_var_order(p, t), node_limit=node_limit,
+                            deadline=deadline))
 
 
 def monolithic_tree(p: Problem) -> PjTree:
@@ -258,9 +282,9 @@ class _DebugContext:
         self.eliminated: set[int] = set()
         self.active: Counter[int] = Counter(cf.root for cf in clause_funcs)
 
-    def roots(self) -> list[int]:
-        """The fully joined formula and every active function, for `collect`."""
-        return [self.joined_all.root, *(+self.active)]
+    def live(self) -> list[PbFunc]:
+        """The fully joined formula and every active function."""
+        return [self.joined_all, *(PbFunc(self.store, h) for h in +self.active)]
 
     def reference(self) -> PbFunc:
         g = self.joined_all

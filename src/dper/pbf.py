@@ -26,8 +26,12 @@ reclaim dead nodes (Sylvan: van Dijk & van de Pol, STTT 2017).  It keeps the
 nodes reachable from the roots, puts every other handle on a free list, and
 `_new` reuses free handles before it grows the arrays.  Live handles never
 move, so functions built before a collection stay valid if and only if they
-are reachable from its roots.  The node limit caps the nodes held at once:
-live ones plus those not yet reclaimed.
+are reachable from its roots.  `node_done`, the step an executor takes
+after each tree node, clears the op cache and collects once the store has
+grown by COLLECT_GROWTH times what the last collection kept (and past
+COLLECT_FLOOR nodes), so collections cost time in proportion to the nodes
+made since the last one.  The node limit caps the nodes held at once: live
+ones plus those not yet reclaimed.
 
 A product or convex combination whose exact value is nonzero but rounds to
 0 or to a subnormal sets the store's `underflow` flag.
@@ -43,7 +47,7 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable
+from typing import Callable, Iterable
 
 HANDLE_BITS = 32  # handles and levels stay below 2**HANDLE_BITS
 
@@ -54,13 +58,18 @@ ZERO, ONE = 0, 1  # handles of the first two terminals of every store
 _MIN_NORMAL = sys.float_info.min  # below it a nonzero double is subnormal
 _NOT = bytes([1]) + bytes(255)  # bytes.translate table: 0 -> 1, 1 -> 0
 
+# `node_done` collects once the store holds more than COLLECT_FLOOR nodes and
+# COLLECT_GROWTH times the nodes that survived its last collection.
+COLLECT_FLOOR = 1 << 14
+COLLECT_GROWTH = 2
+
 
 class ResourceLimitError(Exception):
-    """The diagram store would hold more nodes than the configured cap."""
+    """A store would hold more diagram nodes or table entries than its cap."""
 
 
 class DeadlineExceeded(Exception):
-    """Wall-clock deadline hit during diagram operations."""
+    """Wall-clock deadline hit during execution."""
 
 
 class VarOrder:
@@ -97,6 +106,7 @@ class DiagramStore:
     indexes a reclaimed slot whose entries are stale until `_new` reuses it.
     """
 
+    name = "diagram"  # the executor a solve reports
     _CHECK_EVERY = 4096  # deadline poll interval, in node creations
 
     def __init__(self, order: VarOrder, node_limit: int | None = None,
@@ -125,6 +135,7 @@ class DiagramStore:
         self._free_after = 0  # free handles right after the last collection
         self._reused = 0  # free handles reused before the last collection
         self._peak = 0  # most nodes held at once, as of the last collection
+        self._collect_above = COLLECT_FLOOR  # held nodes that trigger `node_done`
         self.underflow = False
         self.zero = self._terminal(0.0)
         self.one = self._terminal(1.0)
@@ -198,6 +209,17 @@ class DiagramStore:
 
     def clear_cache(self):
         self._cache.clear()
+
+    def node_done(self, live: Callable[[], Iterable["PbFunc"]]):
+        """End of a tree node: clear the op cache and, once the store has
+        grown enough (COLLECT_FLOOR, COLLECT_GROWTH), reclaim every node that
+        the functions `live()` gives do not reach.  Any other function of the
+        store is invalid after a collection."""
+        self.clear_cache()
+        if self.held_count > self._collect_above:
+            self.collect(g.root for g in live())
+            self._collect_above = max(COLLECT_FLOOR,
+                                      COLLECT_GROWTH * self.held_count)
 
     def collect(self, roots: Iterable[int]):
         """Reclaim every node unreachable from ZERO, ONE and `roots`.
@@ -427,6 +449,13 @@ class PbFunc:
     def support_size(self) -> int:
         return self.store._sup[self.root].bit_count()
 
+    support_bound = support_size  # exact here; a dense table's axes bound it
+
+    def depends_on(self, var: int) -> bool:
+        """Whether the function's value changes with `var`."""
+        st = self.store
+        return bool(st._sup[self.root] >> st.order.rank(var) & 1)
+
     def is_constant(self) -> bool:
         return self.store._lev[self.root] == self.store._tlev
 
@@ -475,8 +504,7 @@ class DsgnFunc:
     chooser: PbFunc
 
     def __post_init__(self):
-        st = self.chooser.store
-        assert not st._sup[self.chooser.root] >> st.order.rank(self.var) & 1
+        assert not self.chooser.depends_on(self.var)
 
     def pick(self, assignment: dict[int, bool]) -> bool:
         return self.chooser.evaluate(assignment) != 0.0

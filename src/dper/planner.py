@@ -415,6 +415,13 @@ def width(t: PjTree, p: Problem) -> int:
     return w
 
 
+def table_entries(t: PjTree, p: Problem) -> int:
+    """Entries of the tables a dense valuation joins: the sum over internal
+    nodes of 2 to the number of variables joined there."""
+    return sum(1 << len(vs | t.nodes[nid].projected)
+               for nid, vs in t.free_vars(p).items() if not t.nodes[nid].is_leaf)
+
+
 def sibling_projection_disjoint(t: PjTree, p: Problem) -> bool:
     """Cumulative projections of one sibling never meet clause vars of another."""
     cum = t.cumulative_projected()

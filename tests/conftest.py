@@ -10,6 +10,7 @@ import itertools
 import pytest
 from hypothesis import HealthCheck, settings
 
+from dper import executor
 from dper.formula import Problem
 from dper.pbf import DiagramStore, VarOrder
 
@@ -47,6 +48,13 @@ def make_example() -> Problem:
         Y=frozenset({2, 4, 6}),
         pr={2: 0.5, 4: 0.5, 6: 0.5},
     )
+
+
+@pytest.fixture
+def diagrams(monkeypatch):
+    """Run every solve on the diagram store, whose counters a test asserts:
+    nodes created, peak live nodes, collection and the held-node limit."""
+    monkeypatch.setattr(executor, "DENSE_MAX_WORK", 0)
 
 
 @pytest.fixture

@@ -8,6 +8,8 @@ import random
 import time
 from collections import defaultdict
 
+import pytest
+
 from dper import bench, executor, oracle, planner
 from dper.executor import DebugAssertionError, debug_assert_mode
 from dper.gen import band_instance, random_instance
@@ -155,6 +157,7 @@ def test_criterion_6_harness_arithmetic():
           "flags wrong answers and passes 1e-9 perturbations")
 
 
+@pytest.mark.usefixtures("diagrams")
 def test_criterion_7_width_scaling_smoke():
     """Cluster-scale tables are out of reach here; instead the generated
     band family must show the qualitative cost profile: all instances with

@@ -56,6 +56,16 @@ class TestSolveCommand:
         assert float(line.split(":")[1]) == report["maximum"]
         assert f"{report['maximum']:.17g}" in line
 
+    def test_text_booleans_as_in_json(self, example_file, capsys):
+        code, out, _ = run_cli(
+            ["solve", "--input", example_file, "--format", "text"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert "underflow: false" in lines
+        check = next(l for l in lines if l.startswith("verification:"))
+        assert "checked=true" in check.split() and "agrees=true" in check.split()
+        assert "True" not in out and "False" not in out
+
     def test_debug_assert_flag(self, example_file, capsys):
         code, out, _ = run_cli(
             ["solve", "--input", example_file, "--debug-assert"], capsys)
@@ -107,6 +117,7 @@ class TestSolveCommand:
         assert json.loads(out)["status"] == "input-error"
         assert err.startswith("error:") and "debug-assert cap" in err
 
+    @pytest.mark.usefixtures("diagrams")
     def test_node_counts_reported(self, example_file, capsys):
         _, out, _ = run_cli(["solve", "--input", example_file], capsys)
         report = json.loads(out)
@@ -126,6 +137,7 @@ class TestSolveCommand:
         assert report["maximum"] == maximum
         assert report["underflow"] is True
 
+    @pytest.mark.usefixtures("diagrams")
     def test_node_limit_exit_3(self, example_file, capsys):
         code, out, _ = run_cli(
             ["solve", "--input", example_file, "--node-limit", "5"], capsys)
@@ -138,6 +150,7 @@ class TestSolveCommand:
         assert code == 3
         assert json.loads(out)["status"] == "resource"
 
+    @pytest.mark.usefixtures("diagrams")
     def test_node_limit_env_var(self, example_file, capsys, monkeypatch):
         monkeypatch.setenv("DPER_NODE_LIMIT", "5")
         code, out, _ = run_cli(["solve", "--input", example_file], capsys)
@@ -369,11 +382,13 @@ class TestBenchCommand:
         assert code == 0
         rows = out_csv.read_text().splitlines()
         assert rows[0] == ("name,solved,seconds,par2,answer,width,"
-                           "nodes_created,peak_live_nodes")
+                           "nodes_created,peak_live_nodes,executor")
         assert len(rows) == 4
         assert all(r.split(",")[1] == "1" for r in rows[1:])
+        assert all(r.split(",")[8] == "dense" for r in rows[1:])  # small trees
         assert "mean PAR-2" in err
 
+    @pytest.mark.usefixtures("diagrams")
     def test_nodes_created_column(self, bench_dir, tmp_path, capsys):
         out_csv = tmp_path / "results.csv"
         run_cli(["bench", "--dir", str(bench_dir), "--out", str(out_csv),
@@ -596,6 +611,22 @@ class TestConsoleScript:
         check = json.loads(out.stdout)["verification"]
         assert check["checked"] and check["agrees"]
         assert check["weighted_count"] == 0.75
+
+    def test_dense_solve_leaves_numpy_unloaded(self, tmp_path):
+        f = tmp_path / "band.cnf"
+        f.write_text(serialize(band_instance(random.Random(12), 12)))
+        code = ("import json, sys; from dper import cli, executor; "
+                "dense = cli.run_solve(sys.argv[1], cli.RunConfig()); "
+                "loaded = 'numpy' in sys.modules; executor.DENSE_MAX_WORK = 0; "
+                "diagram = cli.run_solve(sys.argv[1], cli.RunConfig()); "
+                "print(json.dumps([[r['executor'], r['maximum'], r['maximizer']] "
+                "for r in (dense, diagram)] + [loaded]))")
+        out = subprocess.run([sys.executable, "-c", code, str(f)],
+                             capture_output=True, text=True, check=True)
+        dense, diagram, loaded = json.loads(out.stdout)
+        assert loaded is False
+        assert (dense[0], diagram[0]) == ("dense", "diagram")
+        assert dense[1:] == diagram[1:]
 
     def test_oracle_without_numpy_exit_1(self, example_file):
         code = ("import sys; sys.modules['numpy'] = None; "

@@ -1,17 +1,20 @@
 import copy
+import json
 import random
+import sys
 import time
 
 import pytest
 
-from dper import executor, oracle
+from dper import cli, executor, oracle, pbf
 from dper.executor import (DebugAssertionError, debug_assert_mode,
                            monolithic_tree, solve, solve_monolithic,
                            tree_var_order, valuate)
-from dper.formula import parse_problem
+from dper.formula import parse_problem, serialize
 from dper.gen import band_instance, random_instance
 from dper.pbf import DeadlineExceeded, DiagramStore, ResourceLimitError
-from dper.planner import HEURISTICS, TreeError, check_graded, check_tree, plan
+from dper.planner import (HEURISTICS, TreeError, check_graded, check_tree, plan,
+                          table_entries)
 from dper.planner import width as tree_width
 
 
@@ -83,6 +86,7 @@ class TestSolve:
             assert r.maximum == 1.0
             assert r.maximizer == {1: False, 2: True}
 
+    @pytest.mark.usefixtures("diagrams")
     def test_stats_populated(self, example):
         t = plan(example)
         r = solve(example, t)
@@ -105,10 +109,12 @@ class TestSolve:
             values = {solve(p, plan(p, h)).maximum for h in HEURISTICS}
             assert max(values) - min(values) <= 1e-9
 
+    @pytest.mark.usefixtures("diagrams")
     def test_node_limit(self, example):
         with pytest.raises(ResourceLimitError):
             solve(example, plan(example), node_limit=5)
 
+    @pytest.mark.usefixtures("diagrams")
     def test_deadline(self, example, monkeypatch):
         monkeypatch.setattr(DiagramStore, "_CHECK_EVERY", 1)
         with pytest.raises(DeadlineExceeded):
@@ -116,11 +122,12 @@ class TestSolve:
 
 
 def collect_everywhere(monkeypatch):
-    """Make `valuate` collect at every tree-node boundary."""
-    monkeypatch.setattr(executor, "COLLECT_FLOOR", 0)
-    monkeypatch.setattr(executor, "COLLECT_GROWTH", 0)
+    """Make the diagram store collect at every tree-node boundary."""
+    monkeypatch.setattr(pbf, "COLLECT_FLOOR", 0)
+    monkeypatch.setattr(pbf, "COLLECT_GROWTH", 0)
 
 
+@pytest.mark.usefixtures("diagrams")
 class TestCollection:
     def test_same_answers_with_collection_at_every_boundary(self, monkeypatch):
         problems = [random_instance(random.Random(20260810 + i))
@@ -134,7 +141,7 @@ class TestCollection:
                 out.append((r.maximum.hex(), r.maximizer, r.stats.max_support))
             return out
 
-        monkeypatch.setattr(executor, "COLLECT_FLOOR", 1 << 62)
+        monkeypatch.setattr(pbf, "COLLECT_FLOOR", 1 << 62)
         never = answers()
         collect_everywhere(monkeypatch)
         assert answers() == never
@@ -155,9 +162,104 @@ class TestCollection:
         stats = solve(p, t).stats
         limit = (stats.peak_live_nodes + stats.diagram_nodes) // 2
         solve(p, t, node_limit=limit)  # holds fewer nodes than it creates
-        monkeypatch.setattr(executor, "COLLECT_FLOOR", 1 << 62)
+        monkeypatch.setattr(pbf, "COLLECT_FLOOR", 1 << 62)
         with pytest.raises(ResourceLimitError):
             solve(p, t, node_limit=limit)
+
+
+def answer(r):
+    """What a dense solve must reproduce bit for bit."""
+    return r.maximum.hex(), r.maximizer, r.stats.max_support, r.stats.underflow
+
+
+def on_diagrams(monkeypatch, p, t):
+    with monkeypatch.context() as m:
+        m.setattr(executor, "DENSE_MAX_WORK", 0)
+        return solve(p, t)
+
+
+class TestDense:
+    """Dense tables, chosen when a tree's tables hold fewer than
+    DENSE_MAX_WORK entries in all."""
+
+    def test_byte_identical_to_diagrams(self, monkeypatch):
+        problems = [random_instance(random.Random(20260810 + i))
+                    for i in range(600)]
+        problems += [band_instance(random.Random(16000 + w), w)
+                     for w in range(1, 17)]
+        problems += [random_instance(random.Random(17000 + i), 30, 90)
+                     for i in range(40)]
+        # every tree up to width 16 on tables, the wider bands included
+        monkeypatch.setattr(executor, "DENSE_MAX_WORK", 1 << 20)
+        widths = set()
+        for p in problems:
+            t = plan(p)
+            widths.add(tree_width(t, p))
+            r = solve(p, t)
+            assert r.stats.executor == "dense"
+            assert (r.stats.diagram_nodes, r.stats.peak_live_nodes) == (0, 0)
+            assert answer(r) == answer(on_diagrams(monkeypatch, p, t))
+        assert max(widths) == 16
+
+    @pytest.mark.parametrize("text, maximum", [
+        ("p cnf 1 1\nr 1e-320 1 0\n1 0\n", 1e-320),
+        ("p cnf 2 2\nr 1e-200 1 2 0\n1 0\n2 0\n", 0.0),
+    ], ids=["subnormal", "zero"])
+    def test_underflow_flagged(self, monkeypatch, text, maximum):
+        p = parse_problem(text)
+        t = plan(p)
+        r = solve(p, t)
+        assert r.stats.executor == "dense"
+        assert r.maximum == maximum
+        assert r.stats.underflow is True
+        assert answer(r) == answer(on_diagrams(monkeypatch, p, t))
+
+    def run_cli(self, tmp_path, capsys, problem, *flags):
+        path = tmp_path / "instance.cnf"
+        path.write_text(serialize(problem))
+        code = cli.main(["solve", "--input", str(path), *flags])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_deadline_exit_2(self, example, tmp_path, capsys, monkeypatch):
+        # the deadline passes after planning; too few diagram nodes would be
+        # made for the diagram store's poll, so only the dense one can see it
+        real_solve = executor.solve
+
+        def late(p, t, **limits):
+            return real_solve(p, t, **{**limits,
+                                       "deadline": time.monotonic() - 1.0})
+        monkeypatch.setattr(executor, "solve", late)
+        code, report = self.run_cli(tmp_path, capsys, example)
+        assert code == 2
+        assert report["status"] == "deadline"
+        assert report["width"] == 2
+
+    def test_node_limit_counts_entries_exit_3(self, example, tmp_path, capsys):
+        code, report = self.run_cli(tmp_path, capsys, example,
+                                    "--node-limit", "5")
+        assert code == 3
+        assert report["status"] == "resource"
+        assert "more than 5 entries" in report["error"]
+        p = band_instance(random.Random(12), 12)
+        t = plan(p)
+        assert tree_width(t, p) == 12
+        with pytest.raises(ResourceLimitError):  # the widest table alone
+            solve(p, t, node_limit=(1 << 12) - 1)
+        assert solve(p, t, node_limit=1 << 15).stats.executor == "dense"
+
+    def test_choice_follows_table_entries(self):
+        # bands of width 13 fit, 14 and 17 do not
+        for window, kind in ((13, "dense"), (14, "diagram"), (17, "diagram")):
+            p = band_instance(random.Random(window), window)
+            t = plan(p)
+            assert tree_width(t, p) == window
+            fits = table_entries(t, p) < executor.DENSE_MAX_WORK
+            assert fits == (kind == "dense")
+            assert solve(p, t).stats.executor == kind
+
+    def test_needs_no_numpy(self, example, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert solve(example, plan(example)).stats.executor == "dense"
 
 
 class TestSolveMonolithic:
