@@ -11,10 +11,10 @@ covers planning, execution and the maximizer re-count jointly;
 `plan` honours it while planning.  A solve runs on dense tables when its
 tree is small enough (`executor.DENSE_MAX_WORK`) and on decision diagrams
 otherwise; the report's `executor` field names the one that ran.  The node
-limit caps what a solve holds at once: diagram nodes (dead ones are
-reclaimed between tree nodes), or the entries of the dense tables alive,
-pending valuations and chooser tables included.  It can also be set through
-the DPER_NODE_LIMIT environment variable.
+limit caps the diagram nodes a solve holds at once (dead ones are reclaimed
+between tree nodes); a tree runs on tables only when its tables hold fewer
+entries in all than the limit, so the limit never stops a table run.  It
+can also be set through the DPER_NODE_LIMIT environment variable.
 """
 
 from __future__ import annotations
@@ -353,8 +353,8 @@ def _add_common(sub):
                      help="treat declared-but-unquantified unused variables "
                           "as existential")
     sub.add_argument("--node-limit", type=int,
-                     help="most diagram nodes held at once, or dense table "
-                          "entries on a tree small enough for dense tables "
+                     help="most diagram nodes held at once; a tree runs on "
+                          "dense tables only if they hold fewer entries in all "
                           "(also via DPER_NODE_LIMIT)")
 
 

@@ -1,19 +1,20 @@
 """Pseudo-Boolean functions as dense tables, for trees of small width.
 
 The tensor alternative to decision diagrams for the same dynamic programme
-(TensorOrder: Dudek, Dueñas-Osorio & Vardi, 2019).  A DenseFunc holds one
-value per assignment to its variables, as a flat Python list in row-major
-order over `vars`; bit 0 of an axis is false and bit 1 true.  The variables
-follow the store's VarOrder, the tree's projection order, with the variable
-projected first as the outermost axis: the variable a tree node projects is
-the first one of its table, so its two cofactors are the two halves of the
-list.  A table over k variables holds 2^k entries whatever the function is,
-so the executor chooses this store only for trees whose tables are small
+(TensorOrder: Dudek, Dueñas-Osorio & Vardi, 2019).  A DenseStore's functions
+are `pbf.PbFunc` handles whose root is a Table: one value per assignment to
+its variables, as a flat Python list in row-major order over `vars`; bit 0
+of an axis is false and bit 1 true.  The variables follow the store's
+VarOrder, the tree's projection order, with the variable projected first as
+the outermost axis: the variable a tree node projects is the first one of
+its table, so its two cofactors are the two halves of the list.  A table
+over k variables holds 2^k entries whatever the function is, so the
+executor chooses this store only for trees whose tables are small
 (`executor.DENSE_MAX_WORK`).
 
-DenseStore and DenseFunc keep the contract of `pbf.DiagramStore` and
-`pbf.PbFunc` that the executor uses, and every value is bit-identical to the
-diagram kernel's, which does the same float arithmetic:
+DenseStore gives the operations `pbf.PbFunc` delegates to, as
+`pbf.DiagramStore` does, and every value is bit-identical to the diagram
+kernel's, which does the same float arithmetic:
 
 - join multiplies pointwise; existential projection takes the pointwise max
   of the two cofactors; the derivative sign is [hi >= lo], so ties and an
@@ -30,9 +31,9 @@ the underflow rule is evaluated entry by entry only when an operation's
 result could fall below the smallest normal number.  Every entry lies in
 [0, 1], which the bound relies on.
 
-The node limit counts table entries: those of every table alive at once,
-pending valuations and chooser tables included.  The deadline is polled at
-every tree node.
+The store has no node limit: the executor checks the tree's table entries
+against it before choosing tables.  The deadline is polled at every tree
+node.
 """
 
 from __future__ import annotations
@@ -42,14 +43,52 @@ import time
 from operator import ge, mul
 from typing import Callable, Iterable
 
-from .pbf import DeadlineExceeded, DsgnFunc, ResourceLimitError, VarOrder
+from .pbf import DeadlineExceeded, PbFunc, VarOrder
 
 _MIN_NORMAL = sys.float_info.min
 
 
+class Table:
+    """The values of a function over `vars`, in store order, and a lower
+    bound `low` on its nonzero entries.  A clause's table also keeps
+    `falsifier`, the one assignment to its variables (var -> bit) where it
+    is 0; it is 1 everywhere else."""
+
+    __slots__ = ("vars", "entries", "low", "falsifier")
+
+    def __init__(self, variables: tuple[int, ...], entries: list, low: float,
+                 falsifier: dict[int, int] | None = None):
+        self.vars = variables
+        self.entries = entries
+        self.low = low
+        self.falsifier = falsifier
+
+    def expand(self, variables: tuple[int, ...]) -> list:
+        """The entries over `variables`, a superset of `vars` in store order,
+        repeated along the axes they lack."""
+        t = self.entries
+        if variables != self.vars:
+            own = set(self.vars)
+            size = 1  # entries below the axis
+            for v in reversed(variables):
+                if v not in own:
+                    t = _repeat_blocks(t, size)
+                size *= 2
+        return t
+
+    def split(self, x: int) -> tuple[tuple[int, ...], list, list]:
+        """(variables without x, hi cofactor, lo cofactor); x must be a variable."""
+        i = self.vars.index(x)
+        lo, hi = _cofactors(self.entries, i)
+        return self.vars[:i] + self.vars[i + 1:], hi, lo
+
+
 def _repeat_blocks(t: list, size: int) -> list:
     """`t` with each run of `size` entries repeated once in place: a new
-    axis just outside the innermost axes whose entries make up `size`."""
+    axis just outside the innermost axes whose entries make up `size`.
+
+    Copying block by block takes one step per block and copying by stride
+    one step per entry of a block; each is used where it takes fewer."""
     n = len(t)
     if n <= 2 * size * size:  # few blocks, so copy them one by one
         out = []
@@ -64,6 +103,32 @@ def _repeat_blocks(t: list, size: int) -> list:
         out[r::2 * size] = column
         out[size + r::2 * size] = column
     return out
+
+
+def _zero_subcube(t: list, n: int, fixed: dict[int, int]):
+    """Set to 0 each entry of `t`, a table over n axes, whose bits on the
+    axes of `fixed` (axis -> bit) are the given ones.
+
+    The longest run of consecutive free axes is one extended slice; every
+    assignment to the other free axes gives one slice assignment."""
+    runs, start = [], None  # (first axis, length) of each run of free axes
+    for i in range(n + 1):
+        if i < n and i not in fixed:
+            start = i if start is None else start
+        elif start is not None:
+            runs.append((start, i - start))
+            start = None
+    first, length = max(runs, key=lambda r: r[1], default=(n, 0))
+    step = 1 << (n - first - length)  # the weight of the run's inner axis
+    offsets = [sum(b << (n - 1 - i) for i, b in fixed.items())]
+    for i in range(n):
+        if i not in fixed and not first <= i < first + length:
+            w = 1 << (n - 1 - i)
+            offsets += [o + w for o in offsets]
+    count = 1 << length
+    zeros = [0.0] * count
+    for o in offsets:
+        t[o:o + count * step:step] = zeros
 
 
 def _cofactors(t: list, axis: int) -> tuple[list, list]:
@@ -88,167 +153,123 @@ def _varies(t: list, axis: int) -> bool:
 
 
 class DenseStore:
-    """Factory and accounting for the tables of one solve."""
+    """Factory and operations for the tables of one solve."""
 
     name = "dense"  # the executor a solve reports
     node_count = 0  # no diagram nodes
     peak_held = 0
 
-    def __init__(self, order: VarOrder, node_limit: int | None = None,
-                 deadline: float | None = None):
+    def __init__(self, order: VarOrder, deadline: float | None = None):
         self.rank = order.rank
-        self.node_limit = node_limit
         self.deadline = deadline
-        self.held = 0  # entries of the tables alive now
         self.underflow = False
-
-    def _func(self, variables: tuple[int, ...], table: list,
-              low: float) -> "DenseFunc":
-        if self.node_limit is not None and self.held + len(table) > self.node_limit:
-            raise ResourceLimitError(f"dense tables would hold more than "
-                                     f"{self.node_limit} entries")
-        return DenseFunc(self, variables, table, low)
 
     def _poll_deadline(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise DeadlineExceeded("deadline hit during execution")
 
-    def constant(self, c: float) -> "DenseFunc":
+    def constant(self, c: float) -> PbFunc:
         if not 0.0 <= c <= 1.0:
             raise ValueError(f"a table entry must lie in [0, 1], got {c}")
-        return self._func((), [float(c)], c or 1.0)
+        return PbFunc(self, Table((), [float(c)], c or 1.0))
 
-    def clause_func(self, clause: Iterable[int]) -> "DenseFunc":
+    def clause_func(self, clause: Iterable[int]) -> PbFunc:
         """0/1 table of a disjunction of signed literals, each variable once;
         an empty clause gives constant 0."""
         self._poll_deadline()
         lits = sorted(clause, key=lambda l: self.rank(abs(l)))
-        table = [1.0] * (1 << len(lits))
+        entries = [1.0] * (1 << len(lits))
         falsified = 0  # the one assignment that falsifies every literal
         for l in lits:
             falsified = 2 * falsified + (l < 0)
-        table[falsified] = 0.0
-        return self._func(tuple(abs(l) for l in lits), table, 1.0)
+        entries[falsified] = 0.0
+        return PbFunc(self, Table(tuple(abs(l) for l in lits), entries, 1.0,
+                                  {abs(l): int(l < 0) for l in lits}))
 
-    def node_done(self, live: Callable[[], Iterable["DenseFunc"]]):
+    def node_done(self, live: Callable[[], Iterable[PbFunc]]):
         """End of a tree node.  Dead tables are freed as soon as nothing
         refers to them, so `live` is not needed; only the deadline is polled."""
         self._poll_deadline()
 
+    # -- the operations PbFunc delegates to, on tables -------------------------
 
-class DenseFunc:
-    """A pseudo-Boolean function as a table over `vars`, in store order."""
-
-    __slots__ = ("store", "vars", "table", "low")
-
-    def __init__(self, store: DenseStore, variables: tuple[int, ...],
-                 table: list, low: float):
-        store.held += len(table)
-        self.store = store
-        self.vars = variables
-        self.table = table
-        self.low = low
-
-    def __del__(self):
-        self.store.held -= len(self.table)
-
-    def _is_one(self) -> bool:
-        return not self.vars and self.table[0] == 1.0
-
-    def _expand(self, variables: tuple[int, ...]) -> list:
-        """The table over `variables`, a superset of its own in store order,
-        repeated along the axes it lacks."""
-        t = self.table
-        if variables != self.vars:
-            own = set(self.vars)
-            size = 1
-            for v in reversed(variables):
-                if v not in own:
-                    t = _repeat_blocks(t, size)
-                size *= 2
-        return t
-
-    def join(self, other: "DenseFunc") -> "DenseFunc":
+    def join(self, a: Table, b: Table) -> Table:
         """Pointwise product over the union of the two tables' variables."""
-        st = self.store
-        if other.store is not st:
-            raise ValueError("operands built under different stores")
-        if other._is_one():
-            return self
-        if self._is_one():
-            return other
-        variables = self.vars
-        if other.vars != variables:
-            variables = tuple(sorted({*self.vars, *other.vars}, key=st.rank))
-        a, b = self._expand(variables), other._expand(variables)
-        r = list(map(mul, a, b))
-        low = self.low * other.low
-        if low < _MIN_NORMAL and not st.underflow:
-            st.underflow = any(-_MIN_NORMAL < z < _MIN_NORMAL
-                               and x != 0.0 and x != 1.0 and y != 0.0 and y != 1.0
-                               for x, y, z in zip(a, b, r))
+        if not b.vars and b.entries[0] == 1.0:
+            return a
+        if not a.vars and a.entries[0] == 1.0:
+            return b
+        variables = a.vars
+        if b.vars != variables:
+            variables = tuple(sorted({*a.vars, *b.vars}, key=self.rank))
+        if b.falsifier is None and a.falsifier is not None:
+            a, b = b, a
+        if b.falsifier is not None:
+            # times 1 keeps an entry and times 0 zeroes it, exactly, and no
+            # product underflows: zero the subcube the clause falsifies
+            r = a.expand(variables)
+            if r is a.entries:
+                r = r[:]
+            axis = {v: i for i, v in enumerate(variables)}
+            _zero_subcube(r, len(variables),
+                          {axis[v]: bit for v, bit in b.falsifier.items()})
+            return Table(variables, r, a.low)
+        x, y = a.expand(variables), b.expand(variables)
+        r = list(map(mul, x, y))
+        low = a.low * b.low
+        if low < _MIN_NORMAL and not self.underflow:
+            self.underflow = any(-_MIN_NORMAL < z < _MIN_NORMAL
+                                 and u != 0.0 and u != 1.0 and v != 0.0 and v != 1.0
+                                 for u, v, z in zip(x, y, r))
             low = min(filter(None, r), default=1.0)
-        return st._func(variables, r, low)
+        return Table(variables, r, low)
 
-    def _split(self, x: int):
-        """(variables without x, hi cofactor, lo cofactor); x must be a variable."""
-        i = self.vars.index(x)
-        lo, hi = _cofactors(self.table, i)
-        return self.vars[:i] + self.vars[i + 1:], hi, lo
+    def exists_project(self, a: Table, x: int) -> Table:
+        if x not in a.vars:
+            return a
+        variables, hi, lo = a.split(x)
+        return Table(variables, [h if h >= l else l for h, l in zip(hi, lo)],
+                     a.low)
 
-    def exists_project(self, x: int) -> "DenseFunc":
-        """Pointwise max over the two cofactors of x; identity if x is absent."""
-        if x not in self.vars:
-            return self
-        variables, hi, lo = self._split(x)
-        r = [h if h >= l else l for h, l in zip(hi, lo)]
-        return self.store._func(variables, r, self.low)
-
-    def rand_project(self, x: int, p: float) -> "DenseFunc":
-        """Convex combination p*(x=1 cofactor) + (1-p)*(x=0 cofactor)."""
-        if not (0.0 <= p <= 1.0):
-            raise ValueError(f"probability {p} outside [0, 1]")
-        if x not in self.vars:
-            return self
-        st = self.store
-        variables, hi, lo = self._split(x)
+    def rand_project(self, a: Table, x: int, p: float) -> Table:
+        if x not in a.vars:
+            return a
+        variables, hi, lo = a.split(x)
         q = 1.0 - p
         r = [l if h == l else p * h + q * l for h, l in zip(hi, lo)]
         # a nonzero entry is at least its larger term, so at least min(p, q)*low
-        low = (min(p, q) if 0.0 < p < 1.0 else 1.0) * self.low
-        if low < _MIN_NORMAL and not st.underflow:
-            st.underflow = any(h != l and -_MIN_NORMAL < z < _MIN_NORMAL
-                               and (p and h or q and l)
-                               for h, l, z in zip(hi, lo, r))
+        low = (min(p, q) if 0.0 < p < 1.0 else 1.0) * a.low
+        if low < _MIN_NORMAL and not self.underflow:
+            self.underflow = any(h != l and -_MIN_NORMAL < z < _MIN_NORMAL
+                                 and (p and h or q and l)
+                                 for h, l, z in zip(hi, lo, r))
             low = min(filter(None, r), default=1.0)
-        return st._func(variables, r, low)
+        return Table(variables, r, low)
 
-    def dsgn(self, x: int) -> DsgnFunc:
-        """Which value of x attains the larger cofactor; ties choose 1."""
-        st = self.store
-        if x not in self.vars:
-            return DsgnFunc(x, st.constant(1.0))
-        variables, hi, lo = self._split(x)
-        return DsgnFunc(x, st._func(variables, list(map(ge, hi, lo)), 1.0))
+    def dsgn(self, a: Table, x: int) -> Table:
+        if x not in a.vars:
+            return Table((), [1.0], 1.0)
+        variables, hi, lo = a.split(x)
+        return Table(variables, list(map(ge, hi, lo)), 1.0)
 
-    def evaluate(self, assignment: dict[int, bool]) -> float:
-        """Value at an assignment to every variable of the table."""
+    def evaluate(self, a: Table, assignment: dict[int, bool]) -> float:
         index = 0
-        for v in self.vars:
+        for v in a.vars:
             try:
                 index = 2 * index + (1 if assignment[v] else 0)
             except KeyError:
                 raise KeyError(f"assignment is missing table variable {v}") from None
-        return float(self.table[index])
+        return float(a.entries[index])
 
-    def support_bound(self) -> int:
-        """The number of variables, an upper bound on `support_size()`."""
-        return len(self.vars)
+    def support(self, a: Table) -> frozenset[int]:
+        return frozenset(v for i, v in enumerate(a.vars) if _varies(a.entries, i))
 
-    def support_size(self) -> int:
-        """The number of variables the function's value changes with."""
-        return sum(_varies(self.table, i) for i in range(len(self.vars)))
+    def support_size(self, a: Table) -> int:
+        return sum(_varies(a.entries, i) for i in range(len(a.vars)))
 
-    def depends_on(self, var: int) -> bool:
-        """Whether the function's value changes with `var`."""
-        return var in self.vars and _varies(self.table, self.vars.index(var))
+    def support_bound(self, a: Table) -> int:
+        """The number of variables, an upper bound on the support size."""
+        return len(a.vars)
+
+    def depends_on(self, a: Table, var: int) -> bool:
+        return var in a.vars and _varies(a.entries, a.vars.index(var))

@@ -14,7 +14,8 @@ checks the annotated assertions at each point the loop and the replay report.
 
 The loop and the replay run on either of two stores, chosen per solve before
 execution (see DENSE_MAX_WORK): decision diagrams (`pbf.DiagramStore`) or
-dense tables (`dense.DenseStore`).  They use this contract and nothing more:
+dense tables (`dense.DenseStore`).  Every function is a `pbf.PbFunc`, whose
+operations its store carries out; they use this contract and nothing more:
 
 - a store gives `constant(c)`, `clause_func(clause)` and `node_done(live)`,
   the step after each internal tree node, where `live()` yields every
@@ -49,12 +50,12 @@ DEBUG_TOL = 1e-9
 # number of variables joined there (`planner.table_entries`).  That is the
 # exact cost of tables, which is the same whatever the function; a diagram
 # can be far smaller, so the cost of diagrams cannot be read off the tree.
-# Measured execution times, tables against diagrams: the benchmark's
-# rand-verify trees (at most 126k entries) run 2.8 times as fast on tables
-# and band-long trees (45k) 1.6 times; bands of widths 12 and 13 (35k-81k)
-# run between 1.6 times as fast and 2.6 times as slow, and bands of width 14
-# (157k), which stay on diagrams, would run 3 times as slow.  Fewer than 2^17 entries also keeps every table below
-# width 17.
+# The cap sits where band trees, whose diagrams stay small, stop running
+# faster on tables.  Execution times over 8 band trees per width (tables
+# against diagrams, in all): width 13, 77k-90k entries, 0.81 times as long
+# (2 trees of 8 up to 1.09 times); width 14, 157k-165k entries, 1.09 times
+# (6 of 8 slower, up to 1.6 times).  Random 3-CNF trees below the cap,
+# the benchmark's rand-verify among them, take 0.37-0.44 times as long.
 DENSE_MAX_WORK = 1 << 17
 
 
@@ -216,14 +217,18 @@ def solve(p: Problem, t: PjTree, node_limit: int | None = None,
           deadline: float | None = None) -> SolveResult:
     """Maximum and a maximizer from a valid graded project-join tree.
 
-    Runs on dense tables if the tree's tables hold fewer than DENSE_MAX_WORK
-    entries, on decision diagrams otherwise.  `node_limit` caps the table
-    entries alive on the one and the diagram nodes held on the other.
+    Runs on dense tables if the tree's tables hold fewer entries in all
+    (`planner.table_entries`) than both DENSE_MAX_WORK and `node_limit`, on
+    decision diagrams otherwise.  `node_limit` caps the diagram nodes held
+    at once; a table run is never stopped by it.
     """
-    dense = table_entries(t, p) < DENSE_MAX_WORK
-    store = DenseStore if dense else DiagramStore
-    return _run(p, t, store(tree_var_order(p, t), node_limit=node_limit,
-                            deadline=deadline))
+    order = tree_var_order(p, t)
+    cap = DENSE_MAX_WORK if node_limit is None else min(DENSE_MAX_WORK, node_limit)
+    if table_entries(t, p) < cap:
+        store = DenseStore(order, deadline=deadline)
+    else:
+        store = DiagramStore(order, node_limit=node_limit, deadline=deadline)
+    return _run(p, t, store)
 
 
 def monolithic_tree(p: Problem) -> PjTree:

@@ -38,6 +38,11 @@ A product or convex combination whose exact value is nonzero but rounds to
 
 A store and its diagrams belong to a single solve and are used by one worker
 at a time; diagrams are immutable once created.
+
+PbFunc is the function type of every store the executor runs on: it holds
+its store and a handle, and its operations go to the store, which carries
+them out on handles.  Here a handle is a node; in `dense.DenseStore` it is
+a table.
 """
 
 from __future__ import annotations
@@ -349,6 +354,46 @@ class DiagramStore:
         self._cache[key] = h
         return h
 
+    # -- the operations PbFunc delegates to, on handles ------------------------
+
+    def join(self, f: int, g: int) -> int:
+        return self._apply(MUL, f, g)
+
+    def exists_project(self, f: int, x: int) -> int:
+        return self._abstract(MAX, f, self.order.rank(x))
+
+    def rand_project(self, f: int, x: int, p: float) -> int:
+        return self._abstract(self._convex_op(p), f, self.order.rank(x))
+
+    def dsgn(self, f: int, x: int) -> int:
+        return self._abstract(GE, f, self.order.rank(x))
+
+    def evaluate(self, f: int, assignment: dict[int, bool]) -> float:
+        variables = self.order.variables
+        h = f
+        while self._lev[h] != self._tlev:
+            v = variables[self._lev[h]]
+            try:
+                b = assignment[v]
+            except KeyError:
+                raise KeyError(f"assignment is missing support variable {v}") from None
+            h = self._hi[h] if b else self._lo[h]
+        return self._val[h]
+
+    def support(self, f: int) -> frozenset[int]:
+        mask = self._sup[f]
+        variables = self.order.variables
+        return frozenset(variables[i] for i in range(mask.bit_length())
+                         if mask >> i & 1)
+
+    def support_size(self, f: int) -> int:
+        return self._sup[f].bit_count()
+
+    support_bound = support_size  # exact here; a dense table's axes bound it
+
+    def depends_on(self, f: int, var: int) -> bool:
+        return bool(self._sup[f] >> self.order.rank(var) & 1)
+
     def _reachable(self, f: int) -> list[int]:
         """Handles of every node under f, f included, each once."""
         seen = {f}
@@ -389,15 +434,18 @@ class DiagramStore:
 
 
 class PbFunc:
-    """A pseudo-Boolean function: a handle into a DiagramStore.
+    """A pseudo-Boolean function: a handle `root` into its store.
 
-    Equality is pointwise equality, decided in O(1) by handle comparison
-    thanks to hash consing.
+    The store decides what a handle is and does the work: a node handle of a
+    DiagramStore, or a table of a `dense.DenseStore`.  On diagrams equality
+    is pointwise equality, decided in O(1) by handle comparison thanks to
+    hash consing; `is_constant`, `terminal_values` and `to_dot` read diagram
+    nodes and serve diagram stores only.
     """
 
     __slots__ = ("store", "root")
 
-    def __init__(self, store: DiagramStore, root: int):
+    def __init__(self, store, root):
         self.store = store
         self.root = root
 
@@ -405,56 +453,41 @@ class PbFunc:
         """Pointwise product over the union of supports."""
         if self.store is not other.store:
             raise ValueError("operands built under different stores/orders")
-        return PbFunc(self.store, self.store._apply(MUL, self.root, other.root))
-
-    def _abstract(self, op: int, x: int) -> "PbFunc":
-        st = self.store
-        return PbFunc(st, st._abstract(op, self.root, st.order.rank(x)))
+        return PbFunc(self.store, self.store.join(self.root, other.root))
 
     def exists_project(self, x: int) -> "PbFunc":
         """Pointwise max over the two cofactors of x; identity if x is absent."""
-        return self._abstract(MAX, x)
+        return PbFunc(self.store, self.store.exists_project(self.root, x))
 
     def rand_project(self, x: int, p: float) -> "PbFunc":
         """Convex combination p*(x=1 cofactor) + (1-p)*(x=0 cofactor)."""
         if not (0.0 <= p <= 1.0):
             raise ValueError(f"probability {p} outside [0, 1]")
-        return self._abstract(self.store._convex_op(p), x)
+        return PbFunc(self.store, self.store.rand_project(self.root, x, p))
 
     def dsgn(self, x: int) -> "DsgnFunc":
         """Which value of x attains the larger cofactor; ties choose 1."""
-        return DsgnFunc(x, self._abstract(GE, x))
+        return DsgnFunc(x, PbFunc(self.store, self.store.dsgn(self.root, x)))
 
     def evaluate(self, assignment: dict[int, bool]) -> float:
         """Value at a total assignment (w.r.t. this function's support)."""
-        st = self.store
-        variables = st.order.variables
-        h = self.root
-        while st._lev[h] != st._tlev:
-            v = variables[st._lev[h]]
-            try:
-                b = assignment[v]
-            except KeyError:
-                raise KeyError(f"assignment is missing support variable {v}") from None
-            h = st._hi[h] if b else st._lo[h]
-        return st._val[h]
+        return self.store.evaluate(self.root, assignment)
 
     @property
     def support(self) -> frozenset[int]:
-        mask = self.store._sup[self.root]
-        variables = self.store.order.variables
-        return frozenset(variables[i] for i in range(mask.bit_length())
-                         if mask >> i & 1)
+        """The variables the function's value changes with."""
+        return self.store.support(self.root)
 
     def support_size(self) -> int:
-        return self.store._sup[self.root].bit_count()
+        return self.store.support_size(self.root)
 
-    support_bound = support_size  # exact here; a dense table's axes bound it
+    def support_bound(self) -> int:
+        """An O(1) upper bound on `support_size()`."""
+        return self.store.support_bound(self.root)
 
     def depends_on(self, var: int) -> bool:
         """Whether the function's value changes with `var`."""
-        st = self.store
-        return bool(st._sup[self.root] >> st.order.rank(var) & 1)
+        return self.store.depends_on(self.root, var)
 
     def is_constant(self) -> bool:
         return self.store._lev[self.root] == self.store._tlev

@@ -2,16 +2,16 @@
 
 A solve projects only the first variable of a table, and its joins and
 values are the ones its trees produce; these cases project any variable of
-random tables in random variable orders.  Each table is built both as a
-DenseFunc and, through the truth-table helpers, as a diagram in a store with
+random tables in random variable orders.  Each table is built both in a
+DenseStore and, through the truth-table helpers, as a diagram in a store with
 the same order, and every operation must give bit-identical values, the
 same support and `depends_on`, and the same underflow flag.
 """
 
 import random
 
-from dper.dense import DenseStore
-from dper.pbf import DiagramStore, VarOrder
+from dper.dense import DenseStore, Table
+from dper.pbf import DiagramStore, PbFunc, VarOrder
 
 from conftest import all_assignments, diagram_from_table, tbl_eval, tbl_from_rows
 
@@ -26,7 +26,8 @@ def random_table(rng, max_vars=5):
 
 
 def dense_from_table(store, table):
-    """The DenseFunc holding `table`, its variables in store order."""
+    """The function holding `table` in the dense store, its variables in
+    store order."""
     vs = tuple(sorted(table[0], key=store.rank))
     rows = [0.0] * (1 << len(vs))
     for a in all_assignments(vs):
@@ -34,13 +35,14 @@ def dense_from_table(store, table):
         for v in vs:
             index = 2 * index + a[v]
         rows[index] = tbl_eval(table, a)
-    return store._func(vs, rows, min(filter(None, rows), default=1.0))
+    return PbFunc(store, Table(vs, rows, min(filter(None, rows), default=1.0)))
 
 
 def same(dense, diagram, variables):
     for a in all_assignments(variables):
         assert dense.evaluate(a).hex() == diagram.evaluate(a).hex(), a
     assert dense.support_size() == diagram.support_size()
+    assert dense.support == diagram.support
     for v in VARS:
         assert dense.depends_on(v) == diagram.depends_on(v), v
 
@@ -76,3 +78,31 @@ def test_operations_match_the_kernel():
             flagged[op] += gs.underflow
     # the tiny values and probabilities do underflow, in joins and combinations
     assert flagged["join"] and flagged["rand_project"]
+
+
+def random_clause(rng):
+    return [v if rng.random() < 0.5 else -v
+            for v in rng.sample(VARS, rng.randint(0, 5))]
+
+
+def test_clause_joins_match_the_kernel():
+    # a join with a clause zeroes the subcube the clause falsifies
+    rng = random.Random(102)
+    for _ in range(400):
+        ds, gs = stores(rng)
+        c = random_clause(rng)
+        if rng.random() < 0.5:
+            fa = random_table(rng, max_vars=7)
+            dense, diagram = dense_from_table(ds, fa), diagram_from_table(gs, fa)
+            variables = set(fa[0])
+        else:
+            other = random_clause(rng)
+            dense, diagram = ds.clause_func(other), gs.clause_func(other)
+            variables = {abs(l) for l in other}
+        dc, gc = ds.clause_func(c), gs.clause_func(c)
+        variables = sorted(variables | {abs(l) for l in c})
+        same(dense.join(dc), diagram.join(gc), variables)
+        same(dc.join(dense), gc.join(diagram), variables)
+        assert ds.underflow == gs.underflow
+        same(dense, diagram, variables)  # the operands are left as they were
+        same(dc, gc, variables)

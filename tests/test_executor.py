@@ -179,8 +179,8 @@ def on_diagrams(monkeypatch, p, t):
 
 
 class TestDense:
-    """Dense tables, chosen when a tree's tables hold fewer than
-    DENSE_MAX_WORK entries in all."""
+    """Dense tables, chosen when a tree's tables hold fewer entries in all
+    than DENSE_MAX_WORK and the node limit."""
 
     def test_byte_identical_to_diagrams(self, monkeypatch):
         problems = [random_instance(random.Random(20260810 + i))
@@ -234,18 +234,27 @@ class TestDense:
         assert report["status"] == "deadline"
         assert report["width"] == 2
 
-    def test_node_limit_counts_entries_exit_3(self, example, tmp_path, capsys):
+    def test_node_limit_never_stops_tables(self, example, tmp_path, capsys,
+                                           monkeypatch):
+        # one 12-literal clause: 2^12 table entries, a diagram of a few nodes
+        lits = " ".join(map(str, range(1, 13)))
+        p = parse_problem(f"p cnf 12 1\nr 0.5 {lits} 0\n{lits} 0\n")
+        t = plan(p)
+        entries = table_entries(t, p)
+        held = on_diagrams(monkeypatch, p, t).stats.peak_live_nodes
+        assert held < entries < executor.DENSE_MAX_WORK
+        # a limit the diagram run meets keeps the solve on diagrams
+        r = solve(p, t, node_limit=held)
+        assert r.stats.executor == "diagram"
+        assert answer(r) == answer(on_diagrams(monkeypatch, p, t))
+        assert solve(p, t, node_limit=entries + 1).stats.executor == "dense"
+        code, report = self.run_cli(tmp_path, capsys, p, "--node-limit", str(held))
+        assert (code, report["executor"]) == (0, "diagram")
         code, report = self.run_cli(tmp_path, capsys, example,
                                     "--node-limit", "5")
         assert code == 3
         assert report["status"] == "resource"
-        assert "more than 5 entries" in report["error"]
-        p = band_instance(random.Random(12), 12)
-        t = plan(p)
-        assert tree_width(t, p) == 12
-        with pytest.raises(ResourceLimitError):  # the widest table alone
-            solve(p, t, node_limit=(1 << 12) - 1)
-        assert solve(p, t, node_limit=1 << 15).stats.executor == "dense"
+        assert "more than 5 nodes" in report["error"]
 
     def test_choice_follows_table_entries(self):
         # bands of width 13 fit, 14 and 17 do not
