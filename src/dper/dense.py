@@ -253,12 +253,18 @@ class DenseStore:
         return Table(variables, list(map(ge, hi, lo)), 1.0)
 
     def evaluate(self, a: Table, assignment: dict[int, bool]) -> float:
+        """The entry at `assignment`; a missing variable the table does not
+        vary along reads as 0, a missing support variable raises KeyError."""
         index = 0
-        for v in a.vars:
+        for i, v in enumerate(a.vars):
             try:
-                index = 2 * index + (1 if assignment[v] else 0)
+                b = assignment[v]
             except KeyError:
-                raise KeyError(f"assignment is missing table variable {v}") from None
+                if _varies(a.entries, i):
+                    raise KeyError(f"assignment is missing support variable "
+                                   f"{v}") from None
+                b = False
+            index = 2 * index + (1 if b else 0)
         return float(a.entries[index])
 
     def support(self, a: Table) -> frozenset[int]:
@@ -273,3 +279,15 @@ class DenseStore:
 
     def depends_on(self, a: Table, var: int) -> bool:
         return var in a.vars and _varies(a.entries, a.vars.index(var))
+
+    def value_range(self, a: Table) -> tuple[float, float]:
+        """The least and the greatest entry."""
+        return float(min(a.entries)), float(max(a.entries))
+
+    def approx_equal(self, a: Table, b: Table, tol: float) -> bool:
+        """Pointwise |a - b| <= tol, over the union of their variables."""
+        variables = a.vars
+        if b.vars != variables:
+            variables = tuple(sorted({*a.vars, *b.vars}, key=self.rank))
+        x, y = a.expand(variables), b.expand(variables)
+        return x == y or all(abs(u - v) <= tol for u, v in zip(x, y))

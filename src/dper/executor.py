@@ -13,26 +13,31 @@ two-node tree, and `debug_assert_mode` on a planned tree with an observer that
 checks the annotated assertions at each point the loop and the replay report.
 
 The loop and the replay run on either of two stores, chosen per solve before
-execution (see DENSE_MAX_WORK): decision diagrams (`pbf.DiagramStore`) or
-dense tables (`dense.DenseStore`).  Every function is a `pbf.PbFunc`, whose
-operations its store carries out; they use this contract and nothing more:
+execution by `choose_store` (see DENSE_MAX_WORK): decision diagrams
+(`pbf.DiagramStore`) or dense tables (`dense.DenseStore`).  Every function
+is a `pbf.PbFunc`, whose operations its store carries out; they use this
+contract and nothing more:
 
 - a store gives `constant(c)`, `clause_func(clause)` and `node_done(live)`,
   the step after each internal tree node, where `live()` yields every
   function still needed; after the run it reports `node_count`,
   `peak_held`, `underflow` and its `name`;
 - a function gives `join`, `exists_project`, `rand_project`, `dsgn` (a
-  `pbf.DsgnFunc`), `evaluate`, `support_size` (the true support),
-  `support_bound` (an O(1) upper bound on it) and `depends_on(var)`.
+  `pbf.DsgnFunc`), `evaluate`, `support` and `support_size` (the true
+  support and its size), `support_bound` (an O(1) upper bound on it) and
+  `depends_on(var)`.
 
-The debug run stays on diagrams: its checks compare diagrams directly.
+The debug run uses the store `solve` would choose.  Its checks use this
+contract plus two store methods on handles: `approx_equal(f, g, tol)`,
+pointwise |f - g| <= tol, and `value_range(f)`, the least and the greatest
+value of f.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
 
 from .dense import DenseStore
@@ -213,22 +218,22 @@ def _run(p: Problem, t: PjTree, store, obs=None) -> SolveResult:
     return SolveResult(maximum=maximum, maximizer=tau, stats=stats)
 
 
-def solve(p: Problem, t: PjTree, node_limit: int | None = None,
-          deadline: float | None = None) -> SolveResult:
-    """Maximum and a maximizer from a valid graded project-join tree.
-
-    Runs on dense tables if the tree's tables hold fewer entries in all
-    (`planner.table_entries`) than both DENSE_MAX_WORK and `node_limit`, on
-    decision diagrams otherwise.  `node_limit` caps the diagram nodes held
-    at once; a table run is never stopped by it.
-    """
+def choose_store(p: Problem, t: PjTree, node_limit: int | None = None,
+                 deadline: float | None = None):
+    """The store a solve of `t` runs on: dense tables if the tree's tables
+    hold fewer entries (`planner.table_entries`) than DENSE_MAX_WORK and
+    `node_limit`, else diagrams, whose nodes held at once `node_limit` caps."""
     order = tree_var_order(p, t)
     cap = DENSE_MAX_WORK if node_limit is None else min(DENSE_MAX_WORK, node_limit)
     if table_entries(t, p) < cap:
-        store = DenseStore(order, deadline=deadline)
-    else:
-        store = DiagramStore(order, node_limit=node_limit, deadline=deadline)
-    return _run(p, t, store)
+        return DenseStore(order, deadline=deadline)
+    return DiagramStore(order, node_limit=node_limit, deadline=deadline)
+
+
+def solve(p: Problem, t: PjTree, node_limit: int | None = None,
+          deadline: float | None = None) -> SolveResult:
+    """Maximum and a maximizer from a valid graded project-join tree."""
+    return _run(p, t, choose_store(p, t, node_limit, deadline))
 
 
 def monolithic_tree(p: Problem) -> PjTree:
@@ -267,29 +272,31 @@ class _DebugContext:
     of the active functions equals the reference function obtained by
     projecting the eliminated variables out of the fully joined formula.
     Equality is pointwise within a tolerance because the two sides multiply in
-    different orders.  Entering a node checks nothing: the product is still
-    the one the previous node's post-condition passed, or before the first
-    node the clause product the reference starts from.  Around each pick of
+    different orders.  Entering a node or leaving a leaf checks nothing: the
+    product of A (entering adds a constant 1) and E are those the last check
+    passed, or before the first node the clause product the reference
+    starts from.  Around each pick of
     `_replay_stack` it checks that tau maximizes the formula with the
     still-eliminated variables projected out; what reads tau is checked before
     the pick, so a bad chooser fails here and not in `pick`.
+
+    A is a list of functions, matched by handle or else by pointwise
+    equality: a table store makes a fresh table for every constant and
+    clause.  On diagrams, hash consing makes the two the same.
     """
 
-    def __init__(self, p: Problem, t: PjTree, store: DiagramStore):
+    def __init__(self, p: Problem, t: PjTree, store):
         self.p = p
         self.t = t
         self.store = store
         self.width = tree_width(t, p)
-        clause_funcs = [store.clause_func(c) for c in p.clauses]
-        self.joined_all = store.constant(1.0)
-        for cf in clause_funcs:
-            self.joined_all = self.joined_all.join(cf)
+        self.active = [store.clause_func(c) for c in p.clauses]
+        self.joined_all = self.active_product()
         self.eliminated: set[int] = set()
-        self.active: Counter[int] = Counter(cf.root for cf in clause_funcs)
 
     def live(self) -> list[PbFunc]:
         """The fully joined formula and every active function."""
-        return [self.joined_all, *(PbFunc(self.store, h) for h in +self.active)]
+        return [self.joined_all, *self.active]
 
     def reference(self) -> PbFunc:
         g = self.joined_all
@@ -300,40 +307,40 @@ class _DebugContext:
         return g
 
     def active_product(self) -> PbFunc:
-        f = self.store.constant(1.0)
-        for h in sorted(self.active.elements()):
-            f = f.join(PbFunc(self.store, h))
-        return f
+        return reduce(PbFunc.join, self.active, self.store.constant(1.0))
 
     def replace_active(self, old, f: PbFunc, point: str, node, var=None):
         """Swap the active functions `old` for `f`, computed from them; `f`'s
-        support must fit the tree width and its terminals lie in [0, 1]."""
+        support must fit the tree width and its values lie in [0, 1]."""
+        equal = self.store.approx_equal
         for g in old:
-            if self.active[g.root] <= 0:
+            i = (self.active.index(g) if g in self.active  # the same handle
+                 else next((i for i, a in enumerate(self.active)
+                            if equal(a.root, g.root, 0.0)), None))
+            if i is None:
                 raise DebugAssertionError(
                     point, node, detail="active multiset missing a function")
-            self.active[g.root] -= 1
-        self.active[f.root] += 1
+            del self.active[i]
+        self.active.append(f)
         if f.support_size() > self.width:
             raise DebugAssertionError(point, node, var,
                                       detail=f"support {f.support_size()} exceeds "
                                              f"tree width {self.width}")
-        for val in f.terminal_values():
-            if not (0.0 <= val <= 1.0):
-                raise DebugAssertionError(point, node, var,
-                                          detail=f"terminal {val} outside [0, 1]")
+        lo, hi = self.store.value_range(f.root)
+        if lo < 0.0 or hi > 1.0:
+            raise DebugAssertionError(point, node, var,
+                                      detail=f"values [{lo}, {hi}] outside [0, 1]")
 
     def check(self, point: str, node=None, var=None):
-        lhs = self.active_product()
-        rhs = self.reference()
-        if not self.store.approx_equal(lhs, rhs, DEBUG_TOL):
+        lhs, rhs = self.active_product(), self.reference()
+        if not self.store.approx_equal(lhs.root, rhs.root, DEBUG_TOL):
             raise DebugAssertionError(point, node, var,
                                       detail="active product diverged from "
                                              "projected formula")
 
     def enter(self, node):
         if not self.t.nodes[node].is_leaf:
-            self.active[self.store.constant(1.0).root] += 1
+            self.active.append(self.store.constant(1.0))
 
     def joined(self, node, prev: PbFunc, h: PbFunc, f: PbFunc):
         self.replace_active((h, prev), f, "join-condition", node)
@@ -347,13 +354,14 @@ class _DebugContext:
         self.check("project-condition", node, x)
 
     def leave(self, node, f: PbFunc):
-        self.check("post-condition", node)
+        if not self.t.nodes[node].is_leaf:
+            self.check("post-condition", node)
         if node == self.t.root and self.eliminated != self.p.all_clause_vars():
             raise DebugAssertionError(
                 "post-condition", node,
                 detail=f"eliminated {sorted(self.eliminated)} != formula "
                        f"variables {sorted(self.p.all_clause_vars())}")
-        if node == self.t.root and not f.is_constant():
+        if node == self.t.root and f.support_size() != 0:
             raise DebugAssertionError("post-condition", node,
                                       detail="root valuation is not constant")
 
@@ -371,15 +379,11 @@ class _DebugContext:
     def picked(self, entry: DsgnFunc, tau: dict[int, bool]):
         self.eliminated.discard(entry.var)
         g = self.reference()
-        m_here = g
-        for v2 in sorted(g.support):
-            m_here = m_here.exists_project(v2)
-        val_at_tau = g.evaluate(tau)
-        if abs(val_at_tau - m_here.evaluate({})) > DEBUG_TOL:
+        value, best = g.evaluate(tau), self.store.value_range(g.root)[1]
+        if abs(value - best) > DEBUG_TOL:
             raise DebugAssertionError(
                 "maximizer", var=entry.var,
-                detail=f"assignment value {val_at_tau} is not the maximum "
-                       f"{m_here.evaluate({})}")
+                detail=f"assignment value {value} is not the maximum {best}")
 
 
 def debug_assert_mode(p: Problem, t: PjTree, *, validate: bool = True,
@@ -391,8 +395,9 @@ def debug_assert_mode(p: Problem, t: PjTree, *, validate: bool = True,
     guarded by a cap of DEBUG_VAR_CAP variables; values are compared within
     DEBUG_TOL.  With validate=True the structural tree checks run first;
     either way a corrupted tree trips an assertion before any answer is
-    returned.  `node_limit` and `deadline` act as in `solve`; the
-    limit also counts the nodes the checks create.
+    returned.  The run uses the store `solve` would choose, and `node_limit`
+    and `deadline` act as in `solve`; on diagrams the limit also counts the
+    nodes the checks create.
     """
     if len(p.quantified) > DEBUG_VAR_CAP:
         raise ValueError(f"{len(p.quantified)} variables exceed the debug cap "
@@ -400,6 +405,5 @@ def debug_assert_mode(p: Problem, t: PjTree, *, validate: bool = True,
     if validate:
         check_tree(t, p)
         check_graded(t, p.X, p.Y)
-    store = DiagramStore(tree_var_order(p, t), node_limit=node_limit,
-                         deadline=deadline)
+    store = choose_store(p, t, node_limit, deadline)
     return _run(p, t, store, _DebugContext(p, t, store))

@@ -42,7 +42,8 @@ at a time; diagrams are immutable once created.
 PbFunc is the function type of every store the executor runs on: it holds
 its store and a handle, and its operations go to the store, which carries
 them out on handles.  Here a handle is a node; in `dense.DenseStore` it is
-a table.
+a table.  Both stores also give `approx_equal` and `value_range` on
+handles, for the annotated debug run.
 """
 
 from __future__ import annotations
@@ -407,7 +408,14 @@ class DiagramStore:
                         stack.append(c)
         return sorted(seen)
 
-    def approx_equal(self, f: "PbFunc", g: "PbFunc", tol: float) -> bool:
+    def value_range(self, f: int) -> tuple[float, float]:
+        """The least and the greatest value of f: every terminal under f is
+        the value of some assignment."""
+        values = [self._val[h] for h in self._reachable(f)
+                  if self._lev[h] == self._tlev]
+        return min(values), max(values)
+
+    def approx_equal(self, f: int, g: int, tol: float) -> bool:
         """Pointwise |f - g| <= tol, by simultaneous traversal."""
         lev, lo, hi = self._lev, self._lo, self._hi
         memo: dict[tuple[int, int], bool] = {}
@@ -428,19 +436,17 @@ class DiagramStore:
             memo[(a, b)] = ok
             return ok
 
-        if f.store is not self or g.store is not self:
-            raise ValueError("functions belong to a different store")
-        return rec(f.root, g.root)
+        return rec(f, g)
 
 
 class PbFunc:
     """A pseudo-Boolean function: a handle `root` into its store.
 
     The store decides what a handle is and does the work: a node handle of a
-    DiagramStore, or a table of a `dense.DenseStore`.  On diagrams equality
-    is pointwise equality, decided in O(1) by handle comparison thanks to
-    hash consing; `is_constant`, `terminal_values` and `to_dot` read diagram
-    nodes and serve diagram stores only.
+    DiagramStore, or a table of a `dense.DenseStore`.  `==` compares stores
+    and handles.  On diagrams that is pointwise equality, decided in O(1)
+    thanks to hash consing; on tables it is not, since two tables holding
+    the same function are two handles and compare unequal.
     """
 
     __slots__ = ("store", "root")
@@ -489,40 +495,12 @@ class PbFunc:
         """Whether the function's value changes with `var`."""
         return self.store.depends_on(self.root, var)
 
-    def is_constant(self) -> bool:
-        return self.store._lev[self.root] == self.store._tlev
-
-    def terminal_values(self) -> set[float]:
-        st = self.store
-        return {st._val[h] for h in st._reachable(self.root)
-                if st._lev[h] == st._tlev}
-
     def __eq__(self, other):
         return (isinstance(other, PbFunc) and other.store is self.store
                 and other.root == self.root)
 
     def __hash__(self):
         return hash((id(self.store), self.root))
-
-    def __repr__(self):
-        if self.is_constant():
-            return f"PbFunc(const {self.store._val[self.root]})"
-        return f"PbFunc(#{self.root} over {sorted(self.support)})"
-
-    def to_dot(self, name: str = "f") -> str:
-        """GraphViz rendering; solid edge = assigned 1, dashed = assigned 0."""
-        st = self.store
-        lines = [f"digraph {name} {{"]
-        for h in st._reachable(self.root):
-            if st._lev[h] == st._tlev:
-                lines.append(f'  n{h} [shape=box, label="{st._val[h]:g}"];')
-            else:
-                var = st.order.variables[st._lev[h]]
-                lines.append(f'  n{h} [shape=oval, label="{var}"];')
-                lines.append(f"  n{h} -> n{st._hi[h]};")
-                lines.append(f"  n{h} -> n{st._lo[h]} [style=dashed];")
-        lines.append("}")
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)

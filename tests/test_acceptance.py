@@ -97,6 +97,7 @@ def test_criterion_4_debug_assert_mode():
         r = debug_assert_mode(p, planner.plan(p))
         ref = oracle.enumerate_solve(p)
         assert abs(r.maximum - ref.maximum) <= TOL, i
+        assert r.stats.executor == "dense", i  # checked on tables, as solved
 
     p = make_example()
     tripped = 0

@@ -5,10 +5,12 @@ values are the ones its trees produce; these cases project any variable of
 random tables in random variable orders.  Each table is built both in a
 DenseStore and, through the truth-table helpers, as a diagram in a store with
 the same order, and every operation must give bit-identical values, the
-same support and `depends_on`, and the same underflow flag.
+same support, `depends_on` and value range, and the same underflow flag.
 """
 
 import random
+
+import pytest
 
 from dper.dense import DenseStore, Table
 from dper.pbf import DiagramStore, PbFunc, VarOrder
@@ -18,6 +20,7 @@ from conftest import all_assignments, diagram_from_table, tbl_eval, tbl_from_row
 VARS = list(range(1, 8))
 VALUES = [0.0, 0.0, 1.0, 1.0, 0.25, 0.3, 0.5, 0.7, 1e-200, 3e-308, 1e-310]
 PROBS = [0.0, 0.3, 0.5, 0.6, 1.0, 1e-300]
+ONES = tbl_from_rows(VARS[:3], [1.0] * 8)  # joined in, adds axes, not support
 
 
 def random_table(rng, max_vars=5):
@@ -43,6 +46,8 @@ def same(dense, diagram, variables):
         assert dense.evaluate(a).hex() == diagram.evaluate(a).hex(), a
     assert dense.support_size() == diagram.support_size()
     assert dense.support == diagram.support
+    assert (dense.store.value_range(dense.root)
+            == diagram.store.value_range(diagram.root))
     for v in VARS:
         assert dense.depends_on(v) == diagram.depends_on(v), v
 
@@ -106,3 +111,38 @@ def test_clause_joins_match_the_kernel():
         assert ds.underflow == gs.underflow
         same(dense, diagram, variables)  # the operands are left as they were
         same(dc, gc, variables)
+
+
+def test_comparisons_match_the_kernel():
+    # approx_equal over tables of different variables, and at tolerance 0
+    # between a table and the same function held over more axes
+    rng = random.Random(103)
+    for _ in range(400):
+        ds, gs = stores(rng)
+        fa, fb = random_table(rng), random_table(rng)
+        da, db = dense_from_table(ds, fa), dense_from_table(ds, fb)
+        ga, gb = diagram_from_table(gs, fa), diagram_from_table(gs, fb)
+        for tol in (0.0, 0.25, 1.0):
+            assert (ds.approx_equal(da.root, db.root, tol)
+                    == gs.approx_equal(ga.root, gb.root, tol)), tol
+        wider = da.join(dense_from_table(ds, ONES))
+        assert wider != da  # the same function, another table
+        assert ds.approx_equal(da.root, wider.root, 0.0)
+
+
+def test_partial_assignments_match_the_kernel():
+    # variables a table does not vary along may be left out, as on
+    # diagrams; leaving out a support variable raises KeyError
+    rng = random.Random(104)
+    for _ in range(400):
+        ds, gs = stores(rng)
+        fa = random_table(rng, max_vars=5)
+        dense = dense_from_table(ds, fa).join(dense_from_table(ds, ONES))
+        diagram = diagram_from_table(gs, fa)
+        for a in all_assignments(set(fa[0]) | set(VARS[:3])):
+            partial = {v: b for v, b in a.items() if rng.random() < 0.5}
+            if diagram.support <= set(partial):
+                assert dense.evaluate(partial) == diagram.evaluate(partial)
+            else:
+                with pytest.raises(KeyError, match="support variable"):
+                    dense.evaluate(partial)

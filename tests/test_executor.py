@@ -410,11 +410,39 @@ TRIP_POINTS = {
 }
 
 
+STORES = ("dense", "diagram")
+
+
+def by_store(mutations):
+    """Each mutation on both stores: on the one `solve` chooses, tables for
+    the worked example, under the mutation's name, and pinned to diagrams."""
+    return [pytest.param(m, store, id=m.__name__ + ("" if store == "dense"
+                                                    else f"-{store}"))
+            for store in STORES for m in mutations]
+
+
+def on_store(monkeypatch, store):
+    """Pin the worked example's runs to `store` and return the list that
+    records the name of each store `choose_store` then picks."""
+    if store == "diagram":
+        monkeypatch.setattr(executor, "DENSE_MAX_WORK", 0)
+    used = []
+    choose = executor.choose_store
+
+    def spy(*args):
+        chosen = choose(*args)
+        used.append(chosen.name)
+        return chosen
+    monkeypatch.setattr(executor, "choose_store", spy)
+    return used
+
+
 class TestDebugAssertMode:
     def test_clean_run_matches_solve(self, example):
         t = plan(example)
-        r = debug_assert_mode(example, t)
-        assert r.maximum == solve(example, t).maximum == 0.75
+        r, plain = debug_assert_mode(example, t), solve(example, t)
+        assert r.stats.executor == plain.stats.executor == "dense"
+        assert r.maximum == plain.maximum == 0.75
 
     def test_var_cap(self):
         vars_ = " ".join(map(str, range(1, 18)))
@@ -430,25 +458,30 @@ class TestDebugAssertMode:
             r = debug_assert_mode(p, plan(p))
             assert abs(r.maximum - ref.maximum) <= 1e-9
 
-    @pytest.mark.parametrize("mutate", ALL_MUTATIONS,
-                             ids=lambda m: m.__name__)
-    def test_corruption_trips_before_output(self, example, mutate):
+    @pytest.mark.parametrize("mutate, store", by_store(ALL_MUTATIONS))
+    def test_corruption_trips_before_output(self, example, mutate, store,
+                                            monkeypatch):
+        used = on_store(monkeypatch, store)
         bad = copy.deepcopy(plan(example))
         mutate(bad)
         with pytest.raises((TreeError, DebugAssertionError)):
             debug_assert_mode(example, bad)
+        assert set(used) <= {store}  # empty if a structural check tripped
 
-    @pytest.mark.parametrize("mutate", SEMANTIC_MUTATIONS,
-                             ids=lambda m: m.__name__)
+    @pytest.mark.parametrize("mutate, store", by_store(SEMANTIC_MUTATIONS))
     def test_semantic_corruption_trips_annotated_assertion(self, example,
-                                                           mutate):
+                                                           mutate, store,
+                                                           monkeypatch):
+        used = on_store(monkeypatch, store)
         bad = copy.deepcopy(plan(example))
         mutate(bad)
         with pytest.raises(DebugAssertionError) as info:
             debug_assert_mode(example, bad, validate=False)
         e = info.value
         assert (e.point, e.node, e.var) == TRIP_POINTS[mutate.__name__]
+        assert used == [store]
 
+    @pytest.mark.usefixtures("diagrams")
     @pytest.mark.parametrize("mutate", SEMANTIC_MUTATIONS,
                              ids=lambda m: m.__name__)
     def test_trip_points_hold_under_collection(self, example, mutate,
@@ -461,6 +494,7 @@ class TestDebugAssertMode:
         e = info.value
         assert (e.point, e.node, e.var) == TRIP_POINTS[mutate.__name__]
 
+    @pytest.mark.usefixtures("diagrams")
     def test_fuzz_passes_under_collection(self, monkeypatch):
         collect_everywhere(monkeypatch)
         rng = random.Random(32)
@@ -469,15 +503,22 @@ class TestDebugAssertMode:
             t = plan(p)
             assert debug_assert_mode(p, t).maximum == solve(p, t).maximum
 
+    @pytest.mark.usefixtures("diagrams")
     def test_node_limit(self, example):
         with pytest.raises(ResourceLimitError):
             debug_assert_mode(example, plan(example), node_limit=5)
 
     def test_deadline(self, example, monkeypatch):
+        # tables poll the deadline in clause_func and node_done; a diagram
+        # store polls it as it makes its first node, inside choose_store
         monkeypatch.setattr(DiagramStore, "_CHECK_EVERY", 1)
-        with pytest.raises(DeadlineExceeded):
-            debug_assert_mode(example, plan(example),
-                              deadline=time.monotonic() - 1.0)
+        for store in STORES:
+            with monkeypatch.context() as m:
+                used = on_store(m, store)
+                with pytest.raises(DeadlineExceeded):
+                    debug_assert_mode(example, plan(example),
+                                      deadline=time.monotonic() - 1.0)
+                assert used == ([store] if store == "dense" else [])
 
     def test_mutations_are_real_corruptions(self, example):
         # sanity: the pristine tree passes both structural checks

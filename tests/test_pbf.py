@@ -62,7 +62,9 @@ class TestClauseFunc:
 
     def test_terminals_are_boolean(self):
         st = fresh_store([1, 2, 3])
-        assert st.clause_func((1, -2, 3)).terminal_values() == {0.0, 1.0}
+        f = st.clause_func((1, -2, 3))
+        assert {f.evaluate(a) for a in all_assignments([1, 2, 3])} == {0.0, 1.0}
+        assert st.value_range(f.root) == (0.0, 1.0)
 
 
 class TestJoin:
@@ -168,7 +170,7 @@ class TestDsgn:
         d = f.dsgn(1)
         assert d.var == 1
         assert 1 not in d.chooser.support
-        assert d.chooser.terminal_values() <= {0.0, 1.0}
+        assert {d.chooser.evaluate(a) for a in all_assignments([2, 3])} <= {0.0, 1.0}
 
 
 class TestEvaluate:
@@ -352,13 +354,3 @@ class TestUnderflow:
         assert st.clause_func((2,)).rand_project(2, 0.0) == st.constant(0.0)
         assert st.constant(1e-300).join(st.constant(1e-7)).evaluate({}) > 0
         assert not st.underflow
-
-
-class TestDotExport:
-    def test_solid_and_dashed_edges(self):
-        st = fresh_store([1])
-        dot = st.clause_func((1,)).to_dot()
-        assert "digraph" in dot
-        assert "style=dashed" in dot
-        # solid branch has no style attribute
-        assert any("->" in ln and "dashed" not in ln for ln in dot.splitlines())
