@@ -260,6 +260,10 @@ def _bench_one(path: str, cfg: RunConfig):
 def cmd_bench(args, cfg: RunConfig) -> int:
     from . import bench as bench_mod
 
+    try:  # the summary's confidence interval; checked before any solve
+        import scipy.stats  # noqa: F401
+    except ImportError:
+        raise UsageError("dper bench needs scipy") from None
     if args.jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     base = Path(args.dir)

@@ -103,8 +103,8 @@ class SolveResult:
 def tree_var_order(p: Problem, t: PjTree) -> VarOrder:
     """Diagram order derived from the tree: projection order, then leftovers.
 
-    Tolerates malformed trees (repeated projections) so that the annotated
-    debug run, not this helper, reports the corruption.
+    Clause variables only.  It tolerates malformed trees (leftovers, repeated
+    projections) so that the annotated debug run reports the corruption.
     """
     seq: list[int] = []
     seen: set[int] = set()
@@ -114,7 +114,7 @@ def tree_var_order(p: Problem, t: PjTree) -> VarOrder:
             if v not in seen:
                 seen.add(v)
                 seq.append(v)
-    seq.extend(sorted(p.quantified - seen))
+    seq.extend(sorted(p.all_clause_vars() - seen))
     return VarOrder(seq)
 
 

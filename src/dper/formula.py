@@ -220,9 +220,9 @@ def validate(p: Problem) -> None:
     overlap = p.X & p.Y
     if overlap:
         bad.append(f"variables in both blocks: {sorted(overlap)}")
-    for v in sorted(p.X | p.Y):
-        if not (1 <= v <= p.num_vars):
-            bad.append(f"variable {v} outside 1..{p.num_vars}")
+    outside = {v for s in (p.X, p.Y) for v in s if not 1 <= v <= p.num_vars}
+    for v in sorted(outside):  # not the blocks: a header may declare millions
+        bad.append(f"variable {v} outside 1..{p.num_vars}")
     unquantified = p.all_clause_vars() - p.X - p.Y
     if unquantified:
         bad.append(f"clause variables unquantified: {sorted(unquantified)}")
@@ -256,14 +256,13 @@ def serialize(p: Problem) -> str:
 
 
 def primal_graph(p: Problem) -> dict[Variable, set[Variable]]:
-    """Adjacency over all quantified variables; edge iff two vars share a clause."""
-    adj: dict[int, set[int]] = {v: set() for v in p.quantified}
+    """Adjacency over the clause variables, the only ones planned and
+    valuated; edge iff two vars share a clause."""
+    adj: dict[int, set[int]] = {}
     for c in p.clauses:
-        vs = [abs(l) for l in c]
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                adj[vs[i]].add(vs[j])
-                adj[vs[j]].add(vs[i])
+        vs = {abs(l) for l in c}
+        for v in vs:
+            adj.setdefault(v, set()).update(vs - {v})
     return adj
 
 
@@ -275,7 +274,7 @@ def condition(p: Problem, tau_x: dict[Variable, bool]) -> Problem:
     whose literals were all existential and false comes back empty.  Y and
     `pr` are those of `p`, so solving the result is weighted model counting.
     """
-    missing = p.X - set(tau_x)
+    missing = p.X - tau_x.keys()
     if missing:
         raise ValueError(f"assignment missing existential variables {sorted(missing)}")
     clauses = []

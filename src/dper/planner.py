@@ -3,9 +3,9 @@
 Planning eliminates every randomized variable before any existential one, so
 the bucket-elimination construction is graded by construction: internal nodes
 projecting randomized variables can never sit above nodes projecting
-existential ones.  Variables that occur in no clause are not part of the
-tree at all (the projection sets partition exactly the variables of the
-formula); the executor assigns such existential variables a default value.
+existential ones.  Variables that occur in no clause are in neither the
+primal graph, the order nor the tree (the projection sets partition exactly
+the formula's variables); the executor gives such existential ones value 0.
 
 The elimination order is chosen incrementally.  Each block keeps a lazy
 min-heap of (score, variable) entries and, after every elimination, rescores
@@ -143,7 +143,7 @@ def _fill(adj, v) -> int:
 
 def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fill",
                       *, deadline: float | None = None) -> list[int]:
-    """Total order over X | Y with every Y variable before every X variable.
+    """Total order over the vertices of `graph`, those in Y before those in X.
 
     `graph` is undirected and loop-free, as `primal_graph` builds it.  The
     heuristic scores candidates within the current block on the evolving
@@ -163,8 +163,6 @@ def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fi
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}; pick from {HEURISTICS}")
     adj = {v: set(ns) for v, ns in graph.items()}
-    for v in set(X) | set(Y):
-        adj.setdefault(v, set())
     if heuristic == "min-fill":
         score_of = lambda v: _fill(adj, v)
         affected = lambda nbrs: nbrs.union(*(adj[a] for a in nbrs))
@@ -177,7 +175,7 @@ def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fi
 
     order: list[int] = []
     for block in (Y, X):
-        score = {v: score_of(v) for v in block}
+        score = {v: score_of(v) for v in adj if v in block}
         heap = [(s, v) for v, s in score.items()]
         heapq.heapify(heap)
         while score:
@@ -207,23 +205,22 @@ def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fi
 
 def build_graded_tree(p: Problem, order: list[int],
                       deadline: float | None = None) -> PjTree:
-    """Bucket elimination along `order`, which must list all of Y before any X.
+    """Bucket elimination along `order`: every clause variable, Y before X.
 
     Each clause starts as a leaf in the bucket of its earliest-eliminated
     variable.  Eliminating a variable joins its bucket under a new internal
     node projecting that variable; a single-child chain in the same block is
-    merged into one node with a larger projection set.  Clause-free variables
-    are skipped entirely: projecting them anywhere would not change any value
-    and they may not appear in the projection sets.  `deadline` is polled
+    merged into one node with a larger projection set.  A clause-free variable
+    (a caller's own `order` may list one) finds an empty bucket and is
+    skipped: projecting it would change no value.  `deadline` is polled
     once per variable of `order`, as in elimination_order.
     """
     pos = {v: i for i, v in enumerate(order)}
-    y_positions = [pos[v] for v in p.Y if v in pos]
-    x_positions = [pos[v] for v in p.X if v in pos]
-    if y_positions and x_positions and max(y_positions) > min(x_positions):
+    first_x = next((i for i, v in enumerate(order) if v in p.X), len(order))
+    if any(v in p.Y for v in order[first_x:]):
         raise TreeError("elimination order mixes blocks: some existential "
                         "variable precedes a randomized one")
-    missing = (p.X | p.Y) - set(pos)
+    missing = p.all_clause_vars() - pos.keys()
     if missing:
         raise TreeError(f"elimination order omits variables {sorted(missing)}")
 

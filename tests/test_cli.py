@@ -637,6 +637,38 @@ class TestConsoleScript:
         assert out.returncode == 1
         assert out.stderr == "error: dper oracle needs numpy\n"
 
+    def test_bench_without_scipy_exit_1_before_solving(self, example_file):
+        # the check comes before the sweep, so no CSV is printed
+        code = ("import sys; sys.modules['scipy'] = None; "
+                "from dper import cli; "
+                "sys.exit(cli.main(['bench', '--dir', sys.argv[1]]))")
+        out = subprocess.run([sys.executable, "-c", code,
+                              str(Path(example_file).parent)],
+                             capture_output=True, text=True)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr == "error: dper bench needs scipy\n"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KB")
+    def test_free_as_exist_rss_follows_clause_text(self, tmp_path):
+        # 300k clause-free variables are neither planned nor valuated, which
+        # would take about 239 MB.  The child reports its own high-water
+        # mark, report printing included.
+        f = tmp_path / "wide.cnf"
+        f.write_text("p cnf 300000 1\ne 1 0\n1 0\n")
+        code = ("import resource, sys; from dper import cli; "
+                "code = cli.main(['solve', '--free-as-exist', '--input', "
+                "sys.argv[1]]); print(resource.getrusage("
+                "resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
+                "sys.exit(code)")
+        out = subprocess.run([sys.executable, "-c", code, str(f)],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout)
+        assert report["maximum"] == 1.0
+        assert len(report["maximizer"]) == 300_000
+        assert int(out.stderr) < 150 * 1024
+
     def test_module_entry_point(self, example_file):
         out = subprocess.run(
             [sys.executable, "-m", "dper.cli", "solve", "--input", example_file],

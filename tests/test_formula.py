@@ -192,7 +192,7 @@ class TestPrimalGraph:
                         expected.add((vs[i], vs[j]))
             got = {(u, v) for u, ns in g.items() for v in ns if u < v}
             assert got == expected
-            assert set(g) == p.quantified
+            assert set(g) == p.all_clause_vars()
 
 
 class TestRoundTrip:

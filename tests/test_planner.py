@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dper.formula import parse_problem, primal_graph
+from dper.executor import tree_var_order
+from dper.formula import Problem, parse_problem, primal_graph, validate
 from dper.gen import band_instance, random_instance
 from dper.pbf import DeadlineExceeded
 from dper.planner import (HEURISTICS, PjNode, PjTree, TreeError,
@@ -31,7 +32,8 @@ class TestEliminationOrder:
                 positions[x] for x in example.X)
 
     def test_empty_graph_single_existential(self):
-        assert elimination_order({}, {1}, set(), "min-fill") == [1]
+        # the graph's vertices, not X and Y, decide what is ordered
+        assert elimination_order({}, {1}, set(), "min-fill") == []
 
     def test_unknown_heuristic(self):
         with pytest.raises(ValueError, match="heuristic"):
@@ -89,6 +91,23 @@ class TestBuildGradedTree:
         projected = set().union(*(t.nodes[i].projected
                                   for i in t.internal_ids()))
         assert projected == {1}
+
+    def test_clause_free_vars_leave_tree_unchanged(self):
+        # the primal graph alone decides what a tree covers: variables added
+        # to either block change no node line and get no diagram level
+        for seed in range(50):
+            p = random_instance(random.Random(seed))
+            n = p.num_vars
+            padded = Problem(num_vars=n + 4, clauses=p.clauses,
+                             X=p.X | {n + 1, n + 3}, Y=p.Y | {n + 2, n + 4},
+                             pr={**p.pr, n + 2: 0.5, n + 4: 0.25})
+            validate(padded)
+            for h in HEURISTICS:
+                t = plan(padded, h)
+                assert (write_tree(t, padded).splitlines()[1:]
+                        == write_tree(plan(p, h), p).splitlines()[1:])
+                order = tree_var_order(padded, t).variables
+                assert sorted(order) == sorted(p.all_clause_vars())
 
 
 class TestChecks:
@@ -304,11 +323,9 @@ def _reference_order(graph, X, Y, heuristic="min-fill"):
                    if nbrs[j] not in adj[nbrs[i]])
 
     adj = {v: set(ns) for v, ns in graph.items()}
-    for v in set(X) | set(Y):
-        adj.setdefault(v, set())
     order = []
-    for block in (sorted(Y), sorted(X)):
-        remaining = set(block)
+    for block in (Y, X):
+        remaining = adj.keys() & set(block)
         while remaining:
             if heuristic == "lex":
                 pick = min(remaining)
