@@ -198,9 +198,9 @@ def _replay_stack(p: Problem, sigma: list[DsgnFunc], obs=None) -> dict[int, bool
         tau[entry.var] = entry.pick(tau)
         if obs is not None:
             obs.picked(entry, tau)
-    for x in p.X:
-        tau.setdefault(x, False)
-    return tau
+    full = dict.fromkeys(p.X, False)
+    full.update(tau)
+    return full
 
 
 def _run(p: Problem, t: PjTree, store, obs=None) -> SolveResult:

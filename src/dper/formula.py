@@ -200,13 +200,12 @@ def parse_problem(text: str, free_as_exist: bool = False) -> Problem:
             f"({', '.join(map(str, first))}{more}); "
             "pass --free-as-exist to treat them as existential"
         )
-    if num_free:
-        X |= set(range(1, num_vars + 1)) - X - Y
-
+    # with free variables, every variable outside Y is existential
     problem = Problem(
         num_vars=num_vars,
         clauses=tuple(clauses),
-        X=frozenset(X),
+        X=(frozenset(range(1, num_vars + 1)).difference(Y) if num_free
+           else frozenset(X)),
         Y=frozenset(Y),
         pr=pr,
     )
@@ -274,8 +273,8 @@ def condition(p: Problem, tau_x: dict[Variable, bool]) -> Problem:
     whose literals were all existential and false comes back empty.  Y and
     `pr` are those of `p`, so solving the result is weighted model counting.
     """
-    missing = p.X - tau_x.keys()
-    if missing:
+    if not p.X <= tau_x.keys():
+        missing = p.X - tau_x.keys()
         raise ValueError(f"assignment missing existential variables {sorted(missing)}")
     clauses = []
     for c in p.clauses:

@@ -7,13 +7,18 @@ existential ones.  Variables that occur in no clause are in neither the
 primal graph, the order nor the tree (the projection sets partition exactly
 the formula's variables); the executor gives such existential ones value 0.
 
-The elimination order is chosen incrementally.  Each block keeps a lazy
-min-heap of (score, variable) entries and, after every elimination, rescores
-only the neighborhood whose score that elimination can change, so min-fill
-plans in time near-linear in the number of variables for bounded width.
-Ties break to the lowest variable id, exactly as a full rescan of the block
-would, so each heuristic gives one plan per formula.  An optional deadline is
-polled once per variable, both while ordering and while building the tree.
+The elimination order is chosen incrementally.  Each block scores its
+vertices once, keeps a lazy min-heap of (score, variable) entries and, after
+every elimination, adjusts only the scores that elimination changes.  Min-fill
+counts each change from the edit itself: removing the eliminated vertex v
+lowers fill(w) by |N(w) - N[v]| for each neighbor w, and each edge (a, b)
+added to clique-connect N(v) lowers fill(c) by 1 for each common neighbor c
+of a and b and raises fill(a) by |N(a) - N[b]| and fill(b) by |N(b) - N[a]|,
+counted before the edge goes in.  So min-fill plans in time near-linear in
+the number of variables for bounded width.  Ties break to the lowest
+variable id, exactly as a full rescan of the block would, so each heuristic
+gives one plan per formula.  An optional deadline is polled once per
+variable, both while ordering and while building the tree.
 
 Tree file format (text, children listed before parents):
 
@@ -141,6 +146,40 @@ def _fill(adj, v) -> int:
     return (d * (d - 1) - sum(len(nbrs & adj[a]) for a in nbrs)) // 2
 
 
+def _eliminate(adj, pick, heuristic: str) -> dict[int, int]:
+    """Remove `pick` from `adj` and clique-connect its neighbors; return the
+    change in each touched vertex's score under `heuristic`, min-fill's by
+    the delta rules `elimination_order` states."""
+    nbrs = adj.pop(pick)
+    delta: dict[int, int] = {}
+    if heuristic != "min-fill":
+        for a in nbrs:
+            na = adj[a]
+            before = len(na)
+            na |= nbrs
+            na -= {a, pick}
+            delta[a] = len(na) - before
+        return delta if heuristic == "min-degree" else {}
+    for w in nbrs:
+        nw = adj[w]
+        nw.discard(pick)
+        delta[w] = len(nw & nbrs) - len(nw)
+    for a in nbrs:
+        na = adj[a]
+        for b in nbrs - na:  # edges from a to earlier vertices are in na
+            if b == a:
+                continue
+            nb = adj[b]
+            common = na & nb
+            for c in common:
+                delta[c] = delta.get(c, 0) - 1
+            delta[a] += len(na) - len(common)
+            delta[b] += len(nb) - len(common)
+            na.add(b)
+            nb.add(a)
+    return delta
+
+
 def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fill",
                       *, deadline: float | None = None) -> list[int]:
     """Total order over the vertices of `graph`, those in Y before those in X.
@@ -149,12 +188,19 @@ def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fi
     heuristic scores candidates within the current block on the evolving
     graph (eliminating a vertex clique-connects its neighbors): min-fill by
     the number of edges that elimination would add, min-degree by degree,
-    lex by the variable id itself.  Each block keeps its current scores in a
-    dict and a lazy heap of (score, variable) entries; an entry whose score
-    is no longer current is skipped when popped.  Eliminating `pick` changes
-    only the adjacency of its neighbors N, and every added edge has both
-    ends in N, so min-degree rescores N and min-fill rescores N and the
-    neighbors of N; a new entry is pushed only when a score changes.
+    lex by the variable id itself.  Each block scores its vertices once at
+    its start and keeps the scores in a dict and a lazy heap of (score,
+    variable) entries; an entry whose score is no longer current is skipped
+    when popped.  After each elimination the scores are adjusted, not
+    recounted, and a new entry is pushed only for a block vertex whose score
+    changed.  Eliminating `pick` with neighbors N changes only the degrees
+    in N.  Min-fill applies these deltas, each counted against the adjacency
+    as it stands at that step:
+      - removing `pick` lowers fill(w) by |N(w) - N[pick]| for each w in N;
+      - each edge (a, b) added to make N a clique lowers fill(c) by 1 for
+        each common neighbor c of a and b, and raises fill(a) by
+        |N(a) - N[b]| and fill(b) by |N(b) - N[a]|, counted before the edge
+        goes in.
 
     Ties break to the lowest variable id, which is the heap order.
     `deadline` (a time.monotonic() value) is polled once per eliminated
@@ -165,13 +211,10 @@ def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fi
     adj = {v: set(ns) for v, ns in graph.items()}
     if heuristic == "min-fill":
         score_of = lambda v: _fill(adj, v)
-        affected = lambda nbrs: nbrs.union(*(adj[a] for a in nbrs))
     elif heuristic == "min-degree":
         score_of = lambda v: len(adj[v])
-        affected = lambda nbrs: nbrs
     else:
         score_of = lambda v: v
-        affected = lambda nbrs: ()
 
     order: list[int] = []
     for block in (Y, X):
@@ -186,17 +229,10 @@ def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fi
                 raise DeadlineExceeded("deadline hit during planning")
             order.append(pick)
             del score[pick]
-            nbrs = adj.pop(pick)
-            for a in nbrs:
-                adj[a] |= nbrs
-                adj[a] -= {a, pick}
-            for w in affected(nbrs):
-                old = score.get(w)
-                if old is not None:
-                    new = score_of(w)
-                    if new != old:
-                        score[w] = new
-                        heapq.heappush(heap, (new, w))
+            for w, d in _eliminate(adj, pick, heuristic).items():
+                if d and w in score:
+                    score[w] += d
+                    heapq.heappush(heap, (score[w], w))
     return order
 
 

@@ -1,4 +1,5 @@
 import copy
+import heapq
 import random
 import time
 
@@ -343,6 +344,40 @@ def _reference_order(graph, X, Y, heuristic="min-fill"):
     return order
 
 
+def _rescoring_order(graph, X, Y):
+    """Min-fill by the earlier incremental algorithm, the reference at sizes
+    where `_reference_order` is too slow: a lazy heap per block, and after
+    each elimination a fresh fill count for every block vertex within two
+    hops of the eliminated one."""
+    def fill(v):
+        nbrs = adj[v]
+        d = len(nbrs)
+        return (d * (d - 1) - sum(len(nbrs & adj[a]) for a in nbrs)) // 2
+
+    adj = {v: set(ns) for v, ns in graph.items()}
+    order = []
+    for block in (Y, X):
+        score = {v: fill(v) for v in adj if v in block}
+        heap = [(s, v) for v, s in score.items()]
+        heapq.heapify(heap)
+        while score:
+            s, pick = heapq.heappop(heap)
+            if score.get(pick) != s:
+                continue
+            order.append(pick)
+            del score[pick]
+            nbrs = adj.pop(pick)
+            for a in nbrs:
+                adj[a] |= nbrs
+                adj[a] -= {a, pick}
+            for w in nbrs.union(*(adj[a] for a in nbrs)) & score.keys():
+                new = fill(w)
+                if new != score[w]:
+                    score[w] = new
+                    heapq.heappush(heap, (new, w))
+    return order
+
+
 class TestIncrementalOrder:
     @staticmethod
     def _instances():
@@ -365,6 +400,18 @@ class TestIncrementalOrder:
                         == write_tree(build_graded_tree(p, ref), p))
                 compared += 1
         assert compared == 206 * 3
+
+    @pytest.mark.parametrize("seed, length", [(7, 640)] + [
+        (8000 + i, 40) for i in range(8)])
+    def test_min_fill_matches_rescoring_on_long_bands(self, seed, length):
+        # the 5120-variable band planned in CI, and band-long-shaped bands
+        p = band_instance(random.Random(seed), 8, length)
+        assert len(p.quantified) == 8 * length
+        g = primal_graph(p)
+        ref = _rescoring_order(g, p.X, p.Y)
+        assert elimination_order(g, p.X, p.Y, "min-fill") == ref
+        assert (write_tree(plan(p, "min-fill"), p)
+                == write_tree(build_graded_tree(p, ref), p))
 
     def test_min_fill_scales_to_1280_variables(self):
         p = band_instance(random.Random(7), 8, 160)
