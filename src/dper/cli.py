@@ -24,7 +24,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -152,12 +152,7 @@ def run_solve(path: str, cfg: RunConfig) -> dict:
             status="ok",
             maximum=result.maximum,
             maximizer=_signed_literals(result.maximizer),
-            executor=result.stats.executor,
-            diagram_nodes=result.stats.diagram_nodes,
-            peak_live_nodes=result.stats.peak_live_nodes,
-            max_support=result.stats.max_support,
-            underflow=result.stats.underflow,
-            exec_seconds=result.stats.exec_seconds,
+            **asdict(result.stats),
         )
         if cfg.verify and len(p.Y) <= RECOUNT_MAX_Y:
             t_check = time.perf_counter()

@@ -283,6 +283,11 @@ class _DebugContext:
     A is a list of functions, matched by handle or else by pointwise
     equality: a table store makes a fresh table for every constant and
     clause.  On diagrams, hash consing makes the two the same.
+
+    Both sides of every check come from the same store's arithmetic, so the
+    checks test the tree, not the store: a wrong projection kernel passes
+    every one of them.  Only the comparisons with the enumeration oracle
+    (`test_fuzz_all_assertions_pass`, acceptance criterion 4) catch it.
     """
 
     def __init__(self, p: Problem, t: PjTree, store):

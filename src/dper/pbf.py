@@ -92,9 +92,6 @@ class VarOrder:
     def rank(self, var: int) -> int:
         return self._rank[var]
 
-    def __contains__(self, var: int) -> bool:
-        return var in self._rank
-
     def __len__(self) -> int:
         return len(self._vars)
 
@@ -143,8 +140,8 @@ class DiagramStore:
         self._peak = 0  # most nodes held at once, as of the last collection
         self._collect_above = COLLECT_FLOOR  # held nodes that trigger `node_done`
         self.underflow = False
-        self.zero = self._terminal(0.0)
-        self.one = self._terminal(1.0)
+        self._terminal(0.0)  # ZERO
+        self._terminal(1.0)  # ONE
 
     # -- node construction -------------------------------------------------
 

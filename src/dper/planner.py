@@ -96,43 +96,24 @@ class PjTree:
                 stack.append((c, False))
         return out
 
-    def free_vars(self, p: Problem) -> dict[int, frozenset[int]]:
-        """Per node: clause variables beneath it not yet projected there."""
-        out: dict[int, frozenset[int]] = {}
-        for nid in self.postorder():
-            n = self.nodes[nid]
-            if n.is_leaf:
-                out[nid] = p.clause_vars(n.clause)
-            else:
-                acc: set[int] = set()
-                for c in n.children:
-                    acc |= out[c]
-                out[nid] = frozenset(acc - n.projected)
-        return out
+    def joined_vars(self, p: Problem) -> dict[int, frozenset[int]]:
+        """Per node, in postorder: the variables its valuation joins.
 
-    def subtree_clause_vars(self, p: Problem) -> dict[int, frozenset[int]]:
-        """Per node: union of clause variables over all descendant leaves."""
+        A leaf joins its clause's variables.  An internal node joins its
+        projected set and whatever each child leaves unprojected: the
+        child's joined set minus the child's projected set.  Covers every
+        node reachable from the root.
+        """
         out: dict[int, frozenset[int]] = {}
         for nid in self.postorder():
             n = self.nodes[nid]
             if n.is_leaf:
                 out[nid] = p.clause_vars(n.clause)
             else:
-                acc: set[int] = set()
+                acc = set(n.projected)
                 for c in n.children:
-                    acc |= out[c]
+                    acc |= out[c] - self.nodes[c].projected
                 out[nid] = frozenset(acc)
-        return out
-
-    def cumulative_projected(self) -> dict[int, frozenset[int]]:
-        """Per node: all variables projected at or below it."""
-        out: dict[int, frozenset[int]] = {}
-        for nid in self.postorder():
-            n = self.nodes[nid]
-            acc: set[int] = set(n.projected)
-            for c in n.children:
-                acc |= out[c]
-            out[nid] = frozenset(acc)
         return out
 
 
@@ -325,7 +306,13 @@ def build_graded_tree(p: Problem, order: list[int],
 
 
 def check_tree(t: PjTree, p: Problem) -> None:
-    """Both project-join-tree criteria plus basic shape; raises TreeError."""
+    """Both project-join-tree criteria plus basic shape; raises TreeError.
+
+    Together they imply the sibling lemma: criterion 1 lets each variable be
+    projected at exactly one node u, and criterion 2 puts every leaf whose
+    clause has that variable beneath u, so a variable projected under one
+    sibling never occurs in a clause under another.
+    """
     bad = []
     if t.root not in t.nodes:
         raise TreeError([f"root {t.root} is not a node"])
@@ -439,33 +426,15 @@ def check_graded(t: PjTree, X, Y) -> None:
 
 
 def width(t: PjTree, p: Problem) -> int:
-    """Max variables involved in valuating any single node."""
-    free = t.free_vars(p)
-    w = 0
-    for nid, vs in free.items():  # nodes reachable from the root
-        n = t.nodes[nid]
-        w = max(w, len(vs) if n.is_leaf else len(vs | n.projected))
-    return w
+    """Most variables any one node's valuation joins."""
+    return max(map(len, t.joined_vars(p).values()))
 
 
 def table_entries(t: PjTree, p: Problem) -> int:
     """Entries of the tables a dense valuation joins: the sum over internal
     nodes of 2 to the number of variables joined there."""
-    return sum(1 << len(vs | t.nodes[nid].projected)
-               for nid, vs in t.free_vars(p).items() if not t.nodes[nid].is_leaf)
-
-
-def sibling_projection_disjoint(t: PjTree, p: Problem) -> bool:
-    """Cumulative projections of one sibling never meet clause vars of another."""
-    cum = t.cumulative_projected()
-    cv = t.subtree_clause_vars(p)
-    for nid in t.internal_ids():
-        kids = t.nodes[nid].children
-        for a in kids:
-            for b in kids:
-                if a != b and cum[a] & cv[b]:
-                    return False
-    return True
+    return sum(1 << len(vs) for nid, vs in t.joined_vars(p).items()
+               if not t.nodes[nid].is_leaf)
 
 
 # -- tree files ---------------------------------------------------------------

@@ -13,8 +13,10 @@ from dper.gen import band_instance, random_instance
 from dper.pbf import DeadlineExceeded
 from dper.planner import (HEURISTICS, PjNode, PjTree, TreeError,
                           build_graded_tree, check_graded, check_tree,
-                          elimination_order, plan, read_tree,
-                          sibling_projection_disjoint, width, write_tree)
+                          elimination_order, plan, read_tree, table_entries,
+                          width, write_tree)
+
+import test_executor as exec_tests
 
 
 class TestEliminationOrder:
@@ -207,6 +209,47 @@ class TestWidth:
             longest = max(len(c) for c in p.clauses)
             assert width(t, p) >= longest
 
+    # (width, table entries) of the worked-example tree after each mutation;
+    # the debug run reads width on such trees before any check rejects them
+    CORRUPTED_MEASURES = {
+        "move_x_projection_down": (3, 20),
+        "drop_projection": (2, 16),
+        "duplicate_projection": (2, 16),
+        "duplicate_leaf_clause": (3, 28),
+        "reparent_leaf": (2, 18),
+        "root_to_subtree": (2, 6),
+        "remove_leaf": (2, 15),
+        "swap_projection_sets": (3, 32),
+        "leaf_with_two_parents": (2, 18),
+        "project_foreign_var": (3, 19),
+        "swap_grade_label_y_node": (2, 15),
+        "mislabel_x_grade": (2, 15),
+    }
+
+    def test_measures_on_clean_and_corrupted_trees(self, example):
+        t = plan(example)
+        assert len(t.nodes) == 10
+        leaves = {t.nodes[l].clause: l for l in t.leaf_ids()}
+        by_projected = {t.nodes[i].projected: i for i in t.internal_ids()}
+        node = lambda *vs: by_projected[frozenset(vs)]
+        want = {
+            leaves[0]: {2, 4}, leaves[1]: {1, 6}, leaves[2]: {1},
+            leaves[3]: {3, 5}, leaves[4]: {3, 5},
+            node(2, 4): {2, 4}, node(6): {1, 6}, node(1): {1},
+            node(3, 5): {3, 5}, t.root: set(),
+        }
+        joined = t.joined_vars(example)
+        assert joined == want
+        assert list(joined) == t.postorder()
+        assert (width(t, example), table_entries(t, example)) == (2, 15)
+        assert {m.__name__ for m in exec_tests.ALL_MUTATIONS} == set(
+            self.CORRUPTED_MEASURES)
+        for mutate in exec_tests.ALL_MUTATIONS:
+            bad = copy.deepcopy(t)
+            mutate(bad)
+            measures = (width(bad, example), table_entries(bad, example))
+            assert measures == self.CORRUPTED_MEASURES[mutate.__name__]
+
 
 class TestTreeFiles:
     def test_round_trip(self, example):
@@ -280,7 +323,6 @@ class TestFuzzedTrees:
                 t = plan(p, h)
                 check_tree(t, p)
                 check_graded(t, p.X, p.Y)
-                assert sibling_projection_disjoint(t, p)
 
     @given(data=st.data())
     def test_edited_tree_file_validates_or_raises_tree_error(self, data):
