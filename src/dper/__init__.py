@@ -9,7 +9,7 @@ recorded derivative signs.
 
 from .executor import SolveResult, debug_assert_mode, solve, solve_monolithic
 from .formula import Problem, parse_problem, primal_graph, serialize, validate
-from .planner import PjTree, build_graded_tree, check_graded, check_tree, plan
+from .planner import PjTree, build_graded_tree, check_tree, plan
 from .planner import elimination_order, read_tree, width, write_tree
 
 __version__ = "0.1.0"
@@ -17,6 +17,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Problem", "parse_problem", "serialize", "validate", "primal_graph",
     "PjTree", "plan", "elimination_order", "build_graded_tree",
-    "check_tree", "check_graded", "width", "write_tree", "read_tree",
+    "check_tree", "width", "write_tree", "read_tree",
     "solve", "solve_monolithic", "debug_assert_mode", "SolveResult",
 ]

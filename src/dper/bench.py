@@ -112,7 +112,3 @@ def records_to_csv(records: list[BenchRecord], cap: float) -> str:
             r.executor or "",
         ])
     return buf.getvalue()
-
-
-def summarize(records: list[BenchRecord], cap: float) -> BenchSummary:
-    return BenchSummary(records=records, cap=cap)

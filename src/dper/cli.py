@@ -25,7 +25,6 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
-from itertools import repeat
 from pathlib import Path
 
 from . import executor, planner
@@ -259,8 +258,6 @@ def cmd_bench(args, cfg: RunConfig) -> int:
         import scipy.stats  # noqa: F401
     except ImportError:
         raise UsageError("dper bench needs scipy") from None
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     base = Path(args.dir)
     if not base.is_dir():
         raise UsageError(f"{base} is not a directory")
@@ -280,14 +277,7 @@ def cmd_bench(args, cfg: RunConfig) -> int:
                 f"{args.ref_answers}: {len(unmatched)} reference names match "
                 f"no instance in {base}: {' '.join(unmatched[:5])}")
 
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_bench_one, paths, repeat(cfg)))
-    else:
-        records = [_bench_one(p, cfg) for p in paths]
-
+    records = [_bench_one(p, cfg) for p in paths]
     bench_mod.apply_reference_answers(records, refs)
 
     csv_text = bench_mod.records_to_csv(records, cfg.timeout)
@@ -295,7 +285,7 @@ def cmd_bench(args, cfg: RunConfig) -> int:
         Path(args.out).write_text(csv_text)
     else:
         sys.stdout.write(csv_text)
-    summary = bench_mod.summarize(records, cfg.timeout)
+    summary = bench_mod.BenchSummary(records=records, cap=cfg.timeout)
     lo, hi = summary.ci95
     print(f"instances: {len(records)}  solved: {summary.solved}  "
           f"disqualified: {summary.disqualified}  "
@@ -392,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dir", required=True)
     s.add_argument("--ref-answers", default=None,
                    help="file of 'name value' reference answers")
-    s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--out", default=None, help="CSV output path")
 
     s = add("oracle", cmd_oracle, "brute-force enumeration (debugging)")

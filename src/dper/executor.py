@@ -43,7 +43,7 @@ from itertools import chain
 from .dense import DenseStore
 from .formula import Problem
 from .pbf import DiagramStore, DsgnFunc, PbFunc, VarOrder
-from .planner import PjNode, PjTree, check_graded, check_tree, table_entries
+from .planner import PjNode, PjTree, check_tree, table_entries
 from .planner import width as tree_width
 
 MONOLITHIC_VAR_CAP = 25
@@ -241,10 +241,10 @@ def monolithic_tree(p: Problem) -> PjTree:
     projects the clause variables of its block.  Leaf i holds clause i."""
     m = len(p.clauses)
     cv = p.all_clause_vars()
-    nodes = {i: PjNode(i, clause=i) for i in range(m)}
-    nodes[m] = PjNode(m, children=list(range(m)), projected=cv & p.Y)
-    nodes[m + 1] = PjNode(m + 1, children=[m], projected=cv & p.X)
-    return PjTree(nodes=nodes, root=m + 1, grade_x={m + 1}, grade_y={m})
+    nodes = {i: PjNode(clause=i) for i in range(m)}
+    nodes[m] = PjNode(children=list(range(m)), projected=cv & p.Y)
+    nodes[m + 1] = PjNode(children=[m], projected=cv & p.X)
+    return PjTree(nodes=nodes, root=m + 1)
 
 
 def solve_monolithic(p: Problem, *, node_limit: int | None = None,
@@ -409,6 +409,5 @@ def debug_assert_mode(p: Problem, t: PjTree, *, validate: bool = True,
                          f"{DEBUG_VAR_CAP}")
     if validate:
         check_tree(t, p)
-        check_graded(t, p.X, p.Y)
     store = choose_store(p, t, node_limit, deadline)
     return _run(p, t, store, _DebugContext(p, t, store))

@@ -201,7 +201,7 @@ def parse_problem(text: str, free_as_exist: bool = False) -> Problem:
             "pass --free-as-exist to treat them as existential"
         )
     # with free variables, every variable outside Y is existential
-    problem = Problem(
+    return Problem(
         num_vars=num_vars,
         clauses=tuple(clauses),
         X=(frozenset(range(1, num_vars + 1)).difference(Y) if num_free
@@ -209,8 +209,6 @@ def parse_problem(text: str, free_as_exist: bool = False) -> Problem:
         Y=frozenset(Y),
         pr=pr,
     )
-    validate(problem)
-    return problem
 
 
 def validate(p: Problem) -> None:

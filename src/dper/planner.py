@@ -3,9 +3,11 @@
 Planning eliminates every randomized variable before any existential one, so
 the bucket-elimination construction is graded by construction: internal nodes
 projecting randomized variables can never sit above nodes projecting
-existential ones.  Variables that occur in no clause are in neither the
-primal graph, the order nor the tree (the projection sets partition exactly
-the formula's variables); the executor gives such existential ones value 0.
+existential ones.  A tree stores structure only: a node's grade is derived
+from its projection set, y if it projects a randomized variable and x
+otherwise.  Variables that occur in no clause are in neither the primal
+graph, the order nor the tree (the projection sets partition exactly the
+formula's variables); the executor gives such existential ones value 0.
 
 The elimination order is chosen incrementally.  Each block scores its
 vertices once, keeps a lazy min-heap of (score, variable) entries and, after
@@ -26,6 +28,9 @@ Tree file format (text, children listed before parents):
     l <id> <clause_index>                      (clause_index is 1-based)
     i <id> <grade:x|y> <child ids...> | <projected vars...>
     r <root id>
+
+The grade token of an internal line must match its projection set; a node
+that projects nothing may carry either letter.  `write_tree` writes x there.
 """
 
 from __future__ import annotations
@@ -55,7 +60,6 @@ class TreeError(Exception):
 
 @dataclass
 class PjNode:
-    id: int
     clause: int | None = None          # leaf: 0-based clause index
     children: list[int] = field(default_factory=list)
     projected: frozenset[int] = frozenset()
@@ -69,8 +73,6 @@ class PjNode:
 class PjTree:
     nodes: dict[int, PjNode]
     root: int
-    grade_x: set[int]                  # internal ids projecting existential vars
-    grade_y: set[int]
 
     def internal_ids(self):
         return [i for i, n in self.nodes.items() if not n.is_leaf]
@@ -242,8 +244,6 @@ def build_graded_tree(p: Problem, order: list[int],
         raise TreeError(f"elimination order omits variables {sorted(missing)}")
 
     nodes: dict[int, PjNode] = {}
-    grade_x: set[int] = set()
-    grade_y: set[int] = set()
     support: dict[int, frozenset[int]] = {}
     buckets: dict[int, list[int]] = {i: [] for i in range(len(order))}
     done: list[int] = []
@@ -253,7 +253,7 @@ def build_graded_tree(p: Problem, order: list[int],
         nonlocal next_id
         nid = next_id
         next_id += 1
-        nodes[nid] = PjNode(id=nid, clause=ci)
+        nodes[nid] = PjNode(clause=ci)
         support[nid] = p.clause_vars(ci)
         return nid
 
@@ -271,19 +271,16 @@ def build_graded_tree(p: Problem, order: list[int],
         group = buckets[i]
         if not group:
             continue  # x occurs in no clause
-        grade = GRADE_X if x in p.X else GRADE_Y
         lone = nodes[group[0]] if len(group) == 1 else None
         if (lone is not None and not lone.is_leaf
-                and (lone.id in grade_x) == (grade == GRADE_X)):
-            # chain: fold x into the single child's projection set
+                and (x in p.X) == (next(iter(lone.projected)) in p.X)):
+            # chain in one block: fold x into the single child's projection set
             lone.projected = lone.projected | {x}
-            nid = lone.id
+            nid = group[0]
         else:
             nid = next_id
             next_id += 1
-            nodes[nid] = PjNode(id=nid, children=list(group),
-                                projected=frozenset({x}))
-            (grade_x if grade == GRADE_X else grade_y).add(nid)
+            nodes[nid] = PjNode(children=list(group), projected=frozenset({x}))
         # group supports were recorded before this step, so this also covers
         # the merge case (old support of the merged node, minus x)
         sup = frozenset(set().union(*(support[c] for c in group)) - {x})
@@ -297,21 +294,30 @@ def build_graded_tree(p: Problem, order: list[int],
         root = done[0]
     else:
         root = next_id
-        nodes[root] = PjNode(id=root, children=list(done))
-        grade_x.add(root)  # empty projection set; either grade works
-    return PjTree(nodes=nodes, root=root, grade_x=grade_x, grade_y=grade_y)
+        nodes[root] = PjNode(children=list(done))  # projects nothing
+    return PjTree(nodes=nodes, root=root)
 
 
 # -- validation ---------------------------------------------------------------
 
 
 def check_tree(t: PjTree, p: Problem) -> None:
-    """Both project-join-tree criteria plus basic shape; raises TreeError.
+    """Basic shape, both project-join-tree criteria and gradedness, checked
+    in that order; raises TreeError listing the first failing stage's
+    violations.
 
-    Together they imply the sibling lemma: criterion 1 lets each variable be
-    projected at exactly one node u, and criterion 2 puts every leaf whose
+    The two criteria imply the sibling lemma: criterion 1 lets each variable
+    be projected at exactly one node u, and criterion 2 puts every leaf whose
     clause has that variable beneath u, so a variable projected under one
     sibling never occurs in a clause under another.
+
+    Grades are derived: a node is in the randomized grade y if it projects a
+    randomized variable, else in the existential grade x.  So ProCount's
+    gradedness properties 1 (the grades partition the internal nodes) and 2
+    (x nodes project only existential variables, given criterion 1) hold by
+    construction, and two are checked: property 3, each y node projects only
+    randomized variables, and property 4, no node projecting an existential
+    variable lies below a y node.  A node projecting nothing may sit anywhere.
     """
     bad = []
     if t.root not in t.nodes:
@@ -388,39 +394,26 @@ def check_tree(t: PjTree, p: Problem) -> None:
     if bad:
         raise TreeError(bad)
 
-
-def check_graded(t: PjTree, X, Y) -> None:
-    """All four gradedness properties; raises TreeError naming the property."""
-    bad = []
-    internal = set(t.internal_ids())
-    X, Y = set(X), set(Y)
-    if (t.grade_x | t.grade_y) != internal or (t.grade_x & t.grade_y):
-        bad.append(
-            f"property 1: grades ({sorted(t.grade_x)}, {sorted(t.grade_y)}) "
-            f"do not partition internal nodes {sorted(internal)}")
-    for nid in sorted(t.grade_x & internal):
-        extra = t.nodes[nid].projected - X
-        if extra:
-            bad.append(f"property 2: node {nid} in the existential grade "
-                       f"projects non-existential {sorted(extra)}")
-    for nid in sorted(t.grade_y & internal):
-        extra = t.nodes[nid].projected - Y
-        if extra:
-            bad.append(f"property 3: node {nid} in the randomized grade "
-                       f"projects non-randomized {sorted(extra)}")
-    # property 4: no existential-grade node below a randomized-grade node
+    # gradedness, on a tree the checks above have shown sound
+    mixed: list[int] = []
     below_y: list[int] = []
     stack = [(t.root, False)]
     while stack:
         nid, under_y = stack.pop()
-        if under_y and nid in t.grade_x:
+        proj = t.nodes[nid].projected
+        has_y = not proj.isdisjoint(p.Y)
+        if has_y and not proj <= p.Y:
+            mixed.append(nid)
+        if under_y and not proj <= p.Y:
             below_y.append(nid)
-        next_under = under_y or nid in t.grade_y
-        for c in t.nodes[nid].children:
-            stack.append((c, next_under))
+        stack.extend((c, under_y or has_y) for c in t.nodes[nid].children)
+    for nid in sorted(mixed):
+        proj = t.nodes[nid].projected
+        bad.append(f"property 3: randomized-grade node {nid} projects "
+                   f"non-randomized {sorted(proj - p.Y)}")
     for nid in sorted(below_y):
-        bad.append(f"property 4: existential-grade node {nid} is a descendant "
-                   f"of a randomized-grade node")
+        bad.append(f"property 4: node {nid} projects existential variables "
+                   f"below a randomized-grade node")
     if bad:
         raise TreeError(bad)
 
@@ -440,6 +433,11 @@ def table_entries(t: PjTree, p: Problem) -> int:
 # -- tree files ---------------------------------------------------------------
 
 
+def _grade(projected: frozenset[int], p: Problem) -> str:
+    """A node's grade: y if it projects a randomized variable, else x."""
+    return GRADE_X if projected.isdisjoint(p.Y) else GRADE_Y
+
+
 def write_tree(t: PjTree, p: Problem) -> str:
     lines = [f"pjt {len(t.nodes)} {len(p.clauses)} {p.num_vars}"]
     for nid in t.postorder():
@@ -447,7 +445,7 @@ def write_tree(t: PjTree, p: Problem) -> str:
         if n.is_leaf:
             lines.append(f"l {nid} {n.clause + 1}")
         else:
-            grade = GRADE_X if nid in t.grade_x else GRADE_Y
+            grade = _grade(n.projected, p)
             kids = " ".join(str(c) for c in n.children)
             projs = " ".join(str(v) for v in sorted(n.projected))
             lines.append(f"i {nid} {grade} {kids} | {projs}".rstrip())
@@ -465,8 +463,6 @@ def _int(tok: str, lineno: int) -> int:
 def read_tree(text: str, p: Problem) -> PjTree:
     """Parse and fully validate a tree file against the Problem."""
     nodes: dict[int, PjNode] = {}
-    grade_x: set[int] = set()
-    grade_y: set[int] = set()
     root = None
     header = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -488,7 +484,7 @@ def read_tree(text: str, p: Problem) -> PjTree:
                     f"{len(p.clauses)}")
             if nid in nodes:
                 raise TreeError(f"line {lineno}: duplicate node id {nid}")
-            nodes[nid] = PjNode(id=nid, clause=ci - 1)
+            nodes[nid] = PjNode(clause=ci - 1)
         elif toks[0] == "i":
             if "|" not in toks or len(toks) < 4:
                 raise TreeError(f"line {lineno}: malformed internal line")
@@ -499,14 +495,16 @@ def read_tree(text: str, p: Problem) -> PjTree:
                 raise TreeError(f"line {lineno}: bad grade {grade!r}")
             kids = [_int(x, lineno) for x in toks[3:bar]]
             projs = frozenset(_int(x, lineno) for x in toks[bar + 1:])
+            if projs and grade != _grade(projs, p):
+                raise TreeError(f"line {lineno}: node {nid} has grade {grade} "
+                                f"but projects {sorted(projs)}")
             for c in kids:
                 if c not in nodes:
                     raise TreeError(
                         f"line {lineno}: child {c} not defined before parent {nid}")
             if nid in nodes:
                 raise TreeError(f"line {lineno}: duplicate node id {nid}")
-            nodes[nid] = PjNode(id=nid, children=kids, projected=projs)
-            (grade_x if grade == GRADE_X else grade_y).add(nid)
+            nodes[nid] = PjNode(children=kids, projected=projs)
         elif toks[0] == "r":
             if len(toks) != 2:
                 raise TreeError(f"line {lineno}: malformed root line")
@@ -521,9 +519,8 @@ def read_tree(text: str, p: Problem) -> PjTree:
         raise TreeError(f"header declares {header[0]} nodes, file has {len(nodes)}")
     if header[1] != len(p.clauses) or header[2] != p.num_vars:
         raise TreeError("header clause/variable counts disagree with the problem")
-    t = PjTree(nodes=nodes, root=root, grade_x=grade_x, grade_y=grade_y)
+    t = PjTree(nodes=nodes, root=root)
     check_tree(t, p)
-    check_graded(t, p.X, p.Y)
     return t
 
 

@@ -13,7 +13,7 @@ from dper.executor import (DebugAssertionError, debug_assert_mode,
 from dper.formula import parse_problem, serialize
 from dper.gen import band_instance, random_instance
 from dper.pbf import DeadlineExceeded, DiagramStore, ResourceLimitError
-from dper.planner import (HEURISTICS, TreeError, check_graded, check_tree, plan,
+from dper.planner import (HEURISTICS, TreeError, check_tree, plan,
                           table_entries)
 from dper.planner import width as tree_width
 
@@ -299,17 +299,14 @@ class TestSolveMonolithic:
     def test_two_node_tree_is_graded(self, example):
         rng = random.Random(41)
         for p in [example] + [random_instance(rng) for _ in range(50)]:
-            t = monolithic_tree(p)
-            check_tree(t, p)
-            check_graded(t, p.X, p.Y)
+            check_tree(monolithic_tree(p), p)
 
 
 # -- corrupted-tree battery ----------------------------------------------------
 #
 # Each mutation takes the (deterministic) worked-example tree and damages it.
-# "semantic" mutations change what the run computes and must trip an annotated
-# assertion even with structural validation turned off; the others are caught
-# by the structural checks.
+# Every mutation changes what the run computes, so it must trip an annotated
+# assertion even with structural validation turned off.
 
 
 def move_x_projection_down(t):
@@ -325,12 +322,6 @@ def drop_projection(t):
 
 def duplicate_projection(t):
     t.nodes[t.root].projected = t.nodes[t.root].projected | {3}
-
-
-def swap_grade_label_y_node(t):
-    v = node_projecting(t, {2, 4})
-    t.grade_y.discard(v)
-    t.grade_x.add(v)
 
 
 def duplicate_leaf_clause(t):
@@ -355,12 +346,6 @@ def remove_leaf(t):
     del t.nodes[l5]
 
 
-def mislabel_x_grade(t):
-    v = node_projecting(t, {3, 5})
-    t.grade_x.discard(v)
-    t.grade_y.add(v)
-
-
 def swap_projection_sets(t):
     a, b = node_projecting(t, {2, 4}), node_projecting(t, {1})
     t.nodes[a].projected, t.nodes[b].projected = (
@@ -376,7 +361,7 @@ def project_foreign_var(t):
     t.nodes[v].projected = t.nodes[v].projected | {5}
 
 
-SEMANTIC_MUTATIONS = [
+MUTATIONS = [
     move_x_projection_down,
     drop_projection,
     duplicate_projection,
@@ -388,13 +373,8 @@ SEMANTIC_MUTATIONS = [
     leaf_with_two_parents,
     project_foreign_var,
 ]
-STRUCTURAL_MUTATIONS = [
-    swap_grade_label_y_node,
-    mislabel_x_grade,
-]
-ALL_MUTATIONS = SEMANTIC_MUTATIONS + STRUCTURAL_MUTATIONS
 
-# (point, node, var) of the first annotated assertion each semantic mutation
+# (point, node, var) of the first annotated assertion each mutation
 # trips with structural validation off; nodes are worked-example tree ids
 TRIP_POINTS = {
     "move_x_projection_down": ("project-condition", 9, 1),
@@ -458,7 +438,7 @@ class TestDebugAssertMode:
             r = debug_assert_mode(p, plan(p))
             assert abs(r.maximum - ref.maximum) <= 1e-9
 
-    @pytest.mark.parametrize("mutate, store", by_store(ALL_MUTATIONS))
+    @pytest.mark.parametrize("mutate, store", by_store(MUTATIONS))
     def test_corruption_trips_before_output(self, example, mutate, store,
                                             monkeypatch):
         used = on_store(monkeypatch, store)
@@ -468,7 +448,7 @@ class TestDebugAssertMode:
             debug_assert_mode(example, bad)
         assert set(used) <= {store}  # empty if a structural check tripped
 
-    @pytest.mark.parametrize("mutate, store", by_store(SEMANTIC_MUTATIONS))
+    @pytest.mark.parametrize("mutate, store", by_store(MUTATIONS))
     def test_semantic_corruption_trips_annotated_assertion(self, example,
                                                            mutate, store,
                                                            monkeypatch):
@@ -482,7 +462,7 @@ class TestDebugAssertMode:
         assert used == [store]
 
     @pytest.mark.usefixtures("diagrams")
-    @pytest.mark.parametrize("mutate", SEMANTIC_MUTATIONS,
+    @pytest.mark.parametrize("mutate", MUTATIONS,
                              ids=lambda m: m.__name__)
     def test_trip_points_hold_under_collection(self, example, mutate,
                                                monkeypatch):
@@ -521,7 +501,6 @@ class TestDebugAssertMode:
                 assert used == ([store] if store == "dense" else [])
 
     def test_mutations_are_real_corruptions(self, example):
-        # sanity: the pristine tree passes both structural checks
+        # sanity: the pristine tree passes the structural check
         t = plan(example)
         check_tree(t, example)
-        check_graded(t, example.X, example.Y)

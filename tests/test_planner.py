@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dper.executor import tree_var_order
+from dper.executor import solve, tree_var_order
 from dper.formula import Problem, parse_problem, primal_graph, validate
 from dper.gen import band_instance, random_instance
 from dper.pbf import DeadlineExceeded
 from dper.planner import (HEURISTICS, PjNode, PjTree, TreeError,
-                          build_graded_tree, check_graded, check_tree,
+                          build_graded_tree, check_tree,
                           elimination_order, plan, read_tree, table_entries,
                           width, write_tree)
 
@@ -53,7 +53,6 @@ class TestBuildGradedTree:
         for h in HEURISTICS:
             t = plan(example, h)
             check_tree(t, example)
-            check_graded(t, example.X, example.Y)
             assert width(t, example) <= 2
 
     def test_single_unit_clause(self):
@@ -70,7 +69,6 @@ class TestBuildGradedTree:
         p = parse_problem("p cnf 0 0\n")
         t = plan(p)
         check_tree(t, p)
-        check_graded(t, p.X, p.Y)
         assert width(t, p) == 0
 
     def test_disjoint_clauses_join_at_root(self):
@@ -163,36 +161,39 @@ class TestChecks:
             check_tree(bad, p)
         assert info.value.violations == expected
 
-    def test_graded_wrong_grade_for_node(self, example):
-        t = plan(example)
-        bad = copy.deepcopy(t)
-        nid = next(i for i in bad.internal_ids()
-                   if bad.nodes[i].projected and i in bad.grade_x)
-        bad.grade_x.discard(nid)
-        bad.grade_y.add(nid)
+    def test_graded_wrong_grade_for_node(self):
+        # a node projecting both blocks is randomized-grade, wrongly
+        p = parse_problem("p cnf 2 1\ne 1 0\nr 0.5 2 0\n1 2 0\n")
+        nodes = {1: PjNode(clause=0),
+                 2: PjNode(children=[1], projected=frozenset({1, 2}))}
         with pytest.raises(TreeError, match="property 3"):
-            check_graded(bad, example.X, example.Y)
+            check_tree(PjTree(nodes=nodes, root=2), p)
 
     def test_graded_existential_below_randomized(self):
         # leaf(c0 over var 1) under an X node under a Y node
         p = parse_problem("p cnf 2 1\ne 1 0\nr 0.5 2 0\n1 2 0\n")
         nodes = {
-            1: PjNode(id=1, clause=0),
-            2: PjNode(id=2, children=[1], projected=frozenset({1})),
-            3: PjNode(id=3, children=[2], projected=frozenset({2})),
+            1: PjNode(clause=0),
+            2: PjNode(children=[1], projected=frozenset({1})),
+            3: PjNode(children=[2], projected=frozenset({2})),
         }
-        t = PjTree(nodes=nodes, root=3, grade_x={2}, grade_y={3})
-        check_tree(t, p)
         with pytest.raises(TreeError, match="property 4"):
-            check_graded(t, p.X, p.Y)
+            check_tree(PjTree(nodes=nodes, root=3), p)
 
-    def test_graded_partition_property(self, example):
-        t = plan(example)
-        bad = copy.deepcopy(t)
-        nid = next(iter(bad.grade_x))
-        bad.grade_y.add(nid)  # node now in both grades
-        with pytest.raises(TreeError, match="property 1"):
-            check_graded(bad, example.X, example.Y)
+    def test_empty_projection_takes_either_grade(self):
+        # a node projecting nothing, between a Y node and the X root: it is
+        # below a randomized node and above an existential one
+        p = parse_problem("p cnf 2 1\ne 1 0\nr 0.5 2 0\n1 2 0\n")
+        nodes = {
+            1: PjNode(clause=0),
+            2: PjNode(children=[1], projected=frozenset({2})),
+            3: PjNode(children=[2]),
+            4: PjNode(children=[3], projected=frozenset({1})),
+        }
+        check_tree(PjTree(nodes=nodes, root=4), p)
+        nodes[2].projected, nodes[4].projected = frozenset({1}), frozenset({2})
+        with pytest.raises(TreeError, match="property 4: node 2 "):
+            check_tree(PjTree(nodes=nodes, root=4), p)
 
 
 class TestWidth:
@@ -222,8 +223,6 @@ class TestWidth:
         "swap_projection_sets": (3, 32),
         "leaf_with_two_parents": (2, 18),
         "project_foreign_var": (3, 19),
-        "swap_grade_label_y_node": (2, 15),
-        "mislabel_x_grade": (2, 15),
     }
 
     def test_measures_on_clean_and_corrupted_trees(self, example):
@@ -242,9 +241,9 @@ class TestWidth:
         assert joined == want
         assert list(joined) == t.postorder()
         assert (width(t, example), table_entries(t, example)) == (2, 15)
-        assert {m.__name__ for m in exec_tests.ALL_MUTATIONS} == set(
+        assert {m.__name__ for m in exec_tests.MUTATIONS} == set(
             self.CORRUPTED_MEASURES)
-        for mutate in exec_tests.ALL_MUTATIONS:
+        for mutate in exec_tests.MUTATIONS:
             bad = copy.deepcopy(t)
             mutate(bad)
             measures = (width(bad, example), table_entries(bad, example))
@@ -258,6 +257,22 @@ class TestTreeFiles:
         t2 = read_tree(text, example)
         assert write_tree(t2, example) == text
 
+    def test_worked_example_bytes(self, example):
+        # grades come from the projection sets; the empty root is written x
+        assert write_tree(plan(example), example) == (
+            "pjt 10 5 6\n"
+            "l 1 1\n"
+            "i 6 y 1 | 2 4\n"
+            "l 3 3\n"
+            "l 2 2\n"
+            "i 7 y 2 | 6\n"
+            "i 8 x 3 7 | 1\n"
+            "l 4 4\n"
+            "l 5 5\n"
+            "i 9 x 4 5 | 3 5\n"
+            "i 10 x 6 8 9 |\n"
+            "r 10\n")
+
     def test_clause_index_beyond_count(self, example):
         t = plan(example)
         text = write_tree(t, example).replace("l 1 1", "l 1 99")
@@ -265,12 +280,20 @@ class TestTreeFiles:
             read_tree(text, example)
 
     def test_graded_violation_rejected(self, example):
-        t = plan(example)
         # relabel a randomized-grade node as existential
-        nid = next(iter(t.grade_y))
-        text = write_tree(t, example).replace(f"i {nid} y", f"i {nid} x")
-        with pytest.raises(TreeError):
+        text = write_tree(plan(example), example).replace("i 6 y", "i 6 x")
+        with pytest.raises(TreeError, match="line 3: node 6 has grade x"):
             read_tree(text, example)
+
+    def test_existential_node_labelled_y_rejected(self, example):
+        text = write_tree(plan(example), example).replace("i 9 x", "i 9 y")
+        with pytest.raises(TreeError, match="line 10: node 9 has grade y"):
+            read_tree(text, example)
+
+    def test_empty_root_may_be_labelled_y(self, example):
+        text = write_tree(plan(example), example)
+        t = read_tree(text.replace("i 10 x", "i 10 y"), example)
+        assert write_tree(t, example) == text
 
     def test_children_before_parents_required(self, example):
         t = plan(example)
@@ -320,9 +343,7 @@ class TestFuzzedTrees:
         for _ in range(150):
             p = random_instance(rng)
             for h in HEURISTICS:
-                t = plan(p, h)
-                check_tree(t, p)
-                check_graded(t, p.X, p.Y)
+                check_tree(plan(p, h), p)
 
     @given(data=st.data())
     def test_edited_tree_file_validates_or_raises_tree_error(self, data):
@@ -354,7 +375,61 @@ class TestFuzzedTrees:
         except TreeError:
             return
         check_tree(t, p)
-        check_graded(t, p.X, p.Y)
+
+    @staticmethod
+    def _edit(lines, rng):
+        """Flip one internal line's grade letter, or move one projected
+        variable from one internal line to another.  Returns the edited
+        text and the moved variable (None for a flip)."""
+        lines = [l.split() for l in lines]
+        internal = [k for k, l in enumerate(lines) if l[0] == "i"]
+        if rng.random() < 0.5:
+            line = lines[rng.choice(internal)]
+            line[2] = "y" if line[2] == "x" else "x"
+            moved = None
+        else:
+            src = rng.choice([k for k in internal if lines[k][-1] != "|"])
+            dst = rng.choice([k for k in internal if k != src])
+            bar = lines[src].index("|")
+            moved = rng.choice(lines[src][bar + 1:])
+            lines[src].remove(moved)
+            lines[dst].append(moved)
+            moved = int(moved)
+        return "".join(" ".join(l) + "\n" for l in lines), moved
+
+    def test_valid_edits_keep_the_maximum(self):
+        # an accepted edit changes where variables are projected, never the
+        # value: max commutes exactly with the non-negative factors it moves
+        # past, so a flip or a moved existential variable keeps the maximum
+        # bit for bit; a moved randomized sum only rounds differently
+        rng = random.Random(20260810)
+        problems = [random_instance(rng) for _ in range(150)]
+        problems += [band_instance(random.Random(1000 * w + i), w)
+                     for w in (9, 14) for i in range(4)]
+        problems += [band_instance(random.Random(8000 + i), 8, 40)
+                     for i in range(2)]
+        accepted = {"flip": 0, "existential": 0, "randomized": 0}
+        for p in problems:
+            t = plan(p)
+            lines = write_tree(t, p).splitlines()
+            if (sum(l.startswith("i ") for l in lines) < 2
+                    or not p.all_clause_vars()):
+                continue
+            want = solve(p, t).maximum
+            for _ in range(6):
+                text, moved = self._edit(lines, rng)
+                try:
+                    edited = read_tree(text, p)
+                except TreeError:
+                    continue
+                got = solve(p, edited).maximum
+                if moved in p.Y:
+                    accepted["randomized"] += 1
+                    assert got == pytest.approx(want, rel=1e-14, abs=0)
+                else:
+                    accepted["flip" if moved is None else "existential"] += 1
+                    assert got == want
+        assert min(accepted.values()) >= 20, accepted
 
 
 def _reference_order(graph, X, Y, heuristic="min-fill"):
