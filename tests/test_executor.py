@@ -305,8 +305,10 @@ class TestSolveMonolithic:
 # -- corrupted-tree battery ----------------------------------------------------
 #
 # Each mutation takes the (deterministic) worked-example tree and damages it.
-# Every mutation changes what the run computes, so it must trip an annotated
-# assertion even with structural validation turned off.
+# The semantic mutations change what the run computes and must trip an
+# annotated assertion even with structural validation turned off; the grade
+# mutations keep both project-join-tree criteria and are caught by check_tree's
+# gradedness stage.
 
 
 def move_x_projection_down(t):
@@ -346,6 +348,24 @@ def remove_leaf(t):
     del t.nodes[l5]
 
 
+def swap_grade_label_y_node(t):
+    # y node {6} and its x parent {1} exchange projection sets, and clause
+    # (1,)'s leaf moves down with variable 1: y now sits above x
+    y, x = node_projecting(t, {6}), node_projecting(t, {1})
+    l3 = leaf_of_clause(t, 2)
+    t.nodes[y].projected, t.nodes[x].projected = (
+        t.nodes[x].projected, t.nodes[y].projected)
+    t.nodes[x].children.remove(l3)
+    t.nodes[y].children.append(l3)
+
+
+def mislabel_x_grade(t):
+    # the empty x root takes variable 6, so it is graded y above x nodes
+    v = node_projecting(t, {6})
+    t.nodes[v].projected = frozenset()
+    t.nodes[t.root].projected = frozenset({6})
+
+
 def swap_projection_sets(t):
     a, b = node_projecting(t, {2, 4}), node_projecting(t, {1})
     t.nodes[a].projected, t.nodes[b].projected = (
@@ -373,8 +393,13 @@ MUTATIONS = [
     leaf_with_two_parents,
     project_foreign_var,
 ]
+GRADE_MUTATIONS = [
+    swap_grade_label_y_node,
+    mislabel_x_grade,
+]
+ALL_MUTATIONS = MUTATIONS + GRADE_MUTATIONS
 
-# (point, node, var) of the first annotated assertion each mutation
+# (point, node, var) of the first annotated assertion each semantic mutation
 # trips with structural validation off; nodes are worked-example tree ids
 TRIP_POINTS = {
     "move_x_projection_down": ("project-condition", 9, 1),
@@ -438,7 +463,7 @@ class TestDebugAssertMode:
             r = debug_assert_mode(p, plan(p))
             assert abs(r.maximum - ref.maximum) <= 1e-9
 
-    @pytest.mark.parametrize("mutate, store", by_store(MUTATIONS))
+    @pytest.mark.parametrize("mutate, store", by_store(ALL_MUTATIONS))
     def test_corruption_trips_before_output(self, example, mutate, store,
                                             monkeypatch):
         used = on_store(monkeypatch, store)

@@ -223,6 +223,8 @@ class TestWidth:
         "swap_projection_sets": (3, 32),
         "leaf_with_two_parents": (2, 18),
         "project_foreign_var": (3, 19),
+        "swap_grade_label_y_node": (2, 15),
+        "mislabel_x_grade": (2, 18),
     }
 
     def test_measures_on_clean_and_corrupted_trees(self, example):
@@ -241,9 +243,9 @@ class TestWidth:
         assert joined == want
         assert list(joined) == t.postorder()
         assert (width(t, example), table_entries(t, example)) == (2, 15)
-        assert {m.__name__ for m in exec_tests.MUTATIONS} == set(
+        assert {m.__name__ for m in exec_tests.ALL_MUTATIONS} == set(
             self.CORRUPTED_MEASURES)
-        for mutate in exec_tests.MUTATIONS:
+        for mutate in exec_tests.ALL_MUTATIONS:
             bad = copy.deepcopy(t)
             mutate(bad)
             measures = (width(bad, example), table_entries(bad, example))
