@@ -119,7 +119,8 @@ def recount(p: Problem, tau_x: dict[int, bool], cfg: RunConfig,
 
     A weighted model count of `condition(p, tau_x)`, planned and valuated on
     a tree and store of its own, so that it stays independent of the solve
-    it checks.  With X empty the valuation runs no max, `dsgn` or replay.
+    it checks.  With X empty the valuation takes no max and records no
+    derivative sign to replay.
     """
     q = condition(p, tau_x)
     if () in q.clauses:

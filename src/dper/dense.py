@@ -17,8 +17,8 @@ DenseStore gives the operations `pbf.PbFunc` delegates to, as
 kernel's, which does the same float arithmetic:
 
 - join multiplies pointwise; existential projection takes the pointwise max
-  of the two cofactors; the derivative sign is [hi >= lo], so ties and an
-  absent variable choose 1;
+  of the two cofactors, and a derivative sign (`pbf.DsgnFunc`) compares two
+  entries of the table it was taken from, as on diagrams;
 - randomized projection is p*hi + (1-p)*lo, except that hi == lo gives lo,
   as the kernel's `f == g` short-cut does;
 - the underflow flag follows the kernel's terminal rule: a product of two
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import sys
 import time
-from operator import ge, mul
+from operator import mul
 from typing import Callable, Iterable
 
 from .pbf import DeadlineExceeded, PbFunc, VarOrder
@@ -246,12 +246,6 @@ class DenseStore:
             low = min(filter(None, r), default=1.0)
         return Table(variables, r, low)
 
-    def dsgn(self, a: Table, x: int) -> Table:
-        if x not in a.vars:
-            return Table((), [1.0], 1.0)
-        variables, hi, lo = a.split(x)
-        return Table(variables, list(map(ge, hi, lo)), 1.0)
-
     def evaluate(self, a: Table, assignment: dict[int, bool]) -> float:
         """The entry at `assignment`; a missing variable the table does not
         vary along reads as 0, a missing support variable raises KeyError."""
@@ -276,9 +270,6 @@ class DenseStore:
     def support_bound(self, a: Table) -> int:
         """The number of variables, an upper bound on the support size."""
         return len(a.vars)
-
-    def depends_on(self, a: Table, var: int) -> bool:
-        return var in a.vars and _varies(a.entries, a.vars.index(var))
 
     def value_range(self, a: Table) -> tuple[float, float]:
         """The least and the greatest entry."""

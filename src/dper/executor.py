@@ -1,11 +1,12 @@
 """Bottom-up tree valuation with derivative-sign maximizer extraction.
 
 Valuating a graded project-join tree yields the maximum expected satisfaction
-probability at the root.  While projecting each existential variable the
-executor first records its derivative sign on a stack; replaying the stack
-afterwards extends the empty assignment into a maximizing one, top projection
-first.  Fixed orders make the output reproducible: children are valuated in
-stored order and projection sets are processed in ascending variable id.
+probability at the root.  Before projecting each existential variable the
+executor pushes its derivative sign on a stack: the variable and the function
+about to be projected.  Replaying the stack afterwards extends the empty
+assignment into a maximizing one, top projection first.  Fixed orders make the
+output reproducible: children are valuated in stored order and projection
+sets are processed in ascending variable id.
 
 Every solver is the one postorder loop `valuate` plus the one stack replay
 `_replay_stack`: `solve` on a planned tree, `solve_monolithic` on a fixed
@@ -24,8 +25,7 @@ contract and nothing more:
   `peak_held`, `underflow` and its `name`;
 - a function gives `join`, `exists_project`, `rand_project`, `dsgn` (a
   `pbf.DsgnFunc`), `evaluate`, `support` and `support_size` (the true
-  support and its size), `support_bound` (an O(1) upper bound on it) and
-  `depends_on(var)`.
+  support and its size) and `support_bound` (an O(1) upper bound on it).
 
 The debug run uses the store `solve` would choose.  Its checks use this
 contract plus two store methods on handles: `approx_equal(f, g, tol)`,
@@ -130,7 +130,7 @@ def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc], store,
     diagram store clears its op cache, which bounds its memory to one node's
     work, and reclaims dead nodes once it has grown enough; a dense store
     polls the deadline.  The live functions are the pending valuations, the
-    node's own and every chooser on `sigma`.
+    node's own and the function of every sign on `sigma`.
 
     An observer `obs`, if given, is called at five points of node `nid`:
     `enter(nid)`; `joined(nid, prev, h, f)` after each `f = prev.join(h)`;
@@ -144,7 +144,7 @@ def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc], store,
             stats.max_support = max(stats.max_support, f.support_size())
 
     def live():
-        return chain(done, (f,), (s.chooser for s in sigma),
+        return chain(done, (f,), (s.f for s in sigma),
                      obs.live() if obs is not None else ())
 
     done = []  # valuations whose parent is still ahead
@@ -186,9 +186,13 @@ def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc], store,
 def _replay_stack(p: Problem, sigma: list[DsgnFunc], obs=None) -> dict[int, bool]:
     """Pop derivative signs into a total existential assignment.
 
-    Existential variables untouched by any entry (absent from every clause)
-    default to 0; any value is optimal for them.  An observer `obs` is called
-    as `picking(entry, tau)` before each pick and `picked(entry, tau)` after.
+    A sign's function depends, besides its variable, only on existential
+    variables projected later at its node or at an ancestor (gradedness puts
+    no randomized projection above an existential one), all assigned before
+    it is popped.  Existential variables untouched by any entry (absent from
+    every clause) default to 0; any value is optimal for them.  An observer
+    `obs` is called as `picking(entry, tau)` before each pick and
+    `picked(entry, tau)` after.
     """
     tau: dict[int, bool] = {}
     while sigma:
@@ -278,7 +282,8 @@ class _DebugContext:
     starts from.  Around each pick of
     `_replay_stack` it checks that tau maximizes the formula with the
     still-eliminated variables projected out; what reads tau is checked before
-    the pick, so a bad chooser fails here and not in `pick`.
+    the pick, so a sign that would read an unassigned variable fails here
+    and not in `pick`.
 
     A is a list of functions, matched by handle or else by pointwise
     equality: a table store makes a fresh table for every constant and
@@ -375,11 +380,11 @@ class _DebugContext:
         if x not in self.eliminated or x in tau:
             raise DebugAssertionError("maximizer", var=x,
                                       detail="popped variable not pending")
-        unassigned = entry.chooser.support - set(tau)
+        unassigned = entry.f.support - {x} - set(tau)
         if unassigned:
             raise DebugAssertionError(
                 "maximizer", var=x,
-                detail=f"chooser depends on unassigned {sorted(unassigned)}")
+                detail=f"sign depends on unassigned {sorted(unassigned)}")
 
     def picked(self, entry: DsgnFunc, tau: dict[int, bool]):
         self.eliminated.discard(entry.var)

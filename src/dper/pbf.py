@@ -8,11 +8,12 @@ equality (no epsilon merging).
 Nodes are indexed by level: a node stores the rank of its variable in the
 store's VarOrder, and terminals sit at level len(order).  On any
 root-to-terminal path the levels strictly increase.  One binary recursion
-(`_apply`) serves product, max, convex combination and comparison, and one
-projection walk (`_abstract`) serves existential and randomized projection
-and the derivative sign.  Unique-table and op-cache keys are packed ints;
-handles and levels take HANDLE_BITS each below an unbounded top field (the
-level in a node key, the op id in a cache key), so keys never collide.
+(`_apply`) serves product, max and convex combination, and one projection
+walk (`_abstract`) serves existential and randomized projection; a derivative
+sign builds no diagram (`DsgnFunc`).  Unique-table and op-cache keys are
+packed ints; handles and levels take HANDLE_BITS each below an unbounded top
+field (the level in a node key, the op id in a cache key), so keys never
+collide.
 
 Each node's support is a bitmask over levels, set once when the node is
 created, so support sizes cost O(1).  Equal masks share one int object: a
@@ -51,6 +52,7 @@ from __future__ import annotations
 import math
 import sys
 import time
+from collections import ChainMap
 from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable
@@ -59,7 +61,7 @@ HANDLE_BITS = 32  # handles and levels stay below 2**HANDLE_BITS
 
 # Binary op ids are even; `_abstract` keys its cache entries with op | 1.
 # Convex combinations get one even id per distinct probability.
-MUL, MAX, GE, _FIRST_CONVEX = 0, 2, 4, 6
+MUL, MAX, _FIRST_CONVEX = 0, 2, 4
 ZERO, ONE = 0, 1  # handles of the first two terminals of every store
 _MIN_NORMAL = sys.float_info.min  # below it a nonzero double is subnormal
 _NOT = bytes([1]) + bytes(255)  # bytes.translate table: 0 -> 1, 1 -> 0
@@ -284,7 +286,7 @@ class DiagramStore:
     # -- the recursions (handle level) ----------------------------------------
 
     def _apply(self, op: int, f: int, g: int) -> int:
-        """Pointwise op(f, g): f*g, max(f, g), [f >= g], or p*f + (1-p)*g."""
+        """Pointwise op(f, g): f*g, max(f, g) or p*f + (1-p)*g."""
         if op == MUL:
             if f == ONE:
                 return g
@@ -293,7 +295,7 @@ class DiagramStore:
             if f == ZERO or g == ZERO:
                 return ZERO
         elif f == g:
-            return ONE if op == GE else f
+            return f
         lev = self._lev
         lf, lg = lev[f], lev[g]
         tlev = self._tlev
@@ -306,8 +308,6 @@ class DiagramStore:
                 return self._terminal(r)
             if op == MAX:
                 return self._terminal(max(a, b))
-            if op == GE:
-                return ONE if a >= b else ZERO
             p = self._prob[op]
             r = p * a + (1.0 - p) * b
             if (r < _MIN_NORMAL and r > -_MIN_NORMAL
@@ -335,12 +335,11 @@ class DiagramStore:
     def _abstract(self, op: int, f: int, level: int) -> int:
         """Project the variable at `level` out of f by op(hi cofactor, lo).
 
-        MAX gives existential projection, a convex op randomized projection,
-        GE the derivative sign (ties choose 1, as does an absent variable).
+        MAX gives existential projection, a convex op randomized projection.
         """
         lf = self._lev[f]
         if lf > level:
-            return ONE if op == GE else f
+            return f
         if lf == level:
             return self._apply(op, self._hi[f], self._lo[f])
         key = ((op | 1) << HANDLE_BITS | f) << HANDLE_BITS | level
@@ -362,9 +361,6 @@ class DiagramStore:
 
     def rand_project(self, f: int, x: int, p: float) -> int:
         return self._abstract(self._convex_op(p), f, self.order.rank(x))
-
-    def dsgn(self, f: int, x: int) -> int:
-        return self._abstract(GE, f, self.order.rank(x))
 
     def evaluate(self, f: int, assignment: dict[int, bool]) -> float:
         variables = self.order.variables
@@ -388,9 +384,6 @@ class DiagramStore:
         return self._sup[f].bit_count()
 
     support_bound = support_size  # exact here; a dense table's axes bound it
-
-    def depends_on(self, f: int, var: int) -> bool:
-        return bool(self._sup[f] >> self.order.rank(var) & 1)
 
     def _reachable(self, f: int) -> list[int]:
         """Handles of every node under f, f included, each once."""
@@ -469,8 +462,8 @@ class PbFunc:
         return PbFunc(self.store, self.store.rand_project(self.root, x, p))
 
     def dsgn(self, x: int) -> "DsgnFunc":
-        """Which value of x attains the larger cofactor; ties choose 1."""
-        return DsgnFunc(x, PbFunc(self.store, self.store.dsgn(self.root, x)))
+        """Which value of x attains the larger cofactor, read when picked."""
+        return DsgnFunc(x, self)
 
     def evaluate(self, assignment: dict[int, bool]) -> float:
         """Value at a total assignment (w.r.t. this function's support)."""
@@ -488,10 +481,6 @@ class PbFunc:
         """An O(1) upper bound on `support_size()`."""
         return self.store.support_bound(self.root)
 
-    def depends_on(self, var: int) -> bool:
-        """Whether the function's value changes with `var`."""
-        return self.store.depends_on(self.root, var)
-
     def __eq__(self, other):
         return (isinstance(other, PbFunc) and other.store is self.store
                 and other.root == self.root)
@@ -502,17 +491,16 @@ class PbFunc:
 
 @dataclass(frozen=True)
 class DsgnFunc:
-    """A derivative sign: the variable plus its 0/1-valued chooser function.
+    """A derivative sign: the variable x and the function f it was taken from.
 
-    chooser(tau) = 1 means the variable should be set to 1 to maximize the
-    function the sign was taken from, given the partial assignment tau.
+    pick(tau) is f(tau with x = 1) >= f(tau with x = 0), so ties choose 1.
+    tau must assign every other variable of f; its value of x is not read.
     """
 
     var: int
-    chooser: PbFunc
-
-    def __post_init__(self):
-        assert not self.chooser.depends_on(self.var)
+    f: PbFunc
 
     def pick(self, assignment: dict[int, bool]) -> bool:
-        return self.chooser.evaluate(assignment) != 0.0
+        x, f = self.var, self.f
+        return (f.evaluate(ChainMap({x: True}, assignment))
+                >= f.evaluate(ChainMap({x: False}, assignment)))

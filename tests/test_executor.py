@@ -508,6 +508,25 @@ class TestDebugAssertMode:
             t = plan(p)
             assert debug_assert_mode(p, t).maximum == solve(p, t).maximum
 
+    @pytest.mark.parametrize("store", STORES)
+    def test_sign_reading_an_unassigned_variable_trips(self, example, store,
+                                                       monkeypatch):
+        # (3 | 5)(-3 | -5) depends on 5, so 3's sign read off it cannot be
+        # picked before 5 is assigned
+        on_store(monkeypatch, store)
+        t = plan(example)
+        chosen = executor.choose_store(example, t)
+        assert chosen.name == store
+        ctx = executor._DebugContext(example, t, chosen)
+        ctx.eliminated |= {3, 5}
+        f = chosen.clause_func((3, 5)).join(chosen.clause_func((-3, -5)))
+        with pytest.raises(DebugAssertionError) as info:
+            ctx.picking(f.dsgn(3), {})
+        e = info.value
+        assert (e.point, e.node, e.var) == ("maximizer", None, 3)
+        assert "sign depends on unassigned [5]" in str(e)
+        ctx.picking(f.dsgn(3), {5: True})  # once 5 is assigned it passes
+
     @pytest.mark.usefixtures("diagrams")
     def test_node_limit(self, example):
         with pytest.raises(ResourceLimitError):

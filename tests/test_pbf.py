@@ -150,27 +150,32 @@ class TestDsgn:
     def test_prefers_larger_cofactor(self):
         st = fresh_store([1])
         f = diagram_from_table(st, tbl_from_rows([1], [0.2, 0.9]))
-        assert f.dsgn(1).chooser == st.constant(1.0)
+        assert f.dsgn(1).pick({}) is True
         g = diagram_from_table(st, tbl_from_rows([1], [0.9, 0.2]))
-        assert g.dsgn(1).chooser == st.constant(0.0)
+        assert g.dsgn(1).pick({}) is False
 
     def test_tie_chooses_one(self):
         st = fresh_store([1])
         f = diagram_from_table(st, tbl_from_rows([1], [0.5, 0.5]))
-        assert f.dsgn(1).chooser == st.constant(1.0)
+        assert f.dsgn(1).pick({}) is True
 
     def test_absent_variable_ties_to_one(self):
         st = fresh_store([1, 2])
         f = st.clause_func((1,))
-        assert f.dsgn(2).chooser == st.constant(1.0)
+        assert all(f.dsgn(2).pick(a) for a in all_assignments([1]))
 
-    def test_var_not_in_chooser_support(self):
+    def test_pick_never_reads_its_variable(self):
+        # the sign keeps f itself, which depends on x = 1; a value tau gives
+        # x is overridden, so it cannot change the pick.  f = (1 | 2)(-1 | 3)
+        # is 3 at x = 1 and 2 at x = 0.
         st = fresh_store([1, 2, 3])
         f = st.clause_func((1, 2)).join(st.clause_func((-1, 3)))
         d = f.dsgn(1)
-        assert d.var == 1
-        assert 1 not in d.chooser.support
-        assert {d.chooser.evaluate(a) for a in all_assignments([2, 3])} <= {0.0, 1.0}
+        assert d.var == 1 and d.f == f
+        for a in all_assignments([2, 3]):
+            want = a[3] >= a[2]
+            picks = {d.pick(a), d.pick({**a, 1: True}), d.pick({**a, 1: False})}
+            assert picks == {want}
 
 
 class TestEvaluate:

@@ -200,15 +200,16 @@ def test_dsgn_tie_rule_and_semantics(case):
     table, x = case
     store = fresh_store(table[0])
     d = diagram_from_table(store, table).dsgn(x)
-    assert d.var == x and x not in d.chooser.support
+    assert d.var == x
     ref = tbl_dsgn(table, x)
     for assign in all_assignments(ref[0]):
         hi = tbl_eval(table, {**assign, x: True})
         lo = tbl_eval(table, {**assign, x: False})
-        got = d.chooser.evaluate(assign)
-        assert got == tbl_eval(ref, assign)
+        got = d.pick(assign)
+        assert got == (tbl_eval(ref, assign) == 1.0)
+        assert d.pick({**assign, x: not got}) == got  # x itself is not read
         if hi == lo:
-            assert got == 1.0  # ties resolve to assigning 1
+            assert got is True  # ties resolve to assigning 1
 
 
 @st.composite
@@ -223,21 +224,23 @@ def dsgn_join_case(draw):
 def test_dsgn_survives_positive_factor(case):
     # for non-negative f and g with x private to f: wherever g > 0 the
     # derivative signs of f and f*g agree; where g = 0 the joined
-    # cofactors tie and the chooser says 1
+    # cofactors tie and the sign picks 1
     ta, tb, x = case
     store = fresh_store(set(ta[0]) | set(tb[0]))
     f = diagram_from_table(store, ta)
     g = diagram_from_table(store, tb)
     d_f = f.dsgn(x)
     d_fg = f.join(g).dsgn(x)
+    ref = tbl_dsgn(ta, x)
     union = sorted((set(ta[0]) | set(tb[0])) - {x})
     for assign in all_assignments(union):
         g_val = tbl_eval(tb, assign)
-        joint = d_fg.chooser.evaluate(assign)
+        joint = d_fg.pick(assign)
+        assert d_f.pick(assign) == (tbl_eval(ref, assign) == 1.0)
         if g_val > 0:
-            assert joint == d_f.chooser.evaluate(assign)
+            assert joint == d_f.pick(assign)
         elif g_val == 0:
-            assert joint == 1.0
+            assert joint is True
 
 
 def walked_support(f):
@@ -259,7 +262,6 @@ OPS = st.one_of(
     st.tuples(st.just("exists"), st.sampled_from(VAR_POOL)),
     st.tuples(st.just("rand"), st.sampled_from(VAR_POOL),
               st.sampled_from(PROBS)),
-    st.tuples(st.just("dsgn"), st.sampled_from(VAR_POOL)),
 )
 
 
@@ -268,7 +270,7 @@ OPS = st.one_of(
                 min_size=1, max_size=3),
        st.lists(st.tuples(st.integers(0, 99), OPS), min_size=1, max_size=12))
 def test_support_mask_matches_dag_walk(tables, steps):
-    # every result, including choosers, must carry its exact support
+    # every result must carry its exact support
     store = fresh_store(VAR_POOL)
     pool = [diagram_from_table(store, t) for t in tables]
     for i, (op, *args) in steps:
@@ -277,10 +279,8 @@ def test_support_mask_matches_dag_walk(tables, steps):
             g = f.join(pool[args[0] % len(pool)])
         elif op == "exists":
             g = f.exists_project(args[0])
-        elif op == "rand":
-            g = f.rand_project(*args)
         else:
-            g = f.dsgn(args[0]).chooser
+            g = f.rand_project(*args)
         assert args[0] not in g.support or op == "join"
         pool.append(g)
     for f in pool:
