@@ -15,7 +15,12 @@ checks the annotated assertions at each point the loop and the replay report.
 
 The loop and the replay run on either of two stores, chosen per solve before
 execution by `choose_store` (see DENSE_MAX_WORK): decision diagrams
-(`pbf.DiagramStore`) or dense tables (`dense.DenseStore`).  Every function
+(`pbf.DiagramStore`) or dense tables (`dense.DenseStore`).  Diagrams order
+their levels by maximum-cardinality search on the primal graph
+(`diagram_var_order`); tables keep the tree's projection order
+(`tree_var_order`), so each projection takes the two halves of its table.
+Both compute every value by the same float operations in the same order,
+so the order changes only how much a diagram shares.  Every function
 is a `pbf.PbFunc`, whose operations its store carries out; they use this
 contract and nothing more:
 
@@ -27,8 +32,9 @@ contract and nothing more:
   `pbf.DsgnFunc`), `evaluate`, `support` and `support_size` (the true
   support and its size) and `support_bound` (an O(1) upper bound on it).
 
-The debug run uses the store `solve` would choose.  Its checks use this
-contract plus two store methods on handles: `approx_equal(f, g, tol)`,
+The debug run uses the store `solve` would choose, then solves again on the
+other store and requires the same maximum and maximizer.  Its checks use
+this contract plus two store methods on handles: `approx_equal(f, g, tol)`,
 pointwise |f - g| <= tol, and `value_range(f)`, the least and the greatest
 value of f.
 """
@@ -41,9 +47,9 @@ from functools import reduce
 from itertools import chain
 
 from .dense import DenseStore
-from .formula import Problem
+from .formula import Problem, primal_graph
 from .pbf import DiagramStore, DsgnFunc, PbFunc, VarOrder
-from .planner import PjNode, PjTree, check_tree, table_entries
+from .planner import PjNode, PjTree, check_tree, mcs_order, table_entries
 from .planner import width as tree_width
 
 MONOLITHIC_VAR_CAP = 25
@@ -101,10 +107,11 @@ class SolveResult:
 
 
 def tree_var_order(p: Problem, t: PjTree) -> VarOrder:
-    """Diagram order derived from the tree: projection order, then leftovers.
+    """Table order derived from the tree: projection order, then leftovers.
 
-    Clause variables only.  It tolerates malformed trees (leftovers, repeated
-    projections) so that the annotated debug run reports the corruption.
+    Dense tables only; diagrams take `diagram_var_order`.  Clause variables
+    only.  It tolerates malformed trees (leftovers, repeated projections) so
+    that the annotated debug run reports the corruption.
     """
     seq: list[int] = []
     seen: set[int] = set()
@@ -116,6 +123,16 @@ def tree_var_order(p: Problem, t: PjTree) -> VarOrder:
                 seq.append(v)
     seq.extend(sorted(p.all_clause_vars() - seen))
     return VarOrder(seq)
+
+
+def diagram_var_order(p: Problem, t: PjTree) -> VarOrder:
+    """Diagram order: maximum-cardinality search on the primal graph
+    (`planner.mcs_order`), then, ascending, any variable the tree projects
+    that occurs in no clause.  Only a malformed tree projects one; the
+    annotated debug run reports it."""
+    seq = mcs_order(primal_graph(p))
+    projected = set().union(*(n.projected for n in t.nodes.values()))
+    return VarOrder(seq + sorted(projected.difference(seq)))
 
 
 def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc], store,
@@ -224,14 +241,21 @@ def _run(p: Problem, t: PjTree, store, obs=None) -> SolveResult:
 
 def choose_store(p: Problem, t: PjTree, node_limit: int | None = None,
                  deadline: float | None = None):
-    """The store a solve of `t` runs on: dense tables if the tree's tables
-    hold fewer entries (`planner.table_entries`) than DENSE_MAX_WORK and
-    `node_limit`, else diagrams, whose nodes held at once `node_limit` caps."""
-    order = tree_var_order(p, t)
+    """The store a solve of `t` runs on: dense tables in the tree's order if
+    the tree's tables hold fewer entries (`planner.table_entries`) than
+    DENSE_MAX_WORK and `node_limit`, else diagrams in the MCS order, whose
+    nodes held at once `node_limit` caps."""
     cap = DENSE_MAX_WORK if node_limit is None else min(DENSE_MAX_WORK, node_limit)
-    if table_entries(t, p) < cap:
-        return DenseStore(order, deadline=deadline)
-    return DiagramStore(order, node_limit=node_limit, deadline=deadline)
+    return _make_store(table_entries(t, p) < cap, p, t, node_limit, deadline)
+
+
+def _make_store(dense: bool, p: Problem, t: PjTree, node_limit: int | None,
+                deadline: float | None):
+    """Dense tables in the tree's order, or diagrams in the MCS order."""
+    if dense:
+        return DenseStore(tree_var_order(p, t), deadline=deadline)
+    return DiagramStore(diagram_var_order(p, t), node_limit=node_limit,
+                        deadline=deadline)
 
 
 def solve(p: Problem, t: PjTree, node_limit: int | None = None,
@@ -289,10 +313,11 @@ class _DebugContext:
     equality: a table store makes a fresh table for every constant and
     clause.  On diagrams, hash consing makes the two the same.
 
-    Both sides of every check come from the same store's arithmetic, so the
-    checks test the tree, not the store: a wrong projection kernel passes
-    every one of them.  Only the comparisons with the enumeration oracle
-    (`test_fuzz_all_assertions_pass`, acceptance criterion 4) catch it.
+    Both sides of every check come from the same store's arithmetic, so
+    these checks test the tree, not the store: a wrong projection kernel
+    passes every one of them.  `debug_assert_mode`'s store-agreement check,
+    which solves again on the other store, catches such a kernel when it
+    moves the maximum or the maximizer.
     """
 
     def __init__(self, p: Problem, t: PjTree, store):
@@ -405,9 +430,15 @@ def debug_assert_mode(p: Problem, t: PjTree, *, validate: bool = True,
     guarded by a cap of DEBUG_VAR_CAP variables; values are compared within
     DEBUG_TOL.  With validate=True the structural tree checks run first;
     either way a corrupted tree trips an assertion before any answer is
-    returned.  The run uses the store `solve` would choose, and `node_limit`
-    and `deadline` act as in `solve`; on diagrams the limit also counts the
-    nodes the checks create.
+    returned.  The run uses the store `solve` would choose.  Then the tree
+    is solved again, unobserved, on the other store (tables in the tree's
+    order, or diagrams in the MCS order): the stores promise bit-identical
+    values, so the two maxima (`float.hex`) and maximizers must be equal,
+    else the "store-agreement" assertion trips.  `node_limit` and `deadline`
+    act as in `solve`; on diagrams the limit also counts the nodes the
+    checks create.  The second solve polls the deadline but is not held to
+    the limit, so a table run is never stopped by it; under DEBUG_VAR_CAP
+    its diagrams stay small.
     """
     if len(p.quantified) > DEBUG_VAR_CAP:
         raise ValueError(f"{len(p.quantified)} variables exceed the debug cap "
@@ -415,4 +446,17 @@ def debug_assert_mode(p: Problem, t: PjTree, *, validate: bool = True,
     if validate:
         check_tree(t, p)
     store = choose_store(p, t, node_limit, deadline)
-    return _run(p, t, store, _DebugContext(p, t, store))
+    r = _run(p, t, store, _DebugContext(p, t, store))
+    other = _make_store(store.name != "dense", p, t, None, deadline)
+    o = _run(p, t, other)
+    if (r.maximum.hex(), r.maximizer) != (o.maximum.hex(), o.maximizer):
+        raise DebugAssertionError(
+            "store-agreement",
+            detail=f"{store.name} gives {r.maximum.hex()} at "
+                   f"{_true_vars(r.maximizer)}, {other.name} "
+                   f"{o.maximum.hex()} at {_true_vars(o.maximizer)}")
+    return r
+
+
+def _true_vars(tau: dict[int, bool]) -> list[int]:
+    return sorted(v for v, b in tau.items() if b)

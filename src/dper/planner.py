@@ -219,6 +219,46 @@ def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fi
     return order
 
 
+def mcs_order(graph: dict[int, set[int]]) -> list[int]:
+    """Maximum-cardinality search over `graph`, in visiting order.
+
+    Each step visits the unvisited vertex with the most visited neighbors,
+    ties to the lowest id; so the search starts at the lowest id, and so does
+    each new component.  This is the diagram level order, the first visited
+    vertex at level 0 (ADDMC's MCS order, Dudek, Phan & Vardi, AAAI 2020).
+
+    A bucket queue holds the unvisited vertices: bucket k is a lazy min-heap
+    of the vertices with k visited neighbors, and an entry whose count has
+    since grown is skipped when popped.  Visiting a vertex pushes each of its
+    unvisited neighbors one bucket up, so there are V + 2E entries in all,
+    and the top bucket falls at most as often as it rises: O((V + E) log V)
+    in time, the logarithm only from ordering ties by id.
+    """
+    count = dict.fromkeys(graph, 0)  # unvisited vertex -> visited neighbors
+    buckets = [sorted(graph)]  # a sorted list is a heap
+    top = 0
+    order: list[int] = []
+    while count:
+        while not buckets[top]:
+            top -= 1
+        v = heapq.heappop(buckets[top])
+        if count.get(v) != top:
+            continue  # visited, or moved to a higher bucket
+        del count[v]
+        order.append(v)
+        for w in graph[v]:
+            c = count.get(w)
+            if c is None:
+                continue
+            count[w] = c = c + 1
+            if c == len(buckets):
+                buckets.append([])
+            heapq.heappush(buckets[c], w)
+            if c > top:
+                top = c
+    return order
+
+
 # -- tree construction -------------------------------------------------------
 
 

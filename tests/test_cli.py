@@ -632,17 +632,19 @@ class TestConsoleScript:
         assert out.stdout == ""
         assert out.stderr == "error: dper bench needs scipy\n"
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KB")
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
     def test_free_as_exist_rss_follows_clause_text(self, tmp_path):
         # 300k clause-free variables are neither planned nor valuated, which
         # would take about 239 MB.  The child reports its own high-water
-        # mark, report printing included.
+        # mark, report printing included: VmHWM, in KB.  Its ru_maxrss would
+        # not do, since Linux carries the peak of the process that spawned
+        # it, this test process, across the exec.
         f = tmp_path / "wide.cnf"
         f.write_text("p cnf 300000 1\ne 1 0\n1 0\n")
-        code = ("import resource, sys; from dper import cli; "
+        code = ("import sys; from dper import cli; "
                 "code = cli.main(['solve', '--free-as-exist', '--input', "
-                "sys.argv[1]]); print(resource.getrusage("
-                "resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
+                "sys.argv[1]]); print(open('/proc/self/status').read()"
+                ".split('VmHWM:')[1].split()[0], file=sys.stderr); "
                 "sys.exit(code)")
         out = subprocess.run([sys.executable, "-c", code, str(f)],
                              capture_output=True, text=True)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from dper.executor import solve, tree_var_order, valuate
+from dper.executor import diagram_var_order, solve, valuate
 from dper.formula import Problem, condition, parse_problem
 from dper.pbf import ONE, ZERO, DiagramStore, PbFunc
 from dper.planner import plan
@@ -52,13 +52,14 @@ class ExactStore(DiagramStore):
 
 
 def exact_value(p: Problem) -> Fraction:
-    """The exact maximum of p, from a tree planned for it."""
+    """The exact maximum of p, from a tree planned for it, on diagrams in
+    the order a diagram solve uses."""
     if () in p.clauses:
         return Fraction(0)
     if not p.clauses:
         return Fraction(1)
     t = plan(p)
-    f = valuate(p, t, t.root, [], ExactStore(tree_var_order(p, t)))
+    f = valuate(p, t, t.root, [], ExactStore(diagram_var_order(p, t)))
     value = f.evaluate({})
     assert isinstance(value, Fraction)  # one float anywhere makes it a float
     return value

@@ -7,13 +7,14 @@ import time
 import pytest
 
 from dper import cli, executor, oracle, pbf
+from dper.dense import DenseStore
 from dper.executor import (DebugAssertionError, debug_assert_mode,
-                           monolithic_tree, solve, solve_monolithic,
-                           tree_var_order, valuate)
-from dper.formula import parse_problem, serialize
+                           diagram_var_order, monolithic_tree, solve,
+                           solve_monolithic, tree_var_order, valuate)
+from dper.formula import parse_problem, primal_graph, serialize
 from dper.gen import band_instance, random_instance
 from dper.pbf import DeadlineExceeded, DiagramStore, ResourceLimitError
-from dper.planner import (HEURISTICS, TreeError, check_tree, plan,
+from dper.planner import (HEURISTICS, TreeError, check_tree, mcs_order, plan,
                           table_entries)
 from dper.planner import width as tree_width
 
@@ -265,6 +266,24 @@ class TestDense:
             fits = table_entries(t, p) < executor.DENSE_MAX_WORK
             assert fits == (kind == "dense")
             assert solve(p, t).stats.executor == kind
+
+    def test_each_store_builds_only_its_order(self, monkeypatch):
+        # tables take the tree's projection order, diagrams the MCS order on
+        # the primal graph, and neither branch builds the other's
+        built = []
+        for name in ("tree_var_order", "mcs_order"):
+            real = getattr(executor, name)
+            monkeypatch.setattr(executor, name,
+                                lambda *a, real=real, name=name:
+                                built.append(name) or real(*a))
+        for window, kind, order in ((13, "dense", "tree_var_order"),
+                                    (14, "diagram", "mcs_order")):
+            p = band_instance(random.Random(window), window)
+            t = plan(p)
+            built.clear()
+            store = executor.choose_store(p, t)
+            assert (store.name, built) == (kind, [order])
+        assert store.order.variables == tuple(mcs_order(primal_graph(p)))
 
     def test_needs_no_numpy(self, example, monkeypatch):
         monkeypatch.setitem(sys.modules, "numpy", None)
@@ -526,6 +545,43 @@ class TestDebugAssertMode:
         assert (e.point, e.node, e.var) == ("maximizer", None, 3)
         assert "sign depends on unassigned [5]" in str(e)
         ctx.picking(f.dsgn(3), {5: True})  # once 5 is assigned it passes
+
+    @pytest.mark.parametrize("kernel", [DenseStore, DiagramStore],
+                             ids=STORES)
+    def test_store_agreement_catches_a_wrong_kernel(self, kernel,
+                                                    monkeypatch):
+        # p and 1 - p swapped in one store's randomized projection: each
+        # annotated check compares that store with itself and passes, and
+        # only the second solve, on the other store, can disagree
+        real = kernel.rand_project
+        monkeypatch.setattr(kernel, "rand_project",
+                            lambda self, f, x, p: real(self, f, x, 1.0 - p))
+        tripped = 0
+        for i in range(100):
+            p = random_instance(random.Random(20260810 + i))
+            try:
+                debug_assert_mode(p, plan(p))
+            except DebugAssertionError as e:
+                assert e.point == "store-agreement"
+                assert "dense gives" in str(e) and ", diagram " in str(e)
+                tripped += 1
+        assert tripped > 0
+
+    @pytest.mark.parametrize("store", STORES)
+    def test_clause_free_projection_has_a_level(self, store, monkeypatch):
+        # a corrupted tree projecting a variable that occurs in no clause
+        # trips the root's post-condition on either store, not a missing
+        # diagram level
+        used = on_store(monkeypatch, store)
+        p = parse_problem("p cnf 3 1\ne 1 2 3 0\n1 2 0\n")
+        bad = plan(p)
+        bad.nodes[bad.root].projected |= {3}
+        assert diagram_var_order(p, bad).variables == (1, 2, 3)
+        with pytest.raises(DebugAssertionError) as info:
+            debug_assert_mode(p, bad, validate=False)
+        assert (info.value.point, info.value.node) == ("post-condition",
+                                                        bad.root)
+        assert used == [store]
 
     @pytest.mark.usefixtures("diagrams")
     def test_node_limit(self, example):

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dper.executor import solve, tree_var_order
+from dper.executor import diagram_var_order, solve, tree_var_order
 from dper.formula import Problem, parse_problem, primal_graph, validate
 from dper.gen import band_instance, random_instance
 from dper.pbf import DeadlineExceeded
 from dper.planner import (HEURISTICS, PjNode, PjTree, TreeError,
                           build_graded_tree, check_tree,
-                          elimination_order, plan, read_tree, table_entries,
-                          width, write_tree)
+                          elimination_order, mcs_order, plan, read_tree,
+                          table_entries, width, write_tree)
 
 import test_executor as exec_tests
 
@@ -107,8 +107,10 @@ class TestBuildGradedTree:
                 t = plan(padded, h)
                 assert (write_tree(t, padded).splitlines()[1:]
                         == write_tree(plan(p, h), p).splitlines()[1:])
-                order = tree_var_order(padded, t).variables
-                assert sorted(order) == sorted(p.all_clause_vars())
+                for order in (tree_var_order(padded, t),
+                              diagram_var_order(padded, t)):
+                    assert sorted(order.variables) == sorted(
+                        p.all_clause_vars())
 
 
 class TestChecks:
@@ -552,3 +554,63 @@ class TestIncrementalOrder:
             build_graded_tree(p, order, deadline=past)
         with pytest.raises(DeadlineExceeded):
             plan(p, deadline=past)
+
+
+def _naive_mcs(graph):
+    """The quadratic search `mcs_order` must reproduce exactly: every step
+    scans all unvisited vertices for the most visited neighbors, ties to the
+    lowest id."""
+    count = dict.fromkeys(graph, 0)
+    order = []
+    while count:
+        v = min(count, key=lambda u: (-count[u], u))
+        del count[v]
+        order.append(v)
+        for w in graph[v]:
+            if w in count:
+                count[w] += 1
+    return order
+
+
+class TestMcsOrder:
+    @staticmethod
+    def order_of(text):
+        return mcs_order(primal_graph(parse_problem(text)))
+
+    def test_worked_example_by_hand(self, example):
+        # edges 2-4, 1-6, 3-5: start at 1, then its neighbor 6; the next
+        # component starts at 2, then 4; the last at 3, then 5
+        assert mcs_order(primal_graph(example)) == [1, 6, 2, 4, 3, 5]
+
+    def test_most_visited_neighbors_beat_lower_ids(self):
+        # after 1 and 4, vertex 5 has two visited neighbors and 2 one; after
+        # 5, vertices 2 and 3 have one each and the tie goes to 2
+        text = "p cnf 5 4\ne 1 2 3 4 5 0\n1 4 5 0\n2 4 0\n3 5 0\n2 3 0\n"
+        assert self.order_of(text) == [1, 4, 5, 2, 3]
+
+    def test_unit_clauses_and_components(self):
+        # components {4, 6}, {1, 7} and the unit clause {2}, each started at
+        # its lowest id once the one before is done; the clause-free 3 and 5
+        # are not in the primal graph
+        text = "p cnf 7 4\ne 1 2 3 4 5 6 7 0\n4 6 0\n7 -1 0\n2 0\n-6 0\n"
+        assert self.order_of(text) == [1, 7, 2, 4, 6]
+        assert self.order_of("p cnf 5 2\ne 1 2 3 4 5 0\n5 0\n-2 0\n") == [2, 5]
+
+    def test_empty_formula(self):
+        assert self.order_of("p cnf 3 0\ne 1 2 3 0\n") == []
+        assert mcs_order({}) == []
+
+    def test_permutation_of_the_clause_variables(self, example):
+        rng = random.Random(20260810)
+        for p in [example] + [random_instance(rng) for _ in range(200)]:
+            assert sorted(mcs_order(primal_graph(p))) == sorted(
+                p.all_clause_vars())
+
+    def test_matches_naive_search(self):
+        # the 5120-variable band planned and solved in CI, and fuzz instances
+        problems = [band_instance(random.Random(7), 8, 640)]
+        rng = random.Random(20260810)
+        problems += [random_instance(rng) for _ in range(200)]
+        for p in problems:
+            g = primal_graph(p)
+            assert mcs_order(g) == _naive_mcs(g)
