@@ -3,7 +3,8 @@
 Every way a run can fail maps, through the one table `FAILURES`, to a report
 status and an exit code: 0 `ok`, 1 `input-error` (a bad option, environment
 setting or input file, a file that is not UTF-8 included), 2 `deadline`, 3
-`resource` (the diagram node cap).  `solve`, `plan` and `oracle` each print
+`resource` (the diagram node cap, or a diagram too deep for the
+interpreter's recursion limit).  `solve`, `plan` and `oracle` each print
 one report through `_finish`.  A usage error (a missing `--input`, an unknown
 option), a bad option value or a bad environment setting is found before any
 report exists and prints only its `error:` line.  The wall-clock deadline
@@ -69,6 +70,7 @@ FAILURES: dict[type[Exception], tuple[str, int]] = {
     UsageError: ("input-error", 1),
     DeadlineExceeded: ("deadline", 2),
     ResourceLimitError: ("resource", 3),
+    RecursionError: ("resource", 3),  # only the diagram kernel recurses
 }
 _FAILURE_TYPES = tuple(FAILURES)
 _EXIT_CODES = {"ok": 0, **dict(FAILURES.values())}
@@ -77,7 +79,10 @@ _EXIT_CODES = {"ok": 0, **dict(FAILURES.values())}
 def _fail(report: dict, e: Exception) -> dict:
     """Record failure `e` in `report` under its status from FAILURES."""
     cls = next(c for c in type(e).__mro__ if c in FAILURES)
-    report.update(status=FAILURES[cls][0], error=str(e))
+    error = str(e)
+    if cls is RecursionError:
+        error = f"a decision diagram is too deep for the recursion limit ({e})"
+    report.update(status=FAILURES[cls][0], error=error)
     return report
 
 

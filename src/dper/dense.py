@@ -39,11 +39,10 @@ node.
 from __future__ import annotations
 
 import sys
-import time
 from operator import mul
 from typing import Callable, Iterable
 
-from .pbf import DeadlineExceeded, PbFunc, VarOrder
+from .pbf import PbFunc, VarOrder, poll_deadline
 
 _MIN_NORMAL = sys.float_info.min
 
@@ -164,10 +163,6 @@ class DenseStore:
         self.deadline = deadline
         self.underflow = False
 
-    def _poll_deadline(self):
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise DeadlineExceeded("deadline hit during execution")
-
     def constant(self, c: float) -> PbFunc:
         if not 0.0 <= c <= 1.0:
             raise ValueError(f"a table entry must lie in [0, 1], got {c}")
@@ -176,7 +171,7 @@ class DenseStore:
     def clause_func(self, clause: Iterable[int]) -> PbFunc:
         """0/1 table of a disjunction of signed literals, each variable once;
         an empty clause gives constant 0."""
-        self._poll_deadline()
+        poll_deadline(self.deadline, "execution")
         lits = sorted(clause, key=lambda l: self.rank(abs(l)))
         entries = [1.0] * (1 << len(lits))
         falsified = 0  # the one assignment that falsifies every literal
@@ -189,7 +184,7 @@ class DenseStore:
     def node_done(self, live: Callable[[], Iterable[PbFunc]]):
         """End of a tree node.  Dead tables are freed as soon as nothing
         refers to them, so `live` is not needed; only the deadline is polled."""
-        self._poll_deadline()
+        poll_deadline(self.deadline, "execution")
 
     # -- the operations PbFunc delegates to, on tables -------------------------
 

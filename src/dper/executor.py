@@ -32,11 +32,11 @@ contract and nothing more:
   `pbf.DsgnFunc`), `evaluate`, `support` and `support_size` (the true
   support and its size) and `support_bound` (an O(1) upper bound on it).
 
-The debug run uses the store `solve` would choose, then solves again on the
-other store and requires the same maximum and maximizer.  Its checks use
-this contract plus two store methods on handles: `approx_equal(f, g, tol)`,
-pointwise |f - g| <= tol, and `value_range(f)`, the least and the greatest
-value of f.
+The debug run observes a run on dense tables, then solves again on
+diagrams and requires the same maximum and maximizer; it returns the run on
+the store `solve` would choose.  Its checks use this contract plus two
+table-store methods on handles: `approx_equal(f, g, tol)`, pointwise
+|f - g| <= tol, and `value_range(f)`, the least and the greatest value of f.
 """
 
 from __future__ import annotations
@@ -127,12 +127,10 @@ def tree_var_order(p: Problem, t: PjTree) -> VarOrder:
 
 def diagram_var_order(p: Problem, t: PjTree) -> VarOrder:
     """Diagram order: maximum-cardinality search on the primal graph
-    (`planner.mcs_order`), then, ascending, any variable the tree projects
-    that occurs in no clause.  Only a malformed tree projects one; the
-    annotated debug run reports it."""
-    seq = mcs_order(primal_graph(p))
-    projected = set().union(*(n.projected for n in t.nodes.values()))
-    return VarOrder(seq + sorted(projected.difference(seq)))
+    (`planner.mcs_order`).  It has a level for every clause variable, so a
+    tree that projects any other variable is malformed; the annotated debug
+    run, on tables, rejects it."""
+    return VarOrder(mcs_order(primal_graph(p)))
 
 
 def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc], store,
@@ -152,8 +150,8 @@ def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc], store,
     An observer `obs`, if given, is called at five points of node `nid`:
     `enter(nid)`; `joined(nid, prev, h, f)` after each `f = prev.join(h)`;
     `joins_done(nid, f)` after an internal node's joins; `projected(nid, x,
-    prev, f)` after each projection of `x`; and `leave(nid, f)`.  Its
-    `live()` gives the functions it still needs, which stay live too.
+    prev, f)` after each projection of `x`; and `leave(nid, f)`.  Its own
+    functions are not kept live, so it observes tables only, which stay valid.
     """
 
     def note(f):
@@ -161,8 +159,7 @@ def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc], store,
             stats.max_support = max(stats.max_support, f.support_size())
 
     def live():
-        return chain(done, (f,), (s.f for s in sigma),
-                     obs.live() if obs is not None else ())
+        return chain(done, (f,), (s.f for s in sigma))
 
     done = []  # valuations whose parent is still ahead
     for nid in t.postorder(v):
@@ -296,28 +293,30 @@ def solve_monolithic(p: Problem, *, node_limit: int | None = None,
 class _DebugContext:
     """Observer for the annotated run: eliminated set E and active multiset A.
 
-    At every join/project/post point of `valuate` it checks that the product
-    of the active functions equals the reference function obtained by
-    projecting the eliminated variables out of the fully joined formula.
-    Equality is pointwise within a tolerance because the two sides multiply in
-    different orders.  Entering a node or leaving a leaf checks nothing: the
-    product of A (entering adds a constant 1) and E are those the last check
-    passed, or before the first node the clause product the reference
-    starts from.  Around each pick of
-    `_replay_stack` it checks that tau maximizes the formula with the
-    still-eliminated variables projected out; what reads tau is checked before
-    the pick, so a sign that would read an unassigned variable fails here
-    and not in `pick`.
+    It observes a run on dense tables.  At every join and projection point
+    of `valuate` it checks that the product of the active functions equals
+    the reference function: the fully joined formula with the eliminated
+    variables projected out, rebuilt only when E changes.  Equality is
+    pointwise within a tolerance because the two sides multiply in different
+    orders.  Entering or leaving a node checks nothing more: the product of A
+    (entering adds a constant 1) and E are those the last check passed, or
+    before the first node the clause product the reference starts from, since
+    a table store's step after a node only polls the deadline.  Leaving the
+    root checks that E holds every clause variable and that the root's value
+    is constant.  Around each pick of `_replay_stack` it checks that tau
+    maximizes the formula with the still-eliminated variables projected out;
+    what reads tau is checked before the pick, so a sign that would read an
+    unassigned variable fails here and not in `pick`.
 
     A is a list of functions, matched by handle or else by pointwise
-    equality: a table store makes a fresh table for every constant and
-    clause.  On diagrams, hash consing makes the two the same.
+    equality, since a table store makes a fresh table for every constant and
+    clause.
 
     Both sides of every check come from the same store's arithmetic, so
     these checks test the tree, not the store: a wrong projection kernel
     passes every one of them.  `debug_assert_mode`'s store-agreement check,
-    which solves again on the other store, catches such a kernel when it
-    moves the maximum or the maximizer.
+    which solves again on diagrams, catches such a kernel when it moves the
+    maximum or the maximizer.
     """
 
     def __init__(self, p: Problem, t: PjTree, store):
@@ -326,14 +325,10 @@ class _DebugContext:
         self.store = store
         self.width = tree_width(t, p)
         self.active = [store.clause_func(c) for c in p.clauses]
-        self.joined_all = self.active_product()
+        self.joined_all = self.reference = self.active_product()
         self.eliminated: set[int] = set()
 
-    def live(self) -> list[PbFunc]:
-        """The fully joined formula and every active function."""
-        return [self.joined_all, *self.active]
-
-    def reference(self) -> PbFunc:
+    def project_eliminated(self) -> PbFunc:
         g = self.joined_all
         for y in sorted(self.eliminated & self.p.Y):
             g = g.rand_project(y, self.p.pr[y])
@@ -367,8 +362,8 @@ class _DebugContext:
                                       detail=f"values [{lo}, {hi}] outside [0, 1]")
 
     def check(self, point: str, node=None, var=None):
-        lhs, rhs = self.active_product(), self.reference()
-        if not self.store.approx_equal(lhs.root, rhs.root, DEBUG_TOL):
+        if not self.store.approx_equal(self.active_product().root,
+                                       self.reference.root, DEBUG_TOL):
             raise DebugAssertionError(point, node, var,
                                       detail="active product diverged from "
                                              "projected formula")
@@ -385,12 +380,11 @@ class _DebugContext:
 
     def projected(self, node, x: int, prev: PbFunc, f: PbFunc):
         self.eliminated.add(x)
+        self.reference = self.project_eliminated()
         self.replace_active((prev,), f, "project-condition", node, x)
         self.check("project-condition", node, x)
 
     def leave(self, node, f: PbFunc):
-        if not self.t.nodes[node].is_leaf:
-            self.check("post-condition", node)
         if node == self.t.root and self.eliminated != self.p.all_clause_vars():
             raise DebugAssertionError(
                 "post-condition", node,
@@ -413,7 +407,7 @@ class _DebugContext:
 
     def picked(self, entry: DsgnFunc, tau: dict[int, bool]):
         self.eliminated.discard(entry.var)
-        g = self.reference()
+        self.reference = g = self.project_eliminated()
         value, best = g.evaluate(tau), self.store.value_range(g.root)[1]
         if abs(value - best) > DEBUG_TOL:
             raise DebugAssertionError(
@@ -430,32 +424,32 @@ def debug_assert_mode(p: Problem, t: PjTree, *, validate: bool = True,
     guarded by a cap of DEBUG_VAR_CAP variables; values are compared within
     DEBUG_TOL.  With validate=True the structural tree checks run first;
     either way a corrupted tree trips an assertion before any answer is
-    returned.  The run uses the store `solve` would choose.  Then the tree
-    is solved again, unobserved, on the other store (tables in the tree's
-    order, or diagrams in the MCS order): the stores promise bit-identical
-    values, so the two maxima (`float.hex`) and maximizers must be equal,
-    else the "store-agreement" assertion trips.  `node_limit` and `deadline`
-    act as in `solve`; on diagrams the limit also counts the nodes the
-    checks create.  The second solve polls the deadline but is not held to
-    the limit, so a table run is never stopped by it; under DEBUG_VAR_CAP
-    its diagrams stay small.
+    returned.  The annotated run is on dense tables in the tree's order.
+    Then the tree is solved again, unobserved, on diagrams in the MCS order:
+    the stores promise bit-identical values, so the two maxima (`float.hex`)
+    and maximizers must be equal, else the "store-agreement" assertion
+    trips.  Of the two runs, the one on the store `solve` would choose
+    (`choose_store`) is returned and is held to `node_limit`, so its stats
+    and limits are a plain solve's; the other is not held to the limit, and
+    under DEBUG_VAR_CAP its diagrams stay small.  Both poll `deadline`.
     """
     if len(p.quantified) > DEBUG_VAR_CAP:
         raise ValueError(f"{len(p.quantified)} variables exceed the debug cap "
                          f"{DEBUG_VAR_CAP}")
     if validate:
         check_tree(t, p)
-    store = choose_store(p, t, node_limit, deadline)
-    r = _run(p, t, store, _DebugContext(p, t, store))
-    other = _make_store(store.name != "dense", p, t, None, deadline)
-    o = _run(p, t, other)
+    chosen = choose_store(p, t, node_limit, deadline)
+    on_tables = chosen.name == "dense"
+    dense = chosen if on_tables else _make_store(True, p, t, None, deadline)
+    r = _run(p, t, dense, _DebugContext(p, t, dense))
+    diagram = _make_store(False, p, t, None, deadline) if on_tables else chosen
+    o = _run(p, t, diagram)
     if (r.maximum.hex(), r.maximizer) != (o.maximum.hex(), o.maximizer):
         raise DebugAssertionError(
             "store-agreement",
-            detail=f"{store.name} gives {r.maximum.hex()} at "
-                   f"{_true_vars(r.maximizer)}, {other.name} "
-                   f"{o.maximum.hex()} at {_true_vars(o.maximizer)}")
-    return r
+            detail=f"dense gives {r.maximum.hex()} at {_true_vars(r.maximizer)}, "
+                   f"diagram {o.maximum.hex()} at {_true_vars(o.maximizer)}")
+    return r if on_tables else o
 
 
 def _true_vars(tau: dict[int, bool]) -> list[int]:

@@ -43,8 +43,8 @@ at a time; diagrams are immutable once created.
 PbFunc is the function type of every store the executor runs on: it holds
 its store and a handle, and its operations go to the store, which carries
 them out on handles.  Here a handle is a node; in `dense.DenseStore` it is
-a table.  Both stores also give `approx_equal` and `value_range` on
-handles, for the annotated debug run.
+a table.  Only the table store gives `approx_equal` and `value_range` on
+handles: the annotated debug run observes tables alone.
 """
 
 from __future__ import annotations
@@ -77,7 +77,14 @@ class ResourceLimitError(Exception):
 
 
 class DeadlineExceeded(Exception):
-    """Wall-clock deadline hit during execution."""
+    """Wall-clock deadline hit during planning or execution."""
+
+
+def poll_deadline(deadline: float | None, phase: str):
+    """Raise DeadlineExceeded, naming `phase`, once `deadline` (a
+    time.monotonic() value) has passed."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise DeadlineExceeded(f"deadline hit during {phase}")
 
 
 class VarOrder:
@@ -119,7 +126,6 @@ class DiagramStore:
         if len(order) >= 1 << HANDLE_BITS:
             raise ValueError(f"{len(order)} variables exceed the level range")
         self.order = order
-        self.node_limit = node_limit
         self.deadline = deadline
         self._cap = 1 << HANDLE_BITS
         if node_limit is not None:
@@ -154,7 +160,7 @@ class DiagramStore:
         if free:
             h = free.pop()
             if len(free) % self._CHECK_EVERY == 0:
-                self._poll_deadline()
+                poll_deadline(self.deadline, "execution")
             self._lev[h] = level
             self._lo[h] = lo
             self._hi[h] = hi
@@ -167,17 +173,13 @@ class DiagramStore:
             raise ResourceLimitError(f"diagram store would hold more than "
                                      f"{self._cap} nodes")
         if h % self._CHECK_EVERY == 0:
-            self._poll_deadline()
+            poll_deadline(self.deadline, "execution")
         self._lev.append(level)
         self._lo.append(lo)
         self._hi.append(hi)
         self._val.append(value)
         self._sup.append(sup)
         return h
-
-    def _poll_deadline(self):
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise DeadlineExceeded("deadline hit during execution")
 
     def _terminal(self, value: float) -> int:
         h = self._terms.get(value)
@@ -384,49 +386,6 @@ class DiagramStore:
         return self._sup[f].bit_count()
 
     support_bound = support_size  # exact here; a dense table's axes bound it
-
-    def _reachable(self, f: int) -> list[int]:
-        """Handles of every node under f, f included, each once."""
-        seen = {f}
-        stack = [f]
-        while stack:
-            h = stack.pop()
-            if self._lev[h] != self._tlev:
-                for c in (self._lo[h], self._hi[h]):
-                    if c not in seen:
-                        seen.add(c)
-                        stack.append(c)
-        return sorted(seen)
-
-    def value_range(self, f: int) -> tuple[float, float]:
-        """The least and the greatest value of f: every terminal under f is
-        the value of some assignment."""
-        values = [self._val[h] for h in self._reachable(f)
-                  if self._lev[h] == self._tlev]
-        return min(values), max(values)
-
-    def approx_equal(self, f: int, g: int, tol: float) -> bool:
-        """Pointwise |f - g| <= tol, by simultaneous traversal."""
-        lev, lo, hi = self._lev, self._lo, self._hi
-        memo: dict[tuple[int, int], bool] = {}
-
-        def rec(a: int, b: int) -> bool:
-            if a == b:
-                return True
-            got = memo.get((a, b))
-            if got is not None:
-                return got
-            la, lb = lev[a], lev[b]
-            if la == lb == self._tlev:
-                ok = abs(self._val[a] - self._val[b]) <= tol
-            else:
-                a0, a1 = (lo[a], hi[a]) if la <= lb else (a, a)
-                b0, b1 = (lo[b], hi[b]) if lb <= la else (b, b)
-                ok = rec(a0, b0) and rec(a1, b1)
-            memo[(a, b)] = ok
-            return ok
-
-        return rec(f, g)
 
 
 class PbFunc:

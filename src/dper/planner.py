@@ -19,8 +19,8 @@ of a and b and raises fill(a) by |N(a) - N[b]| and fill(b) by |N(b) - N[a]|,
 counted before the edge goes in.  So min-fill plans in time near-linear in
 the number of variables for bounded width.  Ties break to the lowest
 variable id, exactly as a full rescan of the block would, so each heuristic
-gives one plan per formula.  An optional deadline is polled once per
-variable, both while ordering and while building the tree.
+gives one plan per formula.  An optional deadline is polled at every
+variable, while scoring, ordering and building the tree.
 
 Tree file format (text, children listed before parents):
 
@@ -36,11 +36,10 @@ that projects nothing may carry either letter.  `write_tree` writes x there.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, field
 
 from .formula import Problem, primal_graph
-from .pbf import DeadlineExceeded
+from .pbf import poll_deadline
 
 HEURISTICS = ("min-fill", "min-degree", "lex")
 
@@ -186,8 +185,8 @@ def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fi
         goes in.
 
     Ties break to the lowest variable id, which is the heap order.
-    `deadline` (a time.monotonic() value) is polled once per eliminated
-    variable and raises DeadlineExceeded once passed.
+    `deadline` (a time.monotonic() value) is polled once per scored and once
+    per eliminated variable, and raises DeadlineExceeded once passed.
     """
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}; pick from {HEURISTICS}")
@@ -201,15 +200,19 @@ def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fi
 
     order: list[int] = []
     for block in (Y, X):
-        score = {v: score_of(v) for v in adj if v in block}
+        score = {}
+        for v in adj:
+            if v in block:
+                # min-fill scores a long clause's clique for seconds
+                poll_deadline(deadline, "planning")
+                score[v] = score_of(v)
         heap = [(s, v) for v, s in score.items()]
         heapq.heapify(heap)
         while score:
             s, pick = heapq.heappop(heap)
             if score.get(pick) != s:
                 continue  # stale entry
-            if deadline is not None and time.monotonic() > deadline:
-                raise DeadlineExceeded("deadline hit during planning")
+            poll_deadline(deadline, "planning")
             order.append(pick)
             del score[pick]
             for w, d in _eliminate(adj, pick, heuristic).items():
@@ -306,8 +309,7 @@ def build_graded_tree(p: Problem, order: list[int],
             done.append(nid)  # empty clause: constant-0 leaf under the root
 
     for i, x in enumerate(order):
-        if deadline is not None and time.monotonic() > deadline:
-            raise DeadlineExceeded("deadline hit during planning")
+        poll_deadline(deadline, "planning")
         group = buckets[i]
         if not group:
             continue  # x occurs in no clause
@@ -568,7 +570,7 @@ def plan(p: Problem, heuristic: str = "min-fill", *,
          deadline: float | None = None) -> PjTree:
     """Elimination order + bucket elimination in one step.
 
-    `deadline` (a time.monotonic() value) is polled once per variable in
+    `deadline` (a time.monotonic() value) is polled at every variable in
     both steps; DeadlineExceeded is raised once it has passed.
     """
     order = elimination_order(primal_graph(p), p.X, p.Y, heuristic,

@@ -102,6 +102,25 @@ class TestSolveCommand:
         assert report["status"] == "deadline"
         assert report["width"] == 2  # partial stats survive
 
+    def test_deep_diagram_exit_3(self, tmp_path, capsys):
+        # one 300-literal clause is a diagram 300 levels deep, too deep for
+        # the kernel's recursions under a recursion limit of 250
+        lits = " ".join(map(str, range(1, 301)))
+        f = tmp_path / "clause300.cnf"
+        f.write_text(f"p cnf 300 1\nr 0.5 {lits} 0\n{lits} 0\n")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(250)
+        try:
+            code, out, err = run_cli(["solve", "--input", str(f),
+                                      "--heuristic", "lex"], capsys)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 3
+        report = json.loads(out)
+        assert report["status"] == "resource"
+        assert "diagram is too deep for the recursion limit" in report["error"]
+        assert err == f"error: {report['error']}\n"
+
     def test_deadline_covers_planning(self, tmp_path):
         f = tmp_path / "band.cnf"
         f.write_text(serialize(band_instance(random.Random(7), 8, 40)))

@@ -9,8 +9,8 @@ import pytest
 from dper import cli, executor, oracle, pbf
 from dper.dense import DenseStore
 from dper.executor import (DebugAssertionError, debug_assert_mode,
-                           diagram_var_order, monolithic_tree, solve,
-                           solve_monolithic, tree_var_order, valuate)
+                           monolithic_tree, solve, solve_monolithic,
+                           tree_var_order, valuate)
 from dper.formula import parse_problem, primal_graph, serialize
 from dper.gen import band_instance, random_instance
 from dper.pbf import DeadlineExceeded, DiagramStore, ResourceLimitError
@@ -506,19 +506,6 @@ class TestDebugAssertMode:
         assert used == [store]
 
     @pytest.mark.usefixtures("diagrams")
-    @pytest.mark.parametrize("mutate", MUTATIONS,
-                             ids=lambda m: m.__name__)
-    def test_trip_points_hold_under_collection(self, example, mutate,
-                                               monkeypatch):
-        collect_everywhere(monkeypatch)
-        bad = copy.deepcopy(plan(example))
-        mutate(bad)
-        with pytest.raises(DebugAssertionError) as info:
-            debug_assert_mode(example, bad, validate=False)
-        e = info.value
-        assert (e.point, e.node, e.var) == TRIP_POINTS[mutate.__name__]
-
-    @pytest.mark.usefixtures("diagrams")
     def test_fuzz_passes_under_collection(self, monkeypatch):
         collect_everywhere(monkeypatch)
         rng = random.Random(32)
@@ -567,8 +554,51 @@ class TestDebugAssertMode:
                 tripped += 1
         assert tripped > 0
 
+    @pytest.mark.parametrize("fault", ["exists_project", "clause_func"])
+    def test_store_agreement_catches_a_wrong_diagram_kernel(self, fault,
+                                                            monkeypatch):
+        # the annotated run is on tables, so a fault in the diagram kernel
+        # reaches only the second solve: a product in place of the max, or
+        # each clause with its first literal negated
+        if fault == "exists_project":
+            wrong = (lambda self, f, x:
+                     self._abstract(pbf.MUL, f, self.order.rank(x)))
+        else:
+            real = DiagramStore.clause_func
+            wrong = (lambda self, clause:
+                     real(self, [-l for l in clause[:1]] + list(clause[1:])))
+        monkeypatch.setattr(DiagramStore, fault, wrong)
+        tripped = 0
+        for i in range(100):
+            p = random_instance(random.Random(20260810 + i))
+            try:
+                debug_assert_mode(p, plan(p))
+            except DebugAssertionError as e:
+                assert e.point == "store-agreement"
+                tripped += 1
+        assert tripped > 0
+
+    def test_stats_match_a_plain_solve_on_diagrams(self, example,
+                                                   monkeypatch):
+        # the checks run on tables of their own, so they neither add nodes
+        # to the diagram run nor count against its limit
+        monkeypatch.setattr(executor, "DENSE_MAX_WORK", 0)
+        problems = [example] + [random_instance(random.Random(20260810 + i))
+                                for i in range(200)]
+
+        def counts(s):
+            return (s.executor, s.diagram_nodes, s.peak_live_nodes,
+                    s.max_support)
+
+        for i, p in enumerate(problems):
+            t = plan(p)
+            debug = counts(debug_assert_mode(p, t).stats)
+            assert debug == counts(solve(p, t).stats), i
+            assert debug[0] == "diagram"
+
     @pytest.mark.parametrize("store", STORES)
-    def test_clause_free_projection_has_a_level(self, store, monkeypatch):
+    def test_clause_free_projection_trips_the_post_condition(self, store,
+                                                             monkeypatch):
         # a corrupted tree projecting a variable that occurs in no clause
         # trips the root's post-condition on either store, not a missing
         # diagram level
@@ -576,7 +606,6 @@ class TestDebugAssertMode:
         p = parse_problem("p cnf 3 1\ne 1 2 3 0\n1 2 0\n")
         bad = plan(p)
         bad.nodes[bad.root].projected |= {3}
-        assert diagram_var_order(p, bad).variables == (1, 2, 3)
         with pytest.raises(DebugAssertionError) as info:
             debug_assert_mode(p, bad, validate=False)
         assert (info.value.point, info.value.node) == ("post-condition",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dper import planner
 from dper.executor import diagram_var_order, solve, tree_var_order
 from dper.formula import Problem, parse_problem, primal_graph, validate
 from dper.gen import band_instance, random_instance
@@ -554,6 +555,20 @@ class TestIncrementalOrder:
             build_graded_tree(p, order, deadline=past)
         with pytest.raises(DeadlineExceeded):
             plan(p, deadline=past)
+
+    def test_deadline_polled_while_scoring(self, monkeypatch):
+        # min-fill scores every vertex of a block before its first pick; on
+        # one long clause each score walks a clique
+        lits = " ".join(map(str, range(1, 301)))
+        p = parse_problem(f"p cnf 300 1\ne {lits} 0\n{lits} 0\n")
+        scored = []
+        real = planner._fill
+        monkeypatch.setattr(planner, "_fill",
+                            lambda adj, v: scored.append(v) or real(adj, v))
+        with pytest.raises(DeadlineExceeded):
+            elimination_order(primal_graph(p), p.X, p.Y,
+                              deadline=time.monotonic() - 1.0)
+        assert len(scored) <= 1
 
 
 def _naive_mcs(graph):
