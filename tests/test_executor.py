@@ -506,6 +506,22 @@ class TestDebugAssertMode:
         assert used == [store]
 
     @pytest.mark.usefixtures("diagrams")
+    @pytest.mark.parametrize("mutate", MUTATIONS,
+                             ids=lambda m: m.__name__)
+    def test_trip_points_hold_under_collection(self, example, mutate,
+                                               monkeypatch):
+        # the chosen store is diagrams collecting at every boundary; the
+        # annotated checks run on tables of their own, so the trip points
+        # must not move
+        collect_everywhere(monkeypatch)
+        bad = copy.deepcopy(plan(example))
+        mutate(bad)
+        with pytest.raises(DebugAssertionError) as info:
+            debug_assert_mode(example, bad, validate=False)
+        e = info.value
+        assert (e.point, e.node, e.var) == TRIP_POINTS[mutate.__name__]
+
+    @pytest.mark.usefixtures("diagrams")
     def test_fuzz_passes_under_collection(self, monkeypatch):
         collect_everywhere(monkeypatch)
         rng = random.Random(32)
