@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Print one JSON line of answers and solve counters per instance, so that
+two commits can be compared by diffing this script's output.
+
+The instances are the 32 benchmark pool instances (made by
+`perfbench.workloads`, which this script only reads) and
+`dper.gen.random_instance(Random(20260810 + i))` for i < N.  Each is planned
+with min-fill and solved as `dper solve` solves it.  A line holds the
+maximum as `float.hex`, the maximizer as sorted signed literals, and the
+store's counters: executor, diagram_nodes, peak_live_nodes, max_support and
+underflow.
+
+    PYTHONPATH=src python scripts/same_answers.py > answers.jsonl
+    PYTHONPATH=src python scripts/same_answers.py --fuzz 20
+"""
+
+import argparse
+import json
+import random
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # perfbench
+
+from dper import executor, planner  # noqa: E402
+from dper.formula import parse_problem  # noqa: E402
+from dper.gen import random_instance  # noqa: E402
+from perfbench.workloads import WORKLOADS  # noqa: E402
+
+FUZZ_SEED = 20260810
+
+
+def instances(fuzz: int):
+    """(name, Problem) for each pool instance, then each fuzz instance."""
+    for w in WORKLOADS.values():
+        for name, text in w.instances():
+            yield f"{w.name}/{name}", parse_problem(text)
+    for i in range(fuzz):
+        yield f"fuzz/{i}", random_instance(random.Random(FUZZ_SEED + i))
+
+
+def answers(p) -> dict:
+    r = executor.solve(p, planner.plan(p, "min-fill"))
+    s = r.stats
+    return {
+        "maximum": r.maximum.hex(),
+        "maximizer": [v if b else -v for v, b in sorted(r.maximizer.items())],
+        "executor": s.executor,
+        "diagram_nodes": s.diagram_nodes,
+        "peak_live_nodes": s.peak_live_nodes,
+        "max_support": s.max_support,
+        "underflow": s.underflow,
+    }
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--fuzz", type=int, default=600,
+                    help="fuzz instances after the pool (default 600)")
+    args = ap.parse_args()
+    for name, p in instances(args.fuzz):
+        print(json.dumps({"instance": name, **answers(p)}), flush=True)
+
+
+if __name__ == "__main__":
+    main()

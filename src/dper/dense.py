@@ -143,12 +143,17 @@ def _cofactors(t: list, axis: int) -> tuple[list, list]:
 
 
 def _varies(t: list, axis: int) -> bool:
-    """Whether the table `t` differs between its cofactors on `axis`."""
+    """Whether the table `t` differs between its cofactors on `axis`.
+
+    Comparing block by block takes one step per block and comparing by
+    stride one step per entry of a block; each is used where it takes fewer,
+    as in `_repeat_blocks`."""
     size = len(t) >> (axis + 1)
-    if size == 1:
-        return t[0::2] != t[1::2]
-    return any(t[k:k + size] != t[k + size:k + 2 * size]
-               for k in range(0, len(t), 2 * size))
+    step = 2 * size
+    if size * size <= len(t):  # many short blocks, so compare by stride
+        return any(t[k::step] != t[k + size::step] for k in range(size))
+    return any(t[k:k + size] != t[k + size:k + step]
+               for k in range(0, len(t), step))
 
 
 class DenseStore:

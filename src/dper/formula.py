@@ -18,6 +18,7 @@ variable twice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 
@@ -60,14 +61,20 @@ class Problem:
     pr: dict[Variable, float] = field(default_factory=dict)
 
     def clause_vars(self, idx: int) -> frozenset[Variable]:
-        return frozenset(abs(l) for l in self.clauses[idx])
+        return self._clause_vars[idx]
 
     def all_clause_vars(self) -> frozenset[Variable]:
         """Variables that actually occur in some clause (vars of the formula)."""
-        out = set()
-        for c in self.clauses:
-            out.update(abs(l) for l in c)
-        return frozenset(out)
+        return self._all_clause_vars
+
+    # computed on first use: a solve asks for each clause's set several times
+    @cached_property
+    def _clause_vars(self) -> tuple[frozenset[Variable], ...]:
+        return tuple(frozenset(abs(l) for l in c) for c in self.clauses)
+
+    @cached_property
+    def _all_clause_vars(self) -> frozenset[Variable]:
+        return frozenset().union(*self._clause_vars)
 
     @property
     def quantified(self) -> frozenset[Variable]:

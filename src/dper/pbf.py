@@ -24,15 +24,25 @@ executor clears it after every tree node.
 
 `collect(roots)` is a non-moving mark-and-sweep, as in the ADD packages that
 reclaim dead nodes (Sylvan: van Dijk & van de Pol, STTT 2017).  It keeps the
-nodes reachable from the roots, puts every other handle on a free list, and
-`_new` reuses free handles before it grows the arrays.  Live handles never
-move, so functions built before a collection stay valid if and only if they
-are reachable from its roots.  `node_done`, the step an executor takes
-after each tree node, clears the op cache and collects once the store has
-grown by COLLECT_GROWTH times what the last collection kept (and past
+nodes reachable from the roots, marking each once, rebuilds the unique table
+from the keys `_mk` stored when it made them, puts every other handle on a
+free list, and `_new` reuses free handles before it grows the arrays.  Live
+handles never move, so functions built before a collection stay valid if and
+only if they are reachable from its roots.  `node_done`, the step an executor
+takes after each tree node, clears the op cache and collects once the store
+has grown by COLLECT_GROWTH times what the last collection kept (and past
 COLLECT_FLOOR nodes), so collections cost time in proportion to the nodes
 made since the last one.  The node limit caps the nodes held at once: live
 ones plus those not yet reclaimed.
+
+A solve's values all lie in [0, 1]: clauses are 0/1, and a product, a max
+or a rounded convex combination of values in [0, 1] stays there, since
+fl(p*a) + fl((1-p)*b) <= fl(p + fl(1-p)) = 1.  The store's `_unit` flag
+holds while every terminal it has made lies in [0, 1]; the first terminal
+outside clears it for good.  While it holds, `_apply` answers max(f, 0) = f
+and max(f, 1) = 1 at once, without the recursion that would rebuild f, or
+ONE, out of existing nodes; no value, handle or node count changes.  A store
+built with other values keeps the full recursion.
 
 A product or convex combination whose exact value is nonzero but rounds to
 0 or to a subnormal sets the store's `underflow` flag.
@@ -113,9 +123,10 @@ class DiagramStore:
     """Hash-consed node store plus the op cache for one solve.
 
     Handles are indices into parallel arrays: level, low and high child,
-    terminal value and support mask.  The op cache may be cleared at any
-    point without changing results or handles.  A handle on the free list
-    indexes a reclaimed slot whose entries are stale until `_new` reuses it.
+    terminal value, support mask and unique-table key (None on terminals).
+    The op cache may be cleared at any point without changing results or
+    handles.  A handle on the free list indexes a reclaimed slot whose
+    entries are stale until `_new` reuses it.
     """
 
     name = "diagram"  # the executor a solve reports
@@ -136,6 +147,7 @@ class DiagramStore:
         self._hi: list[int] = []
         self._val: list[float] = []
         self._sup: list[int] = []
+        self._key: list[int | None] = []  # each node's unique-table key
         self._masks: dict[int, int] = {}  # each distinct support mask, once
         self._terms: dict[float, int] = {}
         self._unique: dict[int, int] = {}
@@ -147,13 +159,15 @@ class DiagramStore:
         self._reused = 0  # free handles reused before the last collection
         self._peak = 0  # most nodes held at once, as of the last collection
         self._collect_above = COLLECT_FLOOR  # held nodes that trigger `node_done`
+        self._unit = True  # every terminal made so far lies in [0, 1]
         self.underflow = False
         self._terminal(0.0)  # ZERO
         self._terminal(1.0)  # ONE
 
     # -- node construction -------------------------------------------------
 
-    def _new(self, level: int, lo: int, hi: int, value: float, sup: int) -> int:
+    def _new(self, level: int, lo: int, hi: int, value: float, sup: int,
+             key: int | None) -> int:
         # The clock is polled every _CHECK_EVERY appends and every
         # _CHECK_EVERY reuses, counted by array and free-list length.
         free = self._free
@@ -166,6 +180,7 @@ class DiagramStore:
             self._hi[h] = hi
             self._val[h] = value
             self._sup[h] = sup
+            self._key[h] = key
             return h
         # with no free handle every slot is held, so this caps held nodes
         h = len(self._lev)
@@ -179,12 +194,15 @@ class DiagramStore:
         self._hi.append(hi)
         self._val.append(value)
         self._sup.append(sup)
+        self._key.append(key)
         return h
 
     def _terminal(self, value: float) -> int:
         h = self._terms.get(value)
         if h is None:
-            h = self._terms[value] = self._new(self._tlev, -1, -1, value, 0)
+            h = self._terms[value] = self._new(self._tlev, -1, -1, value, 0, None)
+            if not 0.0 <= value <= 1.0:
+                self._unit = False
         return h
 
     def _mk(self, level: int, lo: int, hi: int) -> int:
@@ -195,7 +213,7 @@ class DiagramStore:
         if h is None:
             sup = self._sup[lo] | self._sup[hi] | 1 << level
             sup = self._masks.setdefault(sup, sup)
-            h = self._unique[key] = self._new(level, lo, hi, 0.0, sup)
+            h = self._unique[key] = self._new(level, lo, hi, 0.0, sup, key)
         return h
 
     @property
@@ -240,20 +258,28 @@ class DiagramStore:
         self._cache.clear()
         lev, lo, hi, tlev = self._lev, self._lo, self._hi, self._tlev
         mark = bytearray(len(lev))
-        inner = []  # the marked non-terminals
-        stack = [ZERO, ONE, *roots]
-        while stack:
-            h = stack.pop()
+        mark[ZERO] = mark[ONE] = 1
+        stack = []  # marked handles whose children are not yet marked
+        for h in roots:
             if not mark[h]:
                 mark[h] = 1
-                if lev[h] != tlev:
-                    inner.append(h)
-                    stack.append(lo[h])
-                    stack.append(hi[h])
+                stack.append(h)
+        inner = []  # the marked non-terminals
+        while stack:
+            h = stack.pop()
+            if lev[h] != tlev:
+                inner.append(h)
+                c = lo[h]
+                if not mark[c]:
+                    mark[c] = 1
+                    stack.append(c)
+                c = hi[h]
+                if not mark[c]:
+                    mark[c] = 1
+                    stack.append(c)
         # most nodes are dead, so rebuilding the unique table from the live
         # ones costs less than filtering it
-        self._unique = {(lev[h] << HANDLE_BITS | lo[h]) << HANDLE_BITS | hi[h]: h
-                        for h in inner}
+        self._unique = dict(zip(map(self._key.__getitem__, inner), inner))
         self._terms = {v: h for v, h in self._terms.items() if mark[h]}
         self._free = list(compress(range(len(mark)), mark.translate(_NOT)))
         self._free_after = len(self._free)
@@ -298,6 +324,14 @@ class DiagramStore:
                 return ZERO
         elif f == g:
             return f
+        elif op == MAX and self._unit:
+            # every value lies in [0, 1]: max(f, 0) = f and max(f, 1) = 1
+            if f == ONE or g == ONE:
+                return ONE
+            if f == ZERO:
+                return g
+            if g == ZERO:
+                return f
         lev = self._lev
         lf, lg = lev[f], lev[g]
         tlev = self._tlev

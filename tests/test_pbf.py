@@ -1,10 +1,11 @@
 import math
+import random
 import time
 
 import pytest
 
-from dper.pbf import (DeadlineExceeded, DiagramStore, ResourceLimitError,
-                      VarOrder)
+from dper.pbf import (HANDLE_BITS, MAX, ONE, ZERO, DeadlineExceeded,
+                      DiagramStore, PbFunc, ResourceLimitError, VarOrder)
 
 from conftest import (all_assignments, assert_diagram_matches_table,
                       diagram_from_table, fresh_store, tbl_from_rows)
@@ -119,6 +120,50 @@ class TestExistsProject:
         # max over var 1 of (1 or 2) is constantly true
         assert f.exists_project(1) == st.constant(1.0)
         assert f.exists_project(1).support == frozenset()
+
+
+class TestMaxShortCut:
+    """While every terminal lies in [0, 1], max against ZERO or ONE is
+    answered at once; other stores take the full recursion."""
+
+    @staticmethod
+    def spy(st):
+        """The list of `_apply` calls the store makes from now on."""
+        calls = []
+        apply = st._apply
+
+        def counted(op, f, g):
+            calls.append((op, f, g))
+            return apply(op, f, g)
+
+        st._apply = counted
+        return calls
+
+    def test_unit_store_does_not_recurse(self):
+        st = fresh_store([1, 2, 3])
+        f = st.clause_func((1, -2)).join(st.clause_func((2, 3)))
+        f = f.rand_project(2, 0.3).root
+        assert st._unit
+        calls = self.spy(st)
+        assert st._apply(MAX, f, ZERO) == f
+        assert st._apply(MAX, ZERO, f) == f
+        assert st._apply(MAX, f, ONE) == ONE
+        assert st._apply(MAX, ONE, f) == ONE
+        assert len(calls) == 4
+
+    def test_terminal_outside_unit_interval_keeps_recursion(self):
+        st = fresh_store([1, 2])
+        table = tbl_from_rows([1, 2], [-0.5, 0.25, 2.0, 1.0])
+        f = diagram_from_table(st, table)
+        assert not st._unit
+        for c, h in ((0.0, ZERO), (1.0, ONE)):
+            want = (table[0], {k: max(v, c) for k, v in table[1].items()})
+            assert_diagram_matches_table(PbFunc(st, st._apply(MAX, f.root, h)),
+                                         want)
+        st.collect([])  # -0.5 and 2.0 are gone, but the flag stays clear
+        assert set(st._terms) == {0.0, 1.0}
+        st.clause_func((1, 2)).rand_project(1, 0.5).exists_project(2)
+        assert not st._unit
 
 
 class TestRandProject:
@@ -337,6 +382,41 @@ class TestCollect:
         with pytest.raises(DeadlineExceeded):
             chain(st, [2, 4])
         assert len(st._lev) == size  # it fired on the reuse path
+
+    def test_unique_table_holds_the_live_nodes_keys(self):
+        # joins and projections, with collections that free slots for later
+        # nodes to reuse: the unique table must map each live node's key,
+        # recomputed from its level and children, to the node
+        rng = random.Random(3)
+        variables = range(1, 9)
+        st = fresh_store(variables)
+
+        def clause():
+            vs = rng.sample(variables, rng.randint(1, 3))
+            return st.clause_func([v if rng.random() < 0.5 else -v for v in vs])
+
+        pool = [clause() for _ in range(4)]
+        for _ in range(400):
+            f, r = rng.choice(pool), rng.random()
+            if r < 0.35:
+                pool.append(f.join(rng.choice(pool)))
+            elif r < 0.55:
+                pool.append(f.exists_project(rng.choice(variables)))
+            elif r < 0.75:
+                pool.append(f.rand_project(rng.choice(variables),
+                                           rng.choice([0.3, 0.5])))
+            elif r < 0.9:
+                pool.append(clause())
+            else:
+                pool = rng.sample(pool, rng.randint(1, len(pool)))
+                st.collect(g.root for g in pool)
+            inner = {h for g in pool for h in reachable(st, g.root)
+                     if st._lev[h] != st._tlev}
+            keys = {h: (st._lev[h] << HANDLE_BITS | st._lo[h]) << HANDLE_BITS
+                    | st._hi[h] for h in inner}
+            assert st._unique == {k: h for h, k in keys.items()}
+            assert all(st._key[h] == k for h, k in keys.items())
+        assert st.node_count > len(st._lev)  # freed slots were reused
 
     def test_node_limit_counts_held_nodes(self):
         st = DiagramStore(VarOrder(range(1, 10)), node_limit=150)

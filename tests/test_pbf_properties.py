@@ -27,6 +27,7 @@ from conftest import (all_assignments, diagram_from_table, fresh_store,
 VAR_POOL = list(range(1, 11))
 GENERAL_VALUES = [-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0]
 NONNEG_VALUES = [0.0, 0.25, 0.5, 1.0, 2.0]
+UNIT_VALUES = [0.0, 0.25, 0.5, 0.75, 1.0]
 PROBS = [0.0, 0.25, 0.4, 0.5, 0.6, 0.75, 1.0]
 
 CASES = settings(max_examples=500)
@@ -123,6 +124,20 @@ def test_exists_projection_commutes(case):
     got = f.exists_project(x).exists_project(y)
     for assign in all_assignments(ref[0]):
         assert got.evaluate(assign) == tbl_eval(ref, assign)
+
+@CASES
+@given(table_and_two_vars(UNIT_VALUES))
+def test_exists_projection_of_unit_values(case):
+    # values in [0, 1] keep the store's max short-cut on
+    table, x, y = case
+    store = fresh_store(table[0])
+    f = diagram_from_table(store, table)
+    ref = table
+    for v in (x, y):
+        f, ref = f.exists_project(v), tbl_exists(ref, v)
+        for assign in all_assignments(ref[0]):
+            assert f.evaluate(assign) == tbl_eval(ref, assign)
+    assert store._unit
 
 @CASES
 @given(table_and_two_vars(GENERAL_VALUES), st.sampled_from(PROBS),
