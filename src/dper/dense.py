@@ -29,7 +29,8 @@ kernel's, which does the same float arithmetic:
 Each table also keeps `low`, a lower bound on its nonzero entries, so that
 the underflow rule is evaluated entry by entry only when an operation's
 result could fall below the smallest normal number.  Every entry lies in
-[0, 1], which the bound relies on.
+[0, 1], the domain `constant` checks, which the bound and the one-sided
+underflow tests rely on.
 
 The store has no node limit: the executor checks the tree's table entries
 against it before choosing tables.  The deadline is polled at every tree
@@ -38,13 +39,10 @@ node.
 
 from __future__ import annotations
 
-import sys
 from operator import mul
 from typing import Callable, Iterable
 
-from .pbf import PbFunc, VarOrder, poll_deadline
-
-_MIN_NORMAL = sys.float_info.min
+from .pbf import _MIN_NORMAL, PbFunc, VarOrder, poll_deadline
 
 
 class Table:
@@ -218,7 +216,7 @@ class DenseStore:
         r = list(map(mul, x, y))
         low = a.low * b.low
         if low < _MIN_NORMAL and not self.underflow:
-            self.underflow = any(-_MIN_NORMAL < z < _MIN_NORMAL
+            self.underflow = any(z < _MIN_NORMAL
                                  and u != 0.0 and u != 1.0 and v != 0.0 and v != 1.0
                                  for u, v, z in zip(x, y, r))
             low = min(filter(None, r), default=1.0)
@@ -240,7 +238,7 @@ class DenseStore:
         # a nonzero entry is at least its larger term, so at least min(p, q)*low
         low = (min(p, q) if 0.0 < p < 1.0 else 1.0) * a.low
         if low < _MIN_NORMAL and not self.underflow:
-            self.underflow = any(h != l and -_MIN_NORMAL < z < _MIN_NORMAL
+            self.underflow = any(h != l and z < _MIN_NORMAL
                                  and (p and h or q and l)
                                  for h, l, z in zip(hi, lo, r))
             low = min(filter(None, r), default=1.0)

@@ -16,7 +16,6 @@ import numpy as np
 from .formula import Problem
 
 ENUM_GUARD = 24  # enumeration is 2^k; beyond this we refuse to try
-PER_ASSIGNMENT_GUARD = 12
 
 
 class EnumerationGuardError(Exception):
@@ -27,8 +26,6 @@ class EnumerationGuardError(Exception):
 class OracleResult:
     maximum: float
     maximizers: list[dict[int, bool]]    # every optimal existential assignment
-    per_assignment: dict[tuple[bool, ...], float] | None
-    # per_assignment keys follow sorted existential variable order
 
 
 def _y_weight_table(p: Problem, yvars: list[int]) -> np.ndarray:
@@ -127,11 +124,4 @@ def enumerate_solve(p: Problem) -> OracleResult:
         {x: bool((int(m) >> i) & 1) for i, x in enumerate(xvars)}
         for m in argmax_rows
     ]
-    table = None
-    if len(xvars) <= PER_ASSIGNMENT_GUARD:
-        table = {
-            tuple(bool((m >> i) & 1) for i in range(len(xvars))): float(v)
-            for m, v in enumerate(vals)
-        }
-    return OracleResult(maximum=maximum, maximizers=maximizers,
-                        per_assignment=table)
+    return OracleResult(maximum=maximum, maximizers=maximizers)

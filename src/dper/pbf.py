@@ -35,14 +35,12 @@ COLLECT_FLOOR nodes), so collections cost time in proportion to the nodes
 made since the last one.  The node limit caps the nodes held at once: live
 ones plus those not yet reclaimed.
 
-A solve's values all lie in [0, 1]: clauses are 0/1, and a product, a max
-or a rounded convex combination of values in [0, 1] stays there, since
-fl(p*a) + fl((1-p)*b) <= fl(p + fl(1-p)) = 1.  The store's `_unit` flag
-holds while every terminal it has made lies in [0, 1]; the first terminal
-outside clears it for good.  While it holds, `_apply` answers max(f, 0) = f
-and max(f, 1) = 1 at once, without the recursion that would rebuild f, or
-ONE, out of existing nodes; no value, handle or node count changes.  A store
-built with other values keeps the full recursion.
+Every value lies in [0, 1], the one domain of both stores: `constant`
+rejects any other, clauses are 0/1, and a product, a max or a rounded convex
+combination of values in [0, 1] stays there, since
+fl(p*a) + fl((1-p)*b) <= fl(p + fl(1-p)) = 1.  So `_apply` answers
+max(f, 0) = f and max(f, 1) = 1 at once, without the recursion that would
+rebuild f, or ONE, out of existing nodes.
 
 A product or convex combination whose exact value is nonzero but rounds to
 0 or to a subnormal sets the store's `underflow` flag.
@@ -59,7 +57,6 @@ handles: the annotated debug run observes tables alone.
 
 from __future__ import annotations
 
-import math
 import sys
 import time
 from collections import ChainMap
@@ -155,11 +152,9 @@ class DiagramStore:
         self._convex_ops: dict[float, int] = {}
         self._prob: dict[int, float] = {}  # convex op id -> its probability
         self._free: list[int] = []  # reclaimed handles, reused before appending
-        self._free_after = 0  # free handles right after the last collection
-        self._reused = 0  # free handles reused before the last collection
+        self._made = 0  # nodes ever created
         self._peak = 0  # most nodes held at once, as of the last collection
         self._collect_above = COLLECT_FLOOR  # held nodes that trigger `node_done`
-        self._unit = True  # every terminal made so far lies in [0, 1]
         self.underflow = False
         self._terminal(0.0)  # ZERO
         self._terminal(1.0)  # ONE
@@ -168,41 +163,36 @@ class DiagramStore:
 
     def _new(self, level: int, lo: int, hi: int, value: float, sup: int,
              key: int | None) -> int:
-        # The clock is polled every _CHECK_EVERY appends and every
-        # _CHECK_EVERY reuses, counted by array and free-list length.
         free = self._free
         if free:
             h = free.pop()
-            if len(free) % self._CHECK_EVERY == 0:
-                poll_deadline(self.deadline, "execution")
             self._lev[h] = level
             self._lo[h] = lo
             self._hi[h] = hi
             self._val[h] = value
             self._sup[h] = sup
             self._key[h] = key
-            return h
-        # with no free handle every slot is held, so this caps held nodes
-        h = len(self._lev)
-        if h >= self._cap:
-            raise ResourceLimitError(f"diagram store would hold more than "
-                                     f"{self._cap} nodes")
-        if h % self._CHECK_EVERY == 0:
+        else:
+            # with no free handle every slot is held, so this caps held nodes
+            h = len(self._lev)
+            if h >= self._cap:
+                raise ResourceLimitError(f"diagram store would hold more than "
+                                         f"{self._cap} nodes")
+            self._lev.append(level)
+            self._lo.append(lo)
+            self._hi.append(hi)
+            self._val.append(value)
+            self._sup.append(sup)
+            self._key.append(key)
+        self._made += 1
+        if self._made % self._CHECK_EVERY == 0:
             poll_deadline(self.deadline, "execution")
-        self._lev.append(level)
-        self._lo.append(lo)
-        self._hi.append(hi)
-        self._val.append(value)
-        self._sup.append(sup)
-        self._key.append(key)
         return h
 
     def _terminal(self, value: float) -> int:
         h = self._terms.get(value)
         if h is None:
             h = self._terms[value] = self._new(self._tlev, -1, -1, value, 0, None)
-            if not 0.0 <= value <= 1.0:
-                self._unit = False
         return h
 
     def _mk(self, level: int, lo: int, hi: int) -> int:
@@ -219,8 +209,7 @@ class DiagramStore:
     @property
     def node_count(self) -> int:
         """Total nodes ever created (terminals included); monotone."""
-        reused = self._reused + self._free_after - len(self._free)
-        return len(self._lev) + reused
+        return self._made
 
     @property
     def held_count(self) -> int:
@@ -254,7 +243,6 @@ class DiagramStore:
         is invalid afterwards.
         """
         self._peak = self.peak_held
-        self._reused += self._free_after - len(self._free)
         self._cache.clear()
         lev, lo, hi, tlev = self._lev, self._lo, self._hi, self._tlev
         mark = bytearray(len(lev))
@@ -282,7 +270,6 @@ class DiagramStore:
         self._unique = dict(zip(map(self._key.__getitem__, inner), inner))
         self._terms = {v: h for v, h in self._terms.items() if mark[h]}
         self._free = list(compress(range(len(mark)), mark.translate(_NOT)))
-        self._free_after = len(self._free)
 
     def _convex_op(self, p: float) -> int:
         op = self._convex_ops.get(p)
@@ -294,8 +281,8 @@ class DiagramStore:
     # -- public constructors ------------------------------------------------
 
     def constant(self, c: float) -> "PbFunc":
-        if not math.isfinite(c):
-            raise ValueError(f"terminal value must be finite, got {c}")
+        if not 0.0 <= c <= 1.0:
+            raise ValueError(f"a terminal value must lie in [0, 1], got {c}")
         return PbFunc(self, self._terminal(float(c)))
 
     def clause_func(self, clause: Iterable[int]) -> "PbFunc":
@@ -324,7 +311,7 @@ class DiagramStore:
                 return ZERO
         elif f == g:
             return f
-        elif op == MAX and self._unit:
+        elif op == MAX:
             # every value lies in [0, 1]: max(f, 0) = f and max(f, 1) = 1
             if f == ONE or g == ONE:
                 return ONE
@@ -339,15 +326,14 @@ class DiagramStore:
             a, b = self._val[f], self._val[g]
             if op == MUL:
                 r = a * b
-                if r < _MIN_NORMAL and r > -_MIN_NORMAL:  # neither side is ZERO
+                if r < _MIN_NORMAL:  # neither side is ZERO
                     self.underflow = True
                 return self._terminal(r)
             if op == MAX:
                 return self._terminal(max(a, b))
             p = self._prob[op]
             r = p * a + (1.0 - p) * b
-            if (r < _MIN_NORMAL and r > -_MIN_NORMAL
-                    and (p and a or p != 1.0 and b)):
+            if r < _MIN_NORMAL and (p and a or p != 1.0 and b):
                 self.underflow = True
             return self._terminal(r)
         if f > g and op <= MAX:  # product and max commute

@@ -9,18 +9,20 @@ otherwise.  Variables that occur in no clause are in neither the primal
 graph, the order nor the tree (the projection sets partition exactly the
 formula's variables); the executor gives such existential ones value 0.
 
-The elimination order is chosen incrementally.  Each block scores its
-vertices once, keeps a lazy min-heap of (score, variable) entries and, after
-every elimination, adjusts only the scores that elimination changes.  Min-fill
-counts each change from the edit itself: removing the eliminated vertex v
-lowers fill(w) by |N(w) - N[v]| for each neighbor w, and each edge (a, b)
-added to clique-connect N(v) lowers fill(c) by 1 for each common neighbor c
-of a and b and raises fill(a) by |N(a) - N[b]| and fill(b) by |N(b) - N[a]|,
-counted before the edge goes in.  So min-fill plans in time near-linear in
+Lex, whose score is the variable id, orders each block by id without
+touching the graph.  Min-fill and min-degree choose the order
+incrementally.  Each block scores its vertices once, keeps a lazy min-heap
+of (score, variable) entries and, after every elimination, adjusts only the
+scores that elimination changes.  Min-fill counts each change from the edit
+itself: removing the eliminated vertex v lowers fill(w) by |N(w) - N[v]| for
+each neighbor w, and each edge (a, b) added to clique-connect N(v) lowers
+fill(c) by 1 for each common neighbor c of a and b and raises fill(a) by
+|N(a) - N[b]| and fill(b) by |N(b) - N[a]|, counted before the edge goes
+in.  So min-fill plans in time near-linear in
 the number of variables for bounded width.  Ties break to the lowest
 variable id, exactly as a full rescan of the block would, so each heuristic
 gives one plan per formula.  An optional deadline is polled at every
-variable, while scoring, ordering and building the tree.
+variable, while scoring, ordering (once for lex) and building the tree.
 
 Tree file format (text, children listed before parents):
 
@@ -130,18 +132,18 @@ def _fill(adj, v) -> int:
 
 def _eliminate(adj, pick, heuristic: str) -> dict[int, int]:
     """Remove `pick` from `adj` and clique-connect its neighbors; return the
-    change in each touched vertex's score under `heuristic`, min-fill's by
-    the delta rules `elimination_order` states."""
+    change in each touched vertex's score under `heuristic`, min-degree or
+    min-fill, the latter's by the delta rules `elimination_order` states."""
     nbrs = adj.pop(pick)
     delta: dict[int, int] = {}
-    if heuristic != "min-fill":
+    if heuristic == "min-degree":
         for a in nbrs:
             na = adj[a]
             before = len(na)
             na |= nbrs
             na -= {a, pick}
             delta[a] = len(na) - before
-        return delta if heuristic == "min-degree" else {}
+        return delta
     for w in nbrs:
         nw = adj[w]
         nw.discard(pick)
@@ -169,8 +171,9 @@ def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fi
     `graph` is undirected and loop-free, as `primal_graph` builds it.  The
     heuristic scores candidates within the current block on the evolving
     graph (eliminating a vertex clique-connects its neighbors): min-fill by
-    the number of edges that elimination would add, min-degree by degree,
-    lex by the variable id itself.  Each block scores its vertices once at
+    the number of edges that elimination would add, min-degree by degree.
+    Lex needs no graph: its score, the variable id, never changes, so each
+    block is taken in ascending id.  Each block scores its vertices once at
     its start and keeps the scores in a dict and a lazy heap of (score,
     variable) entries; an entry whose score is no longer current is skipped
     when popped.  After each elimination the scores are adjusted, not
@@ -186,17 +189,20 @@ def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fi
 
     Ties break to the lowest variable id, which is the heap order.
     `deadline` (a time.monotonic() value) is polled once per scored and once
-    per eliminated variable, and raises DeadlineExceeded once passed.
+    per eliminated variable, and raises DeadlineExceeded once passed; lex
+    polls it once.
     """
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}; pick from {HEURISTICS}")
+    if heuristic == "lex":
+        poll_deadline(deadline, "planning")
+        return (sorted(v for v in graph if v in Y)
+                + sorted(v for v in graph if v in X))
     adj = {v: set(ns) for v, ns in graph.items()}
     if heuristic == "min-fill":
         score_of = lambda v: _fill(adj, v)
-    elif heuristic == "min-degree":
-        score_of = lambda v: len(adj[v])
     else:
-        score_of = lambda v: v
+        score_of = lambda v: len(adj[v])
 
     order: list[int] = []
     for block in (Y, X):

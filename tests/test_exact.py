@@ -5,9 +5,10 @@ store with rational terminals: every probability is the exact value of its
 double, and products, maxima and convex combinations are computed without
 rounding.  Valuating a tree on it gives the true maximum of the formula as
 written, against which the float solve is checked on the benchmark pools:
-its maximum must be within 1e-12 relative of the exact one, and the exact
-count of the formula conditioned on its maximizer must reach the exact
-maximum within the same tolerance.
+its maximum and the pool's stored reference maximum (`perfbench/refs.json`)
+must be within 1e-12 relative of the exact one, and the exact count of the
+formula conditioned on its maximizer must reach the exact maximum within
+the same tolerance.
 """
 
 import sys
@@ -22,7 +23,7 @@ from dper.pbf import ONE, ZERO, DiagramStore, PbFunc
 from dper.planner import plan
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # for perfbench
-from perfbench.workloads import WORKLOADS, to_er_dimacs  # noqa: E402
+from perfbench.workloads import WORKLOADS, load_refs, to_er_dimacs  # noqa: E402
 
 REL_TOL = 1e-12
 PER_POOL = 2  # instances of each benchmark pool, the first ones
@@ -65,7 +66,9 @@ def exact_value(p: Problem) -> Fraction:
     return value
 
 
-POOL = [pytest.param(make, id=f"{w.name}/{name}")
+REFS = load_refs()
+POOL = [pytest.param(make, REFS[w.name][name]["maximum"],
+                     id=f"{w.name}/{name}")
         for w in WORKLOADS.values() for name, make in w.pool[:PER_POOL]]
 
 
@@ -79,12 +82,13 @@ def test_exact_terminals_stay_exact():
     assert isinstance(1.0 - ExactProb(q), Fraction)
 
 
-@pytest.mark.parametrize("make", POOL)
-def test_float_solve_against_exact(make):
+@pytest.mark.parametrize("make, ref", POOL)
+def test_float_solve_against_exact(make, ref):
     p = parse_problem(to_er_dimacs(make()))
     r = solve(p, plan(p))
     exact = exact_value(p)
     assert exact > 0
     assert abs(Fraction(r.maximum) - exact) <= REL_TOL * exact
+    assert abs(Fraction(ref) - exact) <= REL_TOL * exact
     achieved = exact_value(condition(p, r.maximizer))
     assert abs(achieved - exact) <= REL_TOL * exact

@@ -111,6 +111,25 @@ class TestSolve:
             assert max(values) - min(values) <= 1e-9
 
     @pytest.mark.usefixtures("diagrams")
+    def test_values_stay_in_unit_interval(self, example, monkeypatch):
+        # the diagram kernel's max short-cut relies on every value a solve
+        # makes lying in [0, 1]; `constant` checks only the values that enter
+        made = []
+        terminal = DiagramStore._terminal
+
+        def spy(store, value):
+            made.append(value)
+            return terminal(store, value)
+
+        monkeypatch.setattr(DiagramStore, "_terminal", spy)
+        problems = [example] + [random_instance(random.Random(20260810 + i))
+                                for i in range(200)]
+        for p in problems:
+            solve(p, plan(p))
+        assert len(set(made)) > 100
+        assert all(0.0 <= v <= 1.0 for v in made)
+
+    @pytest.mark.usefixtures("diagrams")
     def test_node_limit(self, example):
         with pytest.raises(ResourceLimitError):
             solve(example, plan(example), node_limit=5)

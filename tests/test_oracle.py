@@ -56,21 +56,6 @@ class TestEnumerateSolve:
         assert res.maximum == weighted_count(p, {})
         assert res.maximum == pytest.approx(0.4 * 0.6)
 
-    def test_per_assignment_table(self, example):
-        res = enumerate_solve(example)
-        assert res.per_assignment is not None
-        assert len(res.per_assignment) == 8
-        # keys follow sorted existential order (1, 3, 5)
-        assert res.per_assignment[(True, True, False)] == 0.75
-        assert max(res.per_assignment.values()) == res.maximum
-
-    def test_per_assignment_skipped_above_guard(self):
-        xs = list(range(1, 14))
-        p = Problem(13, ((1,),), frozenset(xs), frozenset(), {})
-        res = enumerate_solve(p)
-        assert res.per_assignment is None
-        assert res.maximum == 1.0
-
     def test_guard(self):
         vs = list(range(1, 26))
         p = Problem(25, (), frozenset(vs), frozenset(), {})

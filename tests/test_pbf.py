@@ -4,8 +4,9 @@ import time
 
 import pytest
 
+from dper.dense import DenseStore
 from dper.pbf import (HANDLE_BITS, MAX, ONE, ZERO, DeadlineExceeded,
-                      DiagramStore, PbFunc, ResourceLimitError, VarOrder)
+                      DiagramStore, ResourceLimitError, VarOrder)
 
 from conftest import (all_assignments, assert_diagram_matches_table,
                       diagram_from_table, fresh_store, tbl_from_rows)
@@ -36,6 +37,13 @@ class TestConstants:
             st.constant(math.inf)
         with pytest.raises(ValueError):
             st.constant(math.nan)
+
+    def test_outside_unit_interval_rejected(self):
+        # [0, 1] is the one value domain of both stores
+        for st in (fresh_store([1]), DenseStore(VarOrder([1]))):
+            for c in (-0.5, 2.0):
+                with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                    st.constant(c)
 
     def test_terminals_deduplicated(self):
         st = fresh_store([1])
@@ -75,15 +83,16 @@ class TestJoin:
         assert f.join(g) == g.join(f)
 
     def test_four_entry_product(self):
-        # f over {1}: 2, 3; g over {2}: 5, 7 -> products 10, 14, 15, 21
+        # f over {1}: 0.5, 0.75; g over {2}: 0.25, 0.5 -> products 0.125,
+        # 0.25, 0.1875, 0.375, all exact
         st = fresh_store([1, 2])
-        f = diagram_from_table(st, tbl_from_rows([1], [2.0, 3.0]))
-        g = diagram_from_table(st, tbl_from_rows([2], [5.0, 7.0]))
+        f = diagram_from_table(st, tbl_from_rows([1], [0.5, 0.75]))
+        g = diagram_from_table(st, tbl_from_rows([2], [0.25, 0.5]))
         h = f.join(g)
-        assert h.evaluate({1: False, 2: False}) == 10.0
-        assert h.evaluate({1: False, 2: True}) == 14.0
-        assert h.evaluate({1: True, 2: False}) == 15.0
-        assert h.evaluate({1: True, 2: True}) == 21.0
+        assert h.evaluate({1: False, 2: False}) == 0.125
+        assert h.evaluate({1: False, 2: True}) == 0.25
+        assert h.evaluate({1: True, 2: False}) == 0.1875
+        assert h.evaluate({1: True, 2: True}) == 0.375
 
     def test_support_union(self):
         st = fresh_store([1, 2, 3])
@@ -123,8 +132,8 @@ class TestExistsProject:
 
 
 class TestMaxShortCut:
-    """While every terminal lies in [0, 1], max against ZERO or ONE is
-    answered at once; other stores take the full recursion."""
+    """Every value lies in [0, 1], so max against ZERO or ONE is answered
+    at once."""
 
     @staticmethod
     def spy(st):
@@ -143,27 +152,12 @@ class TestMaxShortCut:
         st = fresh_store([1, 2, 3])
         f = st.clause_func((1, -2)).join(st.clause_func((2, 3)))
         f = f.rand_project(2, 0.3).root
-        assert st._unit
         calls = self.spy(st)
         assert st._apply(MAX, f, ZERO) == f
         assert st._apply(MAX, ZERO, f) == f
         assert st._apply(MAX, f, ONE) == ONE
         assert st._apply(MAX, ONE, f) == ONE
         assert len(calls) == 4
-
-    def test_terminal_outside_unit_interval_keeps_recursion(self):
-        st = fresh_store([1, 2])
-        table = tbl_from_rows([1, 2], [-0.5, 0.25, 2.0, 1.0])
-        f = diagram_from_table(st, table)
-        assert not st._unit
-        for c, h in ((0.0, ZERO), (1.0, ONE)):
-            want = (table[0], {k: max(v, c) for k, v in table[1].items()})
-            assert_diagram_matches_table(PbFunc(st, st._apply(MAX, f.root, h)),
-                                         want)
-        st.collect([])  # -0.5 and 2.0 are gone, but the flag stays clear
-        assert set(st._terms) == {0.0, 1.0}
-        st.clause_func((1, 2)).rand_project(1, 0.5).exists_project(2)
-        assert not st._unit
 
 
 class TestRandProject:
@@ -235,8 +229,8 @@ class TestEvaluate:
 
     def test_join_multiplies_pointwise(self):
         st = fresh_store([1, 2, 3])
-        f = diagram_from_table(st, tbl_from_rows([1, 2], [0.5, 1.5, 0.0, 2.0]))
-        g = diagram_from_table(st, tbl_from_rows([2, 3], [1.0, 0.5, 3.0, 0.25]))
+        f = diagram_from_table(st, tbl_from_rows([1, 2], [0.5, 0.75, 0.0, 1.0]))
+        g = diagram_from_table(st, tbl_from_rows([2, 3], [1.0, 0.5, 0.75, 0.25]))
         h = f.join(g)
         for assign in all_assignments([1, 2, 3]):
             assert h.evaluate(assign) == f.evaluate(assign) * g.evaluate(assign)
@@ -324,6 +318,34 @@ def reachable(st, f):
     return seen
 
 
+def random_steps(st, rng, steps=400):
+    """Random joins, projections and clauses over the variables 1..8 of
+    `st`, with collections that free slots for later nodes to reuse;
+    yields the functions kept after each step."""
+    variables = range(1, 9)
+
+    def clause():
+        vs = rng.sample(variables, rng.randint(1, 3))
+        return st.clause_func([v if rng.random() < 0.5 else -v for v in vs])
+
+    pool = [clause() for _ in range(4)]
+    for _ in range(steps):
+        f, r = rng.choice(pool), rng.random()
+        if r < 0.35:
+            pool.append(f.join(rng.choice(pool)))
+        elif r < 0.55:
+            pool.append(f.exists_project(rng.choice(variables)))
+        elif r < 0.75:
+            pool.append(f.rand_project(rng.choice(variables),
+                                       rng.choice([0.3, 0.5])))
+        elif r < 0.9:
+            pool.append(clause())
+        else:
+            pool = rng.sample(pool, rng.randint(1, len(pool)))
+            st.collect(g.root for g in pool)
+        yield pool
+
+
 class TestCollect:
     def test_roots_keep_handles_and_values(self):
         st = fresh_store(range(1, 9))
@@ -384,38 +406,31 @@ class TestCollect:
         assert len(st._lev) == size  # it fired on the reuse path
 
     def test_unique_table_holds_the_live_nodes_keys(self):
-        # joins and projections, with collections that free slots for later
-        # nodes to reuse: the unique table must map each live node's key,
-        # recomputed from its level and children, to the node
-        rng = random.Random(3)
-        variables = range(1, 9)
-        st = fresh_store(variables)
-
-        def clause():
-            vs = rng.sample(variables, rng.randint(1, 3))
-            return st.clause_func([v if rng.random() < 0.5 else -v for v in vs])
-
-        pool = [clause() for _ in range(4)]
-        for _ in range(400):
-            f, r = rng.choice(pool), rng.random()
-            if r < 0.35:
-                pool.append(f.join(rng.choice(pool)))
-            elif r < 0.55:
-                pool.append(f.exists_project(rng.choice(variables)))
-            elif r < 0.75:
-                pool.append(f.rand_project(rng.choice(variables),
-                                           rng.choice([0.3, 0.5])))
-            elif r < 0.9:
-                pool.append(clause())
-            else:
-                pool = rng.sample(pool, rng.randint(1, len(pool)))
-                st.collect(g.root for g in pool)
+        # the unique table must map each live node's key, recomputed from
+        # its level and children, to the node
+        st = fresh_store(range(1, 9))
+        for pool in random_steps(st, random.Random(3)):
             inner = {h for g in pool for h in reachable(st, g.root)
                      if st._lev[h] != st._tlev}
             keys = {h: (st._lev[h] << HANDLE_BITS | st._lo[h]) << HANDLE_BITS
                     | st._hi[h] for h in inner}
             assert st._unique == {k: h for h, k in keys.items()}
             assert all(st._key[h] == k for h, k in keys.items())
+        assert st.node_count > len(st._lev)  # freed slots were reused
+
+    def test_node_count_is_the_nodes_made(self):
+        st = fresh_store(range(1, 9))
+        made = st.node_count  # the terminals ZERO and ONE
+        new = st._new
+
+        def counted(*args):
+            nonlocal made
+            made += 1
+            return new(*args)
+
+        st._new = counted
+        for _ in random_steps(st, random.Random(4)):
+            assert st.node_count == made
         assert st.node_count > len(st._lev)  # freed slots were reused
 
     def test_node_limit_counts_held_nodes(self):

@@ -535,6 +535,18 @@ class TestIncrementalOrder:
         assert (write_tree(plan(p, "min-fill"), p)
                 == write_tree(build_graded_tree(p, ref), p))
 
+    def test_lex_plans_without_eliminating(self, monkeypatch):
+        # lex scores never change, so lex orders by id alone
+        def eliminate(*args):
+            raise AssertionError("lex eliminated a vertex")
+
+        monkeypatch.setattr(planner, "_eliminate", eliminate)
+        for p in self._instances():
+            check_tree(plan(p, "lex"), p)
+        p = band_instance(random.Random(7), 8, 10)
+        with pytest.raises(DeadlineExceeded):
+            plan(p, "lex", deadline=time.monotonic() - 1.0)
+
     def test_min_fill_scales_to_1280_variables(self):
         p = band_instance(random.Random(7), 8, 160)
         assert len(p.quantified) == 1280
