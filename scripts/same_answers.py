@@ -8,7 +8,10 @@ The instances are the 32 benchmark pool instances (made by
 with min-fill and solved as `dper solve` solves it.  A line holds the
 maximum as `float.hex`, the maximizer as sorted signed literals, and the
 store's counters: executor, diagram_nodes, peak_live_nodes, max_support and
-underflow.
+underflow.  Its "diagram" object repeats the maximum, maximizer, node counts
+and max_support of the same tree solved with `executor.DENSE_MAX_WORK = 0`,
+so that the diagram kernel is compared on every instance, not only on those
+`dper solve` runs on diagrams.
 
     PYTHONPATH=src python scripts/same_answers.py > answers.jsonl
     PYTHONPATH=src python scripts/same_answers.py --fuzz 20
@@ -39,8 +42,7 @@ def instances(fuzz: int):
         yield f"fuzz/{i}", random_instance(random.Random(FUZZ_SEED + i))
 
 
-def answers(p) -> dict:
-    r = executor.solve(p, planner.plan(p, "min-fill"))
+def fields(r) -> dict:
     s = r.stats
     return {
         "maximum": r.maximum.hex(),
@@ -51,6 +53,18 @@ def answers(p) -> dict:
         "max_support": s.max_support,
         "underflow": s.underflow,
     }
+
+
+def answers(p) -> dict:
+    t = planner.plan(p, "min-fill")
+    r = executor.solve(p, t)
+    saved, executor.DENSE_MAX_WORK = executor.DENSE_MAX_WORK, 0
+    try:
+        d = fields(executor.solve(p, t))
+    finally:
+        executor.DENSE_MAX_WORK = saved
+    del d["executor"], d["underflow"]
+    return {**fields(r), "diagram": d}
 
 
 def main():

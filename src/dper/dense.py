@@ -24,7 +24,7 @@ kernel's, which does the same float arithmetic:
 - the underflow flag follows the kernel's terminal rule: a product of two
   values outside {0, 1}, or a combination of unequal cofactors with a
   nonzero term, that rounds to 0 or to a subnormal number;
-- `support_size` is the true support: the axes along which the table varies.
+- `support` is the true support: the axes along which the table varies.
 
 Each table also keeps `low`, a lower bound on its nonzero entries, so that
 the underflow rule is evaluated entry by entry only when an operation's
@@ -261,9 +261,6 @@ class DenseStore:
 
     def support(self, a: Table) -> frozenset[int]:
         return frozenset(v for i, v in enumerate(a.vars) if _varies(a.entries, i))
-
-    def support_size(self, a: Table) -> int:
-        return sum(_varies(a.entries, i) for i in range(len(a.vars)))
 
     def support_bound(self, a: Table) -> int:
         """The number of variables, an upper bound on the support size."""

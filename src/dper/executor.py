@@ -41,6 +41,7 @@ table-store methods on handles: `approx_equal(f, g, tol)`, pointwise
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from functools import reduce
@@ -226,7 +227,13 @@ def _run(p: Problem, t: PjTree, store, obs=None) -> SolveResult:
     t0 = time.perf_counter()
     stats = SolveStats()
     sigma: list[DsgnFunc] = []
-    maximum = valuate(p, t, t.root, sigma, store, stats, obs).evaluate({})
+    limit = sys.getrecursionlimit()
+    if isinstance(store, DiagramStore):  # whose kernel recurses per level
+        sys.setrecursionlimit(max(limit, 4 * len(store.order) + 1000))
+    try:
+        maximum = valuate(p, t, t.root, sigma, store, stats, obs).evaluate({})
+    finally:
+        sys.setrecursionlimit(limit)
     tau = _replay_stack(p, sigma, obs)
     stats.executor = store.name
     stats.diagram_nodes = store.node_count

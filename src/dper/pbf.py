@@ -15,25 +15,23 @@ packed ints; handles and levels take HANDLE_BITS each below an unbounded top
 field (the level in a node key, the op id in a cache key), so keys never
 collide.
 
-Each node's support is a bitmask over levels, set once when the node is
-created, so support sizes cost O(1).  Equal masks share one int object: a
-store holds far fewer distinct supports than nodes (1,640 against 106k on
-the largest rand-exist benchmark instance), and an int per node would be
-an eighth of a solve's peak memory.  The op cache only saves work: the
-executor clears it after every tree node.
+A node holds only its level, its children and, on a terminal, its value,
+as in CUDD.  A support is found by one walk; `support_bound` reads a bound
+recorded for each function the store hands out (for a join the union of
+its operands', for a projection its operand's less the variable), so the
+executor's `max_support` stat walks only when the bound passes its running
+maximum.  The op cache only saves work: the executor clears it per tree node.
 
 `collect(roots)` is a non-moving mark-and-sweep, as in the ADD packages that
 reclaim dead nodes (Sylvan: van Dijk & van de Pol, STTT 2017).  It keeps the
 nodes reachable from the roots, marking each once, rebuilds the unique table
-from the keys `_mk` stored when it made them, puts every other handle on a
+from the live nodes' levels and children, puts every other handle on a
 free list, and `_new` reuses free handles before it grows the arrays.  Live
 handles never move, so functions built before a collection stay valid if and
-only if they are reachable from its roots.  `node_done`, the step an executor
-takes after each tree node, clears the op cache and collects once the store
-has grown by COLLECT_GROWTH times what the last collection kept (and past
-COLLECT_FLOOR nodes), so collections cost time in proportion to the nodes
-made since the last one.  The node limit caps the nodes held at once: live
-ones plus those not yet reclaimed.
+only if they are reachable from its roots.  `node_done`, the step after each
+tree node, collects only once the store has grown by COLLECT_GROWTH, so
+collections cost time in proportion to the nodes made since the last one.
+The node limit caps the nodes held at once, unreclaimed dead ones included.
 
 Every value lies in [0, 1], the one domain of both stores: `constant`
 rejects any other, clauses are 0/1, and a product, a max or a rounded convex
@@ -48,11 +46,9 @@ A product or convex combination whose exact value is nonzero but rounds to
 A store and its diagrams belong to a single solve and are used by one worker
 at a time; diagrams are immutable once created.
 
-PbFunc is the function type of every store the executor runs on: it holds
-its store and a handle, and its operations go to the store, which carries
-them out on handles.  Here a handle is a node; in `dense.DenseStore` it is
-a table.  Only the table store gives `approx_equal` and `value_range` on
-handles: the annotated debug run observes tables alone.
+PbFunc is the function type of every store the executor runs on: a store
+and a handle, here a node and in `dense.DenseStore` a table, with the work
+done by the store.
 """
 
 from __future__ import annotations
@@ -119,11 +115,10 @@ class VarOrder:
 class DiagramStore:
     """Hash-consed node store plus the op cache for one solve.
 
-    Handles are indices into parallel arrays: level, low and high child,
-    terminal value, support mask and unique-table key (None on terminals).
-    The op cache may be cleared at any point without changing results or
-    handles.  A handle on the free list indexes a reclaimed slot whose
-    entries are stale until `_new` reuses it.
+    Handles are indices into four parallel arrays: level, low and high
+    child, and terminal value.  The op cache may be cleared at any point
+    without changing results or handles.  A handle on the free list indexes
+    a reclaimed slot whose entries are stale until `_new` reuses it.
     """
 
     name = "diagram"  # the executor a solve reports
@@ -143,16 +138,14 @@ class DiagramStore:
         self._lo: list[int] = []
         self._hi: list[int] = []
         self._val: list[float] = []
-        self._sup: list[int] = []
-        self._key: list[int | None] = []  # each node's unique-table key
-        self._masks: dict[int, int] = {}  # each distinct support mask, once
         self._terms: dict[float, int] = {}
+        self._bounds: dict[int, int] = {}  # handed-out handle -> support bound mask
         self._unique: dict[int, int] = {}
         self._cache: dict[int, int] = {}
         self._convex_ops: dict[float, int] = {}
         self._prob: dict[int, float] = {}  # convex op id -> its probability
         self._free: list[int] = []  # reclaimed handles, reused before appending
-        self._made = 0  # nodes ever created
+        self._reused = 0  # nodes made in reclaimed slots
         self._peak = 0  # most nodes held at once, as of the last collection
         self._collect_above = COLLECT_FLOOR  # held nodes that trigger `node_done`
         self.underflow = False
@@ -161,8 +154,7 @@ class DiagramStore:
 
     # -- node construction -------------------------------------------------
 
-    def _new(self, level: int, lo: int, hi: int, value: float, sup: int,
-             key: int | None) -> int:
+    def _new(self, level: int, lo: int, hi: int, value: float) -> int:
         free = self._free
         if free:
             h = free.pop()
@@ -170,11 +162,10 @@ class DiagramStore:
             self._lo[h] = lo
             self._hi[h] = hi
             self._val[h] = value
-            self._sup[h] = sup
-            self._key[h] = key
+            self._reused = n = self._reused + 1
         else:
             # with no free handle every slot is held, so this caps held nodes
-            h = len(self._lev)
+            h = n = len(self._lev)
             if h >= self._cap:
                 raise ResourceLimitError(f"diagram store would hold more than "
                                          f"{self._cap} nodes")
@@ -182,17 +173,14 @@ class DiagramStore:
             self._lo.append(lo)
             self._hi.append(hi)
             self._val.append(value)
-            self._sup.append(sup)
-            self._key.append(key)
-        self._made += 1
-        if self._made % self._CHECK_EVERY == 0:
+        if n % self._CHECK_EVERY == 0:  # n counts the creations on h's path
             poll_deadline(self.deadline, "execution")
         return h
 
     def _terminal(self, value: float) -> int:
         h = self._terms.get(value)
         if h is None:
-            h = self._terms[value] = self._new(self._tlev, -1, -1, value, 0, None)
+            h = self._terms[value] = self._new(self._tlev, -1, -1, value)
         return h
 
     def _mk(self, level: int, lo: int, hi: int) -> int:
@@ -201,15 +189,13 @@ class DiagramStore:
         key = (level << HANDLE_BITS | lo) << HANDLE_BITS | hi
         h = self._unique.get(key)
         if h is None:
-            sup = self._sup[lo] | self._sup[hi] | 1 << level
-            sup = self._masks.setdefault(sup, sup)
-            h = self._unique[key] = self._new(level, lo, hi, 0.0, sup, key)
+            h = self._unique[key] = self._new(level, lo, hi, 0.0)
         return h
 
     @property
     def node_count(self) -> int:
         """Total nodes ever created (terminals included); monotone."""
-        return self._made
+        return len(self._lev) + self._reused
 
     @property
     def held_count(self) -> int:
@@ -226,9 +212,7 @@ class DiagramStore:
 
     def node_done(self, live: Callable[[], Iterable["PbFunc"]]):
         """End of a tree node: clear the op cache and, once the store has
-        grown enough (COLLECT_FLOOR, COLLECT_GROWTH), reclaim every node that
-        the functions `live()` gives do not reach.  Any other function of the
-        store is invalid after a collection."""
+        grown enough, collect, which invalidates what `live()` does not reach."""
         self.clear_cache()
         if self.held_count > self._collect_above:
             self.collect(g.root for g in live())
@@ -236,23 +220,32 @@ class DiagramStore:
                                       COLLECT_GROWTH * self.held_count)
 
     def collect(self, roots: Iterable[int]):
-        """Reclaim every node unreachable from ZERO, ONE and `roots`.
-
-        Clears the op cache.  Reachable handles keep their slots; every
-        other handle becomes free, so a function not reachable from `roots`
-        is invalid afterwards.
-        """
+        """Reclaim every node unreachable from ZERO, ONE and `roots`, and
+        clear the op cache; a function not reachable from `roots` is invalid
+        afterwards, and reachable handles keep their slots."""
         self._peak = self.peak_held
         self._cache.clear()
-        lev, lo, hi, tlev = self._lev, self._lo, self._hi, self._tlev
+        lev, lo, hi = self._lev, self._lo, self._hi
         mark = bytearray(len(lev))
         mark[ZERO] = mark[ONE] = 1
+        inner = self._mark(roots, mark)
+        # most nodes are dead, so rebuilding the unique table from the live
+        # ones costs less than filtering it
+        self._unique = {(lev[h] << HANDLE_BITS | lo[h]) << HANDLE_BITS | hi[h]: h
+                        for h in inner}
+        self._terms = {v: h for v, h in self._terms.items() if mark[h]}
+        self._bounds = {h: m for h, m in self._bounds.items() if mark[h]}
+        self._free = list(compress(range(len(mark)), mark.translate(_NOT)))
+
+    def _mark(self, roots: Iterable[int], mark: bytearray) -> list[int]:
+        """Mark what `roots` reach via unmarked nodes; return the inner ones."""
+        lev, lo, hi, tlev = self._lev, self._lo, self._hi, self._tlev
         stack = []  # marked handles whose children are not yet marked
         for h in roots:
             if not mark[h]:
                 mark[h] = 1
                 stack.append(h)
-        inner = []  # the marked non-terminals
+        inner = []
         while stack:
             h = stack.pop()
             if lev[h] != tlev:
@@ -265,18 +258,7 @@ class DiagramStore:
                 if not mark[c]:
                     mark[c] = 1
                     stack.append(c)
-        # most nodes are dead, so rebuilding the unique table from the live
-        # ones costs less than filtering it
-        self._unique = dict(zip(map(self._key.__getitem__, inner), inner))
-        self._terms = {v: h for v, h in self._terms.items() if mark[h]}
-        self._free = list(compress(range(len(mark)), mark.translate(_NOT)))
-
-    def _convex_op(self, p: float) -> int:
-        op = self._convex_ops.get(p)
-        if op is None:
-            op = self._convex_ops[p] = _FIRST_CONVEX + 2 * len(self._convex_ops)
-            self._prob[op] = p
-        return op
+        return inner
 
     # -- public constructors ------------------------------------------------
 
@@ -296,6 +278,7 @@ class DiagramStore:
         for l in sorted(clause, key=lambda l: rank(abs(l)), reverse=True):
             r = rank(abs(l))
             h = self._mk(r, h, ONE) if l > 0 else self._mk(r, ONE, h)
+        self._bounds[h] = sum(1 << rank(abs(l)) for l in clause)  # exact
         return PbFunc(self, h)
 
     # -- the recursions (handle level) ----------------------------------------
@@ -376,13 +359,24 @@ class DiagramStore:
     # -- the operations PbFunc delegates to, on handles ------------------------
 
     def join(self, f: int, g: int) -> int:
-        return self._apply(MUL, f, g)
+        h = self._apply(MUL, f, g)
+        self._bounds[h] = self._bound(f) | self._bound(g)
+        return h
 
     def exists_project(self, f: int, x: int) -> int:
-        return self._abstract(MAX, f, self.order.rank(x))
+        return self._project(MAX, f, self.order.rank(x))
 
     def rand_project(self, f: int, x: int, p: float) -> int:
-        return self._abstract(self._convex_op(p), f, self.order.rank(x))
+        op = self._convex_ops.get(p)  # one op id per distinct probability
+        if op is None:
+            op = self._convex_ops[p] = _FIRST_CONVEX + 2 * len(self._convex_ops)
+            self._prob[op] = p
+        return self._project(op, f, self.order.rank(x))
+
+    def _project(self, op: int, f: int, level: int) -> int:
+        h = self._abstract(op, f, level)
+        self._bounds[h] = self._bound(f) & ~(1 << level)
+        return h
 
     def evaluate(self, f: int, assignment: dict[int, bool]) -> float:
         variables = self.order.variables
@@ -396,16 +390,17 @@ class DiagramStore:
             h = self._hi[h] if b else self._lo[h]
         return self._val[h]
 
+    def _bound(self, f: int) -> int:
+        """The bound mask recorded for f, else every level from f's down."""
+        return self._bounds.get(f, (1 << self._tlev) - (1 << self._lev[f]))
+
     def support(self, f: int) -> frozenset[int]:
-        mask = self._sup[f]
-        variables = self.order.variables
-        return frozenset(variables[i] for i in range(mask.bit_length())
-                         if mask >> i & 1)
+        variables, lev = self.order.variables, self._lev
+        return frozenset(variables[lev[h]]
+                         for h in self._mark((f,), bytearray(len(lev))))
 
-    def support_size(self, f: int) -> int:
-        return self._sup[f].bit_count()
-
-    support_bound = support_size  # exact here; a dense table's axes bound it
+    def support_bound(self, f: int) -> int:
+        return self._bound(f).bit_count()
 
 
 class PbFunc:
@@ -454,7 +449,7 @@ class PbFunc:
         return self.store.support(self.root)
 
     def support_size(self) -> int:
-        return self.store.support_size(self.root)
+        return len(self.store.support(self.root))
 
     def support_bound(self) -> int:
         """An O(1) upper bound on `support_size()`."""

@@ -18,7 +18,7 @@ from dper import bench, cli, executor, oracle, planner
 from dper.formula import (ParseError, Problem, condition, parse_problem,
                           serialize, validate)
 from dper.gen import band_instance, random_instance
-from dper.pbf import DeadlineExceeded
+from dper.pbf import DeadlineExceeded, DiagramStore
 
 from conftest import EXAMPLE_TEXT
 
@@ -102,19 +102,21 @@ class TestSolveCommand:
         assert report["status"] == "deadline"
         assert report["width"] == 2  # partial stats survive
 
-    def test_deep_diagram_exit_3(self, tmp_path, capsys):
-        # one 300-literal clause is a diagram 300 levels deep, too deep for
-        # the kernel's recursions under a recursion limit of 250
+    def test_deep_diagram_exit_3(self, tmp_path, capsys, monkeypatch):
+        # execution raises the recursion limit to cover every diagram level,
+        # so only a kernel recursion deeper than that, here an endless one,
+        # reaches the backstop
+        def endless(self, op, f, g):
+            return endless(self, op, f, g)
+
+        monkeypatch.setattr(DiagramStore, "_apply", endless)
         lits = " ".join(map(str, range(1, 301)))
         f = tmp_path / "clause300.cnf"
         f.write_text(f"p cnf 300 1\nr 0.5 {lits} 0\n{lits} 0\n")
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(250)
-        try:
-            code, out, err = run_cli(["solve", "--input", str(f),
-                                      "--heuristic", "lex"], capsys)
-        finally:
-            sys.setrecursionlimit(limit)
+        code, out, err = run_cli(["solve", "--input", str(f),
+                                  "--heuristic", "lex"], capsys)
+        assert sys.getrecursionlimit() == limit  # restored
         assert code == 3
         report = json.loads(out)
         assert report["status"] == "resource"
@@ -672,6 +674,22 @@ class TestConsoleScript:
         assert report["maximum"] == 1.0
         assert len(report["maximizer"]) == 300_000
         assert int(out.stderr) < 150 * 1024
+
+    def test_long_clause_solves_under_the_default_recursion_limit(self, tmp_path):
+        # one 1,100-literal clause is a diagram 1,100 levels deep, deeper
+        # than the interpreter's default limit of 1,000 frames
+        lits = " ".join(map(str, range(1, 1101)))
+        f = tmp_path / "clause1100.cnf"
+        f.write_text(f"p cnf 1100 1\nr 0.5 {lits} 0\n{lits} 0\n")
+        out = subprocess.run([sys.executable, "-m", "dper.cli", "solve",
+                              "--heuristic", "lex", "--input", str(f)],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout)
+        assert (report["status"], report["executor"]) == ("ok", "diagram")
+        assert report["maximum"] == 1.0  # 1 - 2**-1100, rounded
+        assert report["max_support"] == 1100
+        assert report["total_seconds"] < 2.0
 
     def test_module_entry_point(self, example_file):
         out = subprocess.run(

@@ -247,16 +247,6 @@ class TestSupport:
         assert f.exists_project(2).support <= {1, 3}
         assert f.rand_project(2, 0.5).support <= {1, 3}
 
-    def test_equal_masks_are_one_object(self):
-        # Python caches ints up to 256 only; above that, each node would
-        # otherwise hold its own copy of a mask many nodes share
-        st = fresh_store(list(range(1, 13)))
-        f = st.clause_func((10, 11)).join(st.clause_func((-10, 12)))
-        f.join(st.clause_func((11, -12))).rand_project(10, 0.3)
-        masks = [m for m in st._sup if m > 256]
-        assert len(masks) > len(set(masks))
-        assert len({id(m) for m in masks}) == len(set(masks))
-
 
 class TestCanonicity:
     def test_equal_tables_equal_handles(self):
@@ -405,6 +395,15 @@ class TestCollect:
             chain(st, [2, 4])
         assert len(st._lev) == size  # it fired on the reuse path
 
+    def test_deadline_fires_on_the_append_path(self, monkeypatch):
+        monkeypatch.setattr(DiagramStore, "_CHECK_EVERY", 4)
+        st = fresh_store(range(1, 9))
+        st.deadline = time.monotonic() - 1.0
+        with pytest.raises(DeadlineExceeded):
+            chain(st, [2, 4, 6])
+        assert not st._free  # no slot was reclaimed, so none was reused
+        assert len(st._lev) == 5  # it fired when handle 4 was appended
+
     def test_unique_table_holds_the_live_nodes_keys(self):
         # the unique table must map each live node's key, recomputed from
         # its level and children, to the node
@@ -415,7 +414,17 @@ class TestCollect:
             keys = {h: (st._lev[h] << HANDLE_BITS | st._lo[h]) << HANDLE_BITS
                     | st._hi[h] for h in inner}
             assert st._unique == {k: h for h, k in keys.items()}
-            assert all(st._key[h] == k for h, k in keys.items())
+        assert st.node_count > len(st._lev)  # freed slots were reused
+
+    def test_bounds_are_kept_for_live_handles_only(self):
+        # a bound left on a freed slot would be read for a node that reuses
+        # it without recording its own, as a diagram made by `_mk` alone
+        st = fresh_store(range(1, 9))
+        for pool in random_steps(st, random.Random(5)):
+            live = {ZERO, ONE}.union(*(reachable(st, g.root) for g in pool))
+            assert st._bounds.keys() <= live
+            for g in pool:
+                assert g.support_bound() >= g.support_size()
         assert st.node_count > len(st._lev)  # freed slots were reused
 
     def test_node_count_is_the_nodes_made(self):

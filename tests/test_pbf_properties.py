@@ -3,9 +3,10 @@
 Every property runs 500 hypothesis cases over diagrams of up to 10 total
 variables.  Values are drawn from one small dyadic pool in [0, 1], the
 stores' value domain, so that products are exact in double precision and
-maximization distributes over every factor.  The last three tests check the
-exact support masks, projections under many distinct probabilities, and a
-solve whose every randomized variable has its own probability.
+maximization distributes over every factor.  The last four tests check
+exact supports (against a DAG walk, and against cofactors across
+collections), projections under many distinct probabilities, and a solve
+whose every randomized variable has its own probability.
 """
 
 import random
@@ -285,6 +286,68 @@ def test_support_mask_matches_dag_walk(tables, steps):
     for f in pool:
         assert f.support == walked_support(f)
         assert f.support_size() == len(f.support)
+
+
+SUPPORT_POOL = VAR_POOL[:6]  # few enough to evaluate every assignment
+POOL_ASSIGNMENTS = [dict(zip(SUPPORT_POOL, (bool(m >> i & 1) for i in range(6))))
+                    for m in range(1 << 6)]
+
+
+def cofactor_support(f):
+    """Variables of SUPPORT_POOL whose flip changes f's value somewhere."""
+    values = [f.evaluate(a) for a in POOL_ASSIGNMENTS]
+    return {v for i, v in enumerate(SUPPORT_POOL)
+            if any(values[m] != values[m | 1 << i] for m in range(1 << 6))}
+
+
+SMALL_TABLES = st.lists(st.sampled_from(SUPPORT_POOL), unique=True, min_size=1,
+                        max_size=4).flatmap(
+    lambda vs: st.lists(st.sampled_from(VALUES), min_size=1 << len(vs),
+                        max_size=1 << len(vs)).map(lambda r: tbl_from_rows(vs, r)))
+STEPS_WITH_COLLECT = st.one_of(
+    st.tuples(st.just("join"), st.integers(0, 99)),
+    st.tuples(st.just("exists"), st.sampled_from(SUPPORT_POOL)),
+    st.tuples(st.just("rand"), st.sampled_from(SUPPORT_POOL),
+              st.sampled_from(PROBS)),
+    st.tuples(st.just("collect"), st.integers(0, 99)),
+    st.tuples(st.just("table"), SMALL_TABLES),
+)
+
+
+@CASES
+@given(st.lists(SMALL_TABLES, min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 99), STEPS_WITH_COLLECT),
+                min_size=1, max_size=16))
+def test_support_matches_cofactors_across_collections(tables, steps):
+    # a support is walked and a bound recorded per handle, so both must
+    # hold for every kept function after collections free slots that later
+    # nodes reuse
+    store = fresh_store(SUPPORT_POOL)
+    pool = [diagram_from_table(store, t) for t in tables]
+
+    def check(f):
+        want = cofactor_support(f)
+        assert f.support == want
+        assert f.support_size() == len(want) <= f.support_bound()
+
+    for i, (op, *args) in steps:
+        f = pool[i % len(pool)]
+        if op == "collect":
+            pool = pool[-(args[0] % len(pool)) - 1:]  # keep the newest ones
+            store.collect(g.root for g in pool)
+            for g in pool:
+                check(g)
+            continue
+        if op == "join":
+            g = f.join(pool[args[0] % len(pool)])
+        elif op == "exists":
+            g = f.exists_project(args[0])
+        elif op == "rand":
+            g = f.rand_project(*args)
+        else:  # its nodes, made by `_mk` alone, have no recorded bound
+            g = diagram_from_table(store, args[0])
+        check(g)
+        pool.append(g)
 
 
 def test_rand_project_keeps_each_probability_apart():
