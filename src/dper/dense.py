@@ -16,8 +16,9 @@ DenseStore gives the operations `pbf.PbFunc` delegates to, as
 `pbf.DiagramStore` does, and every value is bit-identical to the diagram
 kernel's, which does the same float arithmetic:
 
-- join multiplies pointwise; existential projection takes the pointwise max
-  of the two cofactors, and a derivative sign (`pbf.DsgnFunc`) compares two
+- join multiplies pointwise, and a join floored at L then sets every entry
+  below L to 0; existential projection takes the pointwise max of the two
+  cofactors, and a derivative sign (`pbf.DsgnFunc`) compares two
   entries of the table it was taken from, as on diagrams;
 - randomized projection is p*hi + (1-p)*lo, except that hi == lo gives lo,
   as the kernel's `f == g` short-cut does;
@@ -143,15 +144,19 @@ def _cofactors(t: list, axis: int) -> tuple[list, list]:
 def _varies(t: list, axis: int) -> bool:
     """Whether the table `t` differs between its cofactors on `axis`.
 
-    Comparing block by block takes one step per block and comparing by
-    stride one step per entry of a block; each is used where it takes fewer,
-    as in `_repeat_blocks`."""
+    The first pair of blocks is compared first: a table that varies along
+    an axis mostly does so there, and the stride scan below copies whole
+    columns before it can stop.  Past it, comparing block by block takes
+    one step per block and comparing by stride one step per entry of a
+    block; each is used where it takes fewer, as in `_repeat_blocks`."""
     size = len(t) >> (axis + 1)
     step = 2 * size
+    if t[:size] != t[size:step]:
+        return True
     if size * size <= len(t):  # many short blocks, so compare by stride
         return any(t[k::step] != t[k + size::step] for k in range(size))
     return any(t[k:k + size] != t[k + size:k + step]
-               for k in range(0, len(t), step))
+               for k in range(step, len(t), step))
 
 
 class DenseStore:
@@ -191,8 +196,17 @@ class DenseStore:
 
     # -- the operations PbFunc delegates to, on tables -------------------------
 
-    def join(self, a: Table, b: Table) -> Table:
-        """Pointwise product over the union of the two tables' variables."""
+    def join(self, a: Table, b: Table, floor: float = 0.0) -> Table:
+        """Pointwise product over the union of the two tables' variables,
+        with every entry below `floor` set to 0, as the diagram kernel's
+        floored product does."""
+        r = self._product(a, b)
+        if r.low >= floor:  # no nonzero entry lies below the floor
+            return r
+        entries = [z if z >= floor else 0.0 for z in r.entries]
+        return Table(r.vars, entries, floor)
+
+    def _product(self, a: Table, b: Table) -> Table:
         if not b.vars and b.entries[0] == 1.0:
             return a
         if not a.vars and a.entries[0] == 1.0:

@@ -13,6 +13,28 @@ Every solver is the one postorder loop `valuate` plus the one stack replay
 two-node tree, and `debug_assert_mode` on a planned tree with an observer that
 checks the annotated assertions at each point the loop and the replay report.
 
+Above its randomized-grade nodes a graded tree only multiplies values in
+[0, 1] and takes maxima: the MPE half of MAP.  So a value below a lower
+bound L on the maximum can never reach it, and an unobserved run prunes
+such values, as exact MAP and ER-SSAT searchers do (Park & Darwiche, UAI
+2003; DC-SSAT, Majercik & Boots, AAAI 2005).  It runs in two phases.  The
+first valuates the inputs of the x-region (`x_region_inputs`): the
+randomized-grade nodes and clause leaves under the top nodes that project
+only existential variables.  A search over the existential variables in
+their supports then yields a value v that the maximum is at least, and
+the bound L = v(1 - delta), whose margin delta covers the rounding between
+the search's product order and the tree's (`exist_bound`).  The second
+phase valuates the x-region with every join floored at L: each value
+below L becomes 0.  Every value lies in [0, 1] and the region only
+multiplies and maxes, so a value below L <= maximum lies only on
+assignments whose value is below the maximum.  Every value on an optimal
+path is unchanged, and each derivative sign compares an unchanged optimal
+cofactor with one that can only fall, so the maximum's bits and the
+maximizer do not move, ties included.  A tree whose root projects a
+randomized variable, or whose region takes no max or has one input, runs
+in one pass with no floor, and so does an observed run, whose checks
+compare against the formula itself.
+
 The loop and the replay run on either of two stores, chosen per solve before
 execution by `choose_store` (see DENSE_MAX_WORK): decision diagrams
 (`pbf.DiagramStore`) or dense tables (`dense.DenseStore`).  Diagrams order
@@ -26,15 +48,20 @@ contract and nothing more:
 
 - a store gives `constant(c)`, `clause_func(clause)` and `node_done(live)`,
   the step after each internal tree node, where `live()` yields every
-  function still needed; after the run it reports `node_count`,
-  `peak_held`, `underflow` and its `name`;
-- a function gives `join`, `exists_project`, `rand_project`, `dsgn` (a
+  function still needed, and its `deadline`; after the run it reports
+  `node_count`, `peak_held`, `underflow` and its `name`;
+- a function gives `join` (a product, with an optional floor below which
+  every value becomes 0), `exists_project`, `rand_project`, `dsgn` (a
   `pbf.DsgnFunc`), `evaluate`, `support` and `support_size` (the true
   support and its size) and `support_bound` (an O(1) upper bound on it).
 
-The debug run observes a run on dense tables, then solves again on
-diagrams and requires the same maximum and maximizer; it returns the run on
-the store `solve` would choose.  Its checks use this contract plus two
+Both stores floor a join alike, so they compute the same functions, and
+`max_support` and `underflow` agree between them with or without a floor.
+
+The debug run observes a run on dense tables with no floor, then solves
+again, floored, on diagrams and, if `solve` would choose tables, on tables,
+and requires the same maximum and maximizer from each; it returns the run
+on the store `solve` would choose.  Its checks use this contract plus two
 table-store methods on handles: `approx_equal(f, g, tol)`, pointwise
 |f - g| <= tol, and `value_range(f)`, the least and the greatest value of f.
 """
@@ -46,16 +73,27 @@ import time
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
+from math import prod
+from random import Random
 
 from .dense import DenseStore
 from .formula import Problem, primal_graph
-from .pbf import DiagramStore, DsgnFunc, PbFunc, VarOrder
+from .pbf import DiagramStore, DsgnFunc, PbFunc, VarOrder, poll_deadline
 from .planner import PjNode, PjTree, check_tree, mcs_order, table_entries
 from .planner import width as tree_width
 
 MONOLITHIC_VAR_CAP = 25
 DEBUG_VAR_CAP = 16
 DEBUG_TOL = 1e-9
+
+# The most input evaluations `exist_bound`'s search makes.  On the
+# benchmark's rand-exist pool the search spends all of them, about 2% of
+# execution, and its value v is the maximum on 4 of the 8 instances and
+# 30-77% of it on the others; twice the budget made 1.5% fewer nodes at
+# twice the search's cost.  A search that stops early only yields a lower
+# bound.
+SEARCH_BUDGET = 1 << 10
+SEARCH_KICK = 3  # variables flipped to restart the search
 
 # A solve runs on dense tables when the tree's tables hold fewer than
 # DENSE_MAX_WORK entries in all: the sum over internal nodes of 2 to the
@@ -97,6 +135,8 @@ class SolveStats:
     max_support: int = 0         # largest support of any intermediate function
     underflow: bool = False      # a nonzero product or combination rounded
                                  # to 0 or to a subnormal
+    exist_bound: float = 0.0     # the bound the x-region's joins were
+                                 # floored at; 0.0 if none was
     exec_seconds: float = 0.0
 
 
@@ -135,18 +175,22 @@ def diagram_var_order(p: Problem, t: PjTree) -> VarOrder:
 
 
 def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc], store,
-            stats: SolveStats | None = None, obs=None):
+            stats: SolveStats | None = None, obs=None, *,
+            given: dict[int, PbFunc] | None = None, floor: float = 0.0):
     """Valuation of node v, pushing derivative signs for existential vars.
 
     One pass over `t.postorder(v)`.  Leaves valuate to their clause function.
-    An internal node joins its children's valuations left to right and then
-    projects its variable set in ascending id order; each existential
-    variable's derivative sign is pushed before that variable is projected.
-    After every internal node the store takes its `node_done` step: a
-    diagram store clears its op cache, which bounds its memory to one node's
-    work, and reclaims dead nodes once it has grown enough; a dense store
-    polls the deadline.  The live functions are the pending valuations, the
-    node's own and the function of every sign on `sigma`.
+    An internal node joins its children's valuations left to right, each
+    join floored at `floor`, and then projects its variable set in ascending
+    id order; each existential variable's derivative sign is pushed before
+    that variable is projected.  A node in `given` is not valuated: it takes
+    the valuation the dict holds for it, which is popped, and its subtree
+    is skipped.  After every internal node the store takes its `node_done`
+    step: a diagram store clears its op cache, which bounds its memory to
+    one node's work, and reclaims dead nodes once it has grown enough; a
+    dense store polls the deadline.  The live functions are the pending
+    valuations, the node's own, those still in `given` and the function of
+    every sign on `sigma`.
 
     An observer `obs`, if given, is called at five points of node `nid`:
     `enter(nid)`; `joined(nid, prev, h, f)` after each `f = prev.join(h)`;
@@ -159,11 +203,16 @@ def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc], store,
         if stats is not None and f.support_bound() > stats.max_support:
             stats.max_support = max(stats.max_support, f.support_size())
 
+    given = {} if given is None else given
+
     def live():
-        return chain(done, (f,), (s.f for s in sigma))
+        return chain(done, (f,), given.values(), (s.f for s in sigma))
 
     done = []  # valuations whose parent is still ahead
-    for nid in t.postorder(v):
+    for nid in t.postorder(v, given):
+        if nid in given:
+            done.append(given.pop(nid))
+            continue
         n = t.nodes[nid]
         if obs is not None:
             obs.enter(nid)
@@ -174,7 +223,7 @@ def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc], store,
             kids, done[k:] = done[k:], []
             f = store.constant(1.0)
             for h in kids:
-                prev, f = f, f.join(h)
+                prev, f = f, f.join(h, floor)
                 note(f)
                 if obs is not None:
                     obs.joined(nid, prev, h, f)
@@ -222,16 +271,147 @@ def _replay_stack(p: Problem, sigma: list[DsgnFunc], obs=None) -> dict[int, bool
     return full
 
 
+def x_region_inputs(p: Problem, t: PjTree) -> list[int]:
+    """The inputs of the tree's x-region, in postorder; [] if it has none.
+
+    The x-region is the internal nodes that project no randomized variable
+    and have no ancestor that does: the root, unless it projects one, and
+    every internal child of an x-region node that projects none.  Its
+    inputs are the other children of its nodes, the randomized-grade nodes
+    and the clause leaves, which hold existential variables only.  A region
+    that projects no variable takes no max, and one with a single input
+    multiplies no two functions, so neither has anything to prune: a tree
+    with such a region, the re-count's among them, counts as having none.
+    """
+    root = t.nodes[t.root]
+    if root.is_leaf or root.projected & p.Y:
+        return []
+    inputs, stack, maxes = set(), [root], False
+    while stack:
+        n = stack.pop()
+        maxes = maxes or bool(n.projected)
+        for c in n.children:
+            m = t.nodes[c]
+            if m.is_leaf or m.projected & p.Y:
+                inputs.add(c)
+            else:
+                stack.append(m)
+    if not maxes or len(inputs) < 2:
+        return []
+    return [i for i in t.postorder(stop=inputs) if i in inputs]
+
+
+def exist_bound(inputs: list[PbFunc], deadline: float | None) -> float:
+    """A lower bound L on the maximum, from a search over the x-region's
+    inputs; 0.0 if the search finds no assignment worth pruning below.
+
+    The search ranks assignments to the existential variables in the
+    inputs' supports by fewest inputs at 0, then largest product of the
+    nonzero ones.  It is coordinate ascent from the all-false assignment
+    (`_ascend`), restarted from the best assignment so far with SEARCH_KICK
+    variables flipped, chosen by a fixed-seed generator.  It stops once as
+    many restarts in a row as there are variables found nothing better, or
+    after SEARCH_BUDGET input evaluations.
+
+    The product v of the n input values at the assignment found is the
+    product the tree takes along that assignment, which the root's maximum
+    is at least, but in another order: the tree multiplies them in its own
+    join order.  Both sides multiply n values in [0, 1] with n - 1
+    roundings.  While every partial product is normal, each rounding moves
+    it by a factor within [1 - u, 1 + u], u = 2^-53, so the tree's product
+    is at least v(1 - 2nu).  Hence L = v(1 - delta) with the margin
+    delta = 8(n + 1)u, which also covers the rounding of L itself.  That
+    argument needs v >= 2^-1000, far above the smallest normal double
+    2^-1022; below it, and whenever v is 0, there is no pruning.
+    """
+    touching: dict[int, list[int]] = {}  # variable -> inputs that read it
+    for i, f in enumerate(inputs):
+        for x in f.support:
+            touching.setdefault(x, []).append(i)
+    xs = sorted(touching)
+    tau = dict.fromkeys(xs, False)
+    best, spent = _ascend(inputs, touching, tau, SEARCH_BUDGET, deadline)
+    best_tau, rng, misses = dict(tau), Random(0), 0
+    while spent < SEARCH_BUDGET and misses < len(xs):
+        tau = dict(best_tau)
+        for x in rng.sample(xs, min(SEARCH_KICK, len(xs))):
+            tau[x] = not tau[x]
+        values, used = _ascend(inputs, touching, tau, SEARCH_BUDGET - spent,
+                               deadline)
+        spent += used
+        if _better(values, best):
+            best, best_tau, misses = values, dict(tau), 0
+        else:
+            misses += 1
+    v = prod(best)
+    if v < 2.0 ** -1000:
+        return 0.0
+    return v * (1.0 - 8 * (len(inputs) + 1) * 2.0 ** -53)
+
+
+def _ascend(inputs: list[PbFunc], touching: dict[int, list[int]],
+            tau: dict[int, bool], budget: int, deadline: float | None):
+    """Coordinate ascent from `tau`, which it updates in place: flip each
+    variable in ascending id order, re-evaluate the inputs that read it, and
+    keep the flip if it ranks better (`_better`).  Rounds repeat until one
+    keeps no flip or `budget` input evaluations are spent; the deadline is
+    polled once per round.  Returns the input values and the evaluations
+    spent."""
+    values = [f.evaluate(tau) for f in inputs]
+    spent, kept = len(inputs), True
+    while kept and spent < budget:
+        poll_deadline(deadline, "execution")
+        kept = False
+        for x in tau:
+            idx = touching[x]
+            before = [values[i] for i in idx]
+            tau[x] = not tau[x]
+            after = [inputs[i].evaluate(tau) for i in idx]
+            spent += len(idx)
+            if _better(after, before):
+                kept = True
+                for i, z in zip(idx, after):
+                    values[i] = z
+            else:
+                tau[x] = not tau[x]
+            if spent >= budget:
+                break
+    return values, spent
+
+
+def _better(after: list[float], before: list[float]) -> bool:
+    """Whether `after` has fewer zeros than `before`, or as many and a
+    larger product of its nonzero values."""
+    za, zb = after.count(0.0), before.count(0.0)
+    return za < zb or za == zb and prod(filter(None, after)) > prod(
+        filter(None, before))
+
+
 def _run(p: Problem, t: PjTree, store, obs=None) -> SolveResult:
-    """Valuate the root, then replay the stack, with `obs` observing both."""
+    """Valuate the root, then replay the stack, with `obs` observing both.
+
+    Unobserved, a tree with an x-region is valuated in two phases: first
+    the region's inputs, then, from the bound `exist_bound` finds on them,
+    the region's nodes with every join floored at that bound.  An observed
+    run valuates the tree in one pass with no floor, since its checks
+    compare against the formula itself."""
     t0 = time.perf_counter()
     stats = SolveStats()
     sigma: list[DsgnFunc] = []
+    inputs = x_region_inputs(p, t) if obs is None else []
+    given: dict[int, PbFunc] = {}
     limit = sys.getrecursionlimit()
     if isinstance(store, DiagramStore):  # whose kernel recurses per level
         sys.setrecursionlimit(max(limit, 4 * len(store.order) + 1000))
     try:
-        maximum = valuate(p, t, t.root, sigma, store, stats, obs).evaluate({})
+        for i in inputs:
+            given[i] = valuate(p, t, i, sigma, store, stats, given=given)
+        if given:
+            stats.exist_bound = exist_bound(list(given.values()),
+                                            store.deadline)
+        f = valuate(p, t, t.root, sigma, store, stats, obs, given=given,
+                    floor=stats.exist_bound)
+        maximum = f.evaluate({})
     finally:
         sys.setrecursionlimit(limit)
     tau = _replay_stack(p, sigma, obs)
@@ -431,14 +611,17 @@ def debug_assert_mode(p: Problem, t: PjTree, *, validate: bool = True,
     guarded by a cap of DEBUG_VAR_CAP variables; values are compared within
     DEBUG_TOL.  With validate=True the structural tree checks run first;
     either way a corrupted tree trips an assertion before any answer is
-    returned.  The annotated run is on dense tables in the tree's order.
-    Then the tree is solved again, unobserved, on diagrams in the MCS order:
-    the stores promise bit-identical values, so the two maxima (`float.hex`)
-    and maximizers must be equal, else the "store-agreement" assertion
-    trips.  Of the two runs, the one on the store `solve` would choose
-    (`choose_store`) is returned and is held to `node_limit`, so its stats
-    and limits are a plain solve's; the other is not held to the limit, and
-    under DEBUG_VAR_CAP its diagrams stay small.  Both poll `deadline`.
+    returned.  The annotated run is on dense tables in the tree's order,
+    in one pass with no floor.  Then the tree is solved again, unobserved
+    and so with the x-region floored, on diagrams in the MCS order and, if
+    `solve` would choose tables (`choose_store`), on tables too.  The stores
+    promise bit-identical values and the floor keeps the maximum and the
+    maximizer, so every run's maximum (`float.hex`) and maximizer must equal
+    the annotated run's, else the "store-agreement" assertion trips.  The
+    run on the chosen store is returned and is held to `node_limit`, so its
+    stats and limits are a plain solve's; the others are not held to the
+    limit, and under DEBUG_VAR_CAP their diagrams stay small.  All poll
+    `deadline`.
     """
     if len(p.quantified) > DEBUG_VAR_CAP:
         raise ValueError(f"{len(p.quantified)} variables exceed the debug cap "
@@ -446,17 +629,20 @@ def debug_assert_mode(p: Problem, t: PjTree, *, validate: bool = True,
     if validate:
         check_tree(t, p)
     chosen = choose_store(p, t, node_limit, deadline)
-    on_tables = chosen.name == "dense"
-    dense = chosen if on_tables else _make_store(True, p, t, None, deadline)
-    r = _run(p, t, dense, _DebugContext(p, t, dense))
-    diagram = _make_store(False, p, t, None, deadline) if on_tables else chosen
-    o = _run(p, t, diagram)
-    if (r.maximum.hex(), r.maximizer) != (o.maximum.hex(), o.maximizer):
-        raise DebugAssertionError(
-            "store-agreement",
-            detail=f"dense gives {r.maximum.hex()} at {_true_vars(r.maximizer)}, "
-                   f"diagram {o.maximum.hex()} at {_true_vars(o.maximizer)}")
-    return r if on_tables else o
+    tables = _make_store(True, p, t, None, deadline)
+    r = _run(p, t, tables, _DebugContext(p, t, tables))
+    runs = [_run(p, t, chosen)]
+    if chosen.name == "dense":
+        runs.append(_run(p, t, _make_store(False, p, t, None, deadline)))
+    for o in runs:
+        if (r.maximum.hex(), r.maximizer) != (o.maximum.hex(), o.maximizer):
+            raise DebugAssertionError(
+                "store-agreement",
+                detail=f"dense gives {r.maximum.hex()} at "
+                       f"{_true_vars(r.maximizer)}, {o.stats.executor} "
+                       f"{o.maximum.hex()} at {_true_vars(o.maximizer)} "
+                       f"floored at {o.stats.exist_bound!r}")
+    return runs[0]
 
 
 def _true_vars(tau: dict[int, bool]) -> list[int]:

@@ -8,19 +8,23 @@ equality (no epsilon merging).
 Nodes are indexed by level: a node stores the rank of its variable in the
 store's VarOrder, and terminals sit at level len(order).  On any
 root-to-terminal path the levels strictly increase.  One binary recursion
-(`_apply`) serves product, max and convex combination, and one projection
-walk (`_abstract`) serves existential and randomized projection; a derivative
-sign builds no diagram (`DsgnFunc`).  Unique-table and op-cache keys are
-packed ints; handles and levels take HANDLE_BITS each below an unbounded top
-field (the level in a node key, the op id in a cache key), so keys never
-collide.
+(`_apply`) serves every binary op: product, max, convex combination and
+the product floored at a bound L, which is 0 wherever the product is below
+L.  The floored product is an op family with one op id per distinct L, as
+convex combination has one per probability; it has no short-cut for ONE,
+so ONE * g floors g.  One projection walk (`_abstract`) serves existential
+and randomized projection; a derivative sign builds no diagram
+(`DsgnFunc`).  Unique-table and op-cache keys are packed ints; handles and
+levels take HANDLE_BITS each below an unbounded, signed top field (the
+level in a node key, the op id in a cache key), so keys never collide.
 
 A node holds only its level, its children and, on a terminal, its value,
 as in CUDD.  A support is found by one walk; `support_bound` reads a bound
 recorded for each function the store hands out (for a join the union of
 its operands', for a projection its operand's less the variable), so the
 executor's `max_support` stat walks only when the bound passes its running
-maximum.  The op cache only saves work: the executor clears it per tree node.
+maximum, and a walk stops once it has met every level of the bound.  The
+op cache only saves work: the executor clears it per tree node.
 
 `collect(roots)` is a non-moving mark-and-sweep, as in the ADD packages that
 reclaim dead nodes (Sylvan: van Dijk & van de Pol, STTT 2017).  It keeps the
@@ -63,7 +67,9 @@ from typing import Callable, Iterable
 HANDLE_BITS = 32  # handles and levels stay below 2**HANDLE_BITS
 
 # Binary op ids are even; `_abstract` keys its cache entries with op | 1.
-# Convex combinations get one even id per distinct probability.
+# Convex combinations get one even id per distinct probability, and products
+# floored at a bound one negative even id per distinct bound, so that every
+# op id at most MAX is a commuting product or max.
 MUL, MAX, _FIRST_CONVEX = 0, 2, 4
 ZERO, ONE = 0, 1  # handles of the first two terminals of every store
 _MIN_NORMAL = sys.float_info.min  # below it a nonzero double is subnormal
@@ -144,6 +150,8 @@ class DiagramStore:
         self._cache: dict[int, int] = {}
         self._convex_ops: dict[float, int] = {}
         self._prob: dict[int, float] = {}  # convex op id -> its probability
+        self._floor_ops: dict[float, int] = {}
+        self._floor: dict[int, float] = {}  # floored-product op id -> its bound
         self._free: list[int] = []  # reclaimed handles, reused before appending
         self._reused = 0  # nodes made in reclaimed slots
         self._peak = 0  # most nodes held at once, as of the last collection
@@ -284,12 +292,16 @@ class DiagramStore:
     # -- the recursions (handle level) ----------------------------------------
 
     def _apply(self, op: int, f: int, g: int) -> int:
-        """Pointwise op(f, g): f*g, max(f, g) or p*f + (1-p)*g."""
+        """Pointwise op(f, g): f*g, max(f, g), p*f + (1-p)*g, or f*g floored
+        at a bound L (0 wherever f*g < L)."""
         if op == MUL:
             if f == ONE:
                 return g
             if g == ONE:
                 return f
+            if f == ZERO or g == ZERO:
+                return ZERO
+        elif op < MUL:  # floored: no short-cut for ONE, so ONE * g floors g
             if f == ZERO or g == ZERO:
                 return ZERO
         elif f == g:
@@ -314,12 +326,17 @@ class DiagramStore:
                 return self._terminal(r)
             if op == MAX:
                 return self._terminal(max(a, b))
+            if op < MUL:
+                r = a * b
+                if r < _MIN_NORMAL and a != 1.0 and b != 1.0:
+                    self.underflow = True
+                return ZERO if r < self._floor[op] else self._terminal(r)
             p = self._prob[op]
             r = p * a + (1.0 - p) * b
             if r < _MIN_NORMAL and (p and a or p != 1.0 and b):
                 self.underflow = True
             return self._terminal(r)
-        if f > g and op <= MAX:  # product and max commute
+        if f > g and op <= MAX:  # products and max commute
             f, g, lf, lg = g, f, lg, lf
         key = (op << HANDLE_BITS | f) << HANDLE_BITS | g
         h = self._cache.get(key)
@@ -358,8 +375,14 @@ class DiagramStore:
 
     # -- the operations PbFunc delegates to, on handles ------------------------
 
-    def join(self, f: int, g: int) -> int:
-        h = self._apply(MUL, f, g)
+    def join(self, f: int, g: int, floor: float = 0.0) -> int:
+        op = MUL
+        if floor:
+            op = self._floor_ops.get(floor)  # one op id per distinct bound
+            if op is None:
+                op = self._floor_ops[floor] = -2 - 2 * len(self._floor_ops)
+                self._floor[op] = floor
+        h = self._apply(op, f, g)
         self._bounds[h] = self._bound(f) | self._bound(g)
         return h
 
@@ -395,9 +418,23 @@ class DiagramStore:
         return self._bounds.get(f, (1 << self._tlev) - (1 << self._lev[f]))
 
     def support(self, f: int) -> frozenset[int]:
-        variables, lev = self.order.variables, self._lev
-        return frozenset(variables[lev[h]]
-                         for h in self._mark((f,), bytearray(len(lev))))
+        """The variables of the levels f's inner nodes sit at, found by one
+        walk that stops once it has met as many levels as f's bound holds:
+        the support lies within the bound, so then it is the bound."""
+        lev, lo, hi, tlev = self._lev, self._lo, self._hi, self._tlev
+        want = self._bound(f).bit_count()
+        levels: set[int] = set()
+        seen, stack = {f}, [f]
+        while stack and len(levels) < want:
+            h = stack.pop()
+            if lev[h] != tlev:
+                levels.add(lev[h])
+                for c in (lo[h], hi[h]):
+                    if c not in seen:
+                        seen.add(c)
+                        stack.append(c)
+        variables = self.order.variables
+        return frozenset(variables[v] for v in levels)
 
     def support_bound(self, f: int) -> int:
         return self._bound(f).bit_count()
@@ -419,11 +456,12 @@ class PbFunc:
         self.store = store
         self.root = root
 
-    def join(self, other: "PbFunc") -> "PbFunc":
-        """Pointwise product over the union of supports."""
+    def join(self, other: "PbFunc", floor: float = 0.0) -> "PbFunc":
+        """Pointwise product over the union of supports, with every value
+        below `floor` set to 0."""
         if self.store is not other.store:
             raise ValueError("operands built under different stores/orders")
-        return PbFunc(self.store, self.store.join(self.root, other.root))
+        return PbFunc(self.store, self.store.join(self.root, other.root, floor))
 
     def exists_project(self, x: int) -> "PbFunc":
         """Pointwise max over the two cofactors of x; identity if x is absent."""

@@ -38,6 +38,7 @@ that projects nothing may carry either letter.  `write_tree` writes x there.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 from .formula import Problem, primal_graph
@@ -81,17 +82,19 @@ class PjTree:
     def leaf_ids(self):
         return [i for i, n in self.nodes.items() if n.is_leaf]
 
-    def postorder(self, start: int | None = None) -> list[int]:
+    def postorder(self, start: int | None = None,
+                  stop: Container[int] = ()) -> list[int]:
         """Children before parents, left-to-right in stored child order.
 
-        Covers the subtree of `start`, by default the whole tree.
+        Covers the subtree of `start`, by default the whole tree; a node in
+        `stop` is listed without its subtree.
         """
         out: list[int] = []
         stack: list[tuple[int, bool]] = [
             (self.root if start is None else start, False)]
         while stack:
             nid, expanded = stack.pop()
-            if expanded:
+            if expanded or nid in stop:
                 out.append(nid)
                 continue
             stack.append((nid, True))

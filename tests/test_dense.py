@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from dper.dense import DenseStore, Table
+from dper.dense import DenseStore, Table, _varies
 from dper.pbf import DiagramStore, PbFunc, VarOrder
 
 from conftest import all_assignments, diagram_from_table, tbl_eval, tbl_from_rows
@@ -92,6 +92,30 @@ def test_operations_match_the_kernel():
     assert flagged["join"] and flagged["rand_project"]
 
 
+def test_floored_joins_match_the_kernel():
+    # a product floored at L is 0 wherever the product is below L, on
+    # either store, with the same underflow flag; a floored join with a
+    # constant 1 or with a clause floors too, as the kernel has no
+    # short-cut for ONE under a floor
+    rng = random.Random(106)
+    for _ in range(400):
+        ds, gs = stores(rng)
+        fa, fb, c = random_table(rng), random_table(rng), random_clause(rng)
+        floor = rng.choice([1e-300, 0.1, 0.25, 0.3, 0.5, 1.0])
+        others = [(ds.constant(1.0), gs.constant(1.0)),
+                  (ds.clause_func(c), gs.clause_func(c)),
+                  (dense_from_table(ds, fb), diagram_from_table(gs, fb))]
+        variables = sorted(set(fa[0]) | set(fb[0]) | {abs(l) for l in c})
+        for db, gb in others:
+            da, ga = dense_from_table(ds, fa), diagram_from_table(gs, fa)
+            dense, diagram = da.join(db, floor), ga.join(gb, floor)
+            same(dense, diagram, variables)
+            assert ds.underflow == gs.underflow
+            for a in all_assignments(variables):
+                z = ga.evaluate(a) * gb.evaluate(a)
+                assert diagram.evaluate(a) == (z if z >= floor else 0.0), a
+
+
 def random_clause(rng):
     return [v if rng.random() < 0.5 else -v
             for v in rng.sample(VARS, rng.randint(0, 5))]
@@ -154,3 +178,26 @@ def test_partial_assignments_match_the_kernel():
             else:
                 with pytest.raises(KeyError, match="support variable"):
                     dense.evaluate(partial)
+
+
+def test_varies_matches_brute_force_cofactors():
+    # tables of 1 to 12 axes whose values follow a random subset of the
+    # axes, half of them with one entry changed anywhere, so that an axis
+    # may vary in its first pair of blocks, in a later one only, or nowhere
+    rng = random.Random(105)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        live = [a for a in range(n) if rng.random() < 0.5]
+        cells: dict = {}
+        t = [cells.setdefault(tuple(i >> (n - 1 - a) & 1 for a in live),
+                              rng.choice(VALUES))
+             for i in range(1 << n)]
+        if rng.random() < 0.5:
+            t[rng.randrange(len(t))] = 0.9
+        for axis in range(n):
+            bit = 1 << (n - 1 - axis)
+            want = any(t[i] != t[i | bit] for i in range(len(t)) if not i & bit)
+            assert _varies(t, axis) == want, (n, axis)
+            seen[want] += 1
+    assert min(seen.values()) > 300

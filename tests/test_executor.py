@@ -309,6 +309,110 @@ class TestDense:
         assert solve(example, plan(example)).stats.executor == "dense"
 
 
+def unpruned(monkeypatch, p, t):
+    """The solve of `t` with the x-region's joins floored at 0."""
+    with monkeypatch.context() as m:
+        m.setattr(executor, "exist_bound", lambda inputs, deadline: 0.0)
+        return solve(p, t)
+
+
+def margin_below(maximum, p, t):
+    """The bound a search that reaches `maximum` yields."""
+    n = len(executor.x_region_inputs(p, t))
+    return maximum * (1.0 - 8 * (n + 1) * 2.0 ** -53)
+
+
+# at most one of x1, x2, x3 true; x1 alone and x2 alone both reach 3/8
+TIED = """p cnf 6 6
+e 1 2 3 0
+r 0.5 4 5 0
+r 0.75 6 0
+1 4 0
+2 5 0
+3 6 0
+-1 -2 0
+-2 -3 0
+-1 -3 0
+"""
+# the same with x2 worth less: x1 alone reaches 9/16, the one optimum
+REACHED = TIED.replace("r 0.5 4 5 0\n", "r 0.5 4 0\nr 0.25 5 0\n").replace(
+    "2 5 0", "2 -5 0")
+
+
+@pytest.mark.parametrize("max_work", [0, 1 << 20], ids=["diagram", "dense"])
+class TestExistBound:
+    """The x-region's joins floored at a searched lower bound on the
+    maximum, on diagrams and on tables: the floor changes no answer."""
+
+    def test_floor_keeps_every_answer(self, example, monkeypatch, max_work):
+        # at most 12 clauses, not 20: with 20, 57% of these instances have
+        # maximum 0 and leave nothing to floor
+        monkeypatch.setattr(executor, "DENSE_MAX_WORK", max_work)
+        problems = [example] + [
+            random_instance(random.Random(20260810 + i), max_clauses=12)
+            for i in range(300)]
+        floored = 0
+        for p in problems:
+            t = plan(p)
+            r, u = solve(p, t), unpruned(monkeypatch, p, t)
+            assert r.stats.executor == ("diagram" if max_work == 0
+                                        else "dense")
+            assert answer(r) == answer(u)
+            assert u.stats.exist_bound == 0.0
+            assert r.stats.exist_bound < r.maximum or r.maximum == 0.0
+            floored += r.stats.exist_bound > 0.0
+        assert 3 * floored >= len(problems)
+
+    def test_tie_still_goes_to_one(self, monkeypatch, max_work):
+        # x3 is projected at the root, then x2, then x1: with x3 false, x2
+        # true and x2 false both reach 3/8, so x2's sign ties and picks 1
+        monkeypatch.setattr(executor, "DENSE_MAX_WORK", max_work)
+        p = parse_problem(TIED)
+        t = plan(p)
+        r = solve(p, t)
+        assert r.maximum == 0.375
+        assert r.maximizer == {1: False, 2: True, 3: False}
+        assert r.stats.exist_bound == margin_below(0.375, p, t)
+        assert answer(r) == answer(unpruned(monkeypatch, p, t))
+
+    def test_search_reaches_the_optimum(self, monkeypatch, max_work):
+        # from all false, flipping x1 alone reaches the one optimum, so the
+        # bound sits one margin below the maximum
+        monkeypatch.setattr(executor, "DENSE_MAX_WORK", max_work)
+        p = parse_problem(REACHED)
+        t = plan(p)
+        r = solve(p, t)
+        assert r.maximum == 0.5625
+        assert r.maximizer == {1: True, 2: False, 3: False}
+        assert r.stats.exist_bound == margin_below(0.5625, p, t)
+        u = unpruned(monkeypatch, p, t)
+        assert answer(r) == answer(u)
+        if max_work == 0:  # the floor removed nodes
+            assert r.stats.diagram_nodes < u.stats.diagram_nodes
+
+    def test_search_keeps_its_budget_and_deadline(self, monkeypatch,
+                                                  max_work):
+        # a flip may overshoot the budget by the inputs it re-evaluates
+        monkeypatch.setattr(executor, "DENSE_MAX_WORK", max_work)
+        p = parse_problem(REACHED)
+        t = plan(p)
+        store = executor.choose_store(p, t)
+        inputs = [valuate(p, t, i, [], store)
+                  for i in executor.x_region_inputs(p, t)]
+        n = len(inputs)
+        calls = []
+        evaluate = pbf.PbFunc.evaluate
+        monkeypatch.setattr(pbf.PbFunc, "evaluate",
+                            lambda f, a: calls.append(1) or evaluate(f, a))
+        for budget in (1, 5, 20):
+            monkeypatch.setattr(executor, "SEARCH_BUDGET", budget)
+            calls.clear()
+            executor.exist_bound(inputs, None)
+            assert len(calls) < max(budget, n) + n
+        with pytest.raises(DeadlineExceeded):
+            executor.exist_bound(inputs, time.monotonic() - 1.0)
+
+
 class TestSolveMonolithic:
     def test_worked_example(self, example):
         r = solve_monolithic(example)
@@ -610,6 +714,27 @@ class TestDebugAssertMode:
                 debug_assert_mode(p, plan(p))
             except DebugAssertionError as e:
                 assert e.point == "store-agreement"
+                tripped += 1
+        assert tripped > 0
+
+    def test_store_agreement_catches_a_wrong_diagram_floor(self,
+                                                           monkeypatch):
+        # the diagram kernel floors the x-region at twice the bound, which
+        # zeroes the maximum once the bound passes half of it; the
+        # annotated run has no floor and the plain run on tables the right
+        # one, so only store agreement can see it
+        real = DiagramStore.join
+        monkeypatch.setattr(DiagramStore, "join",
+                            lambda self, f, g, floor=0.0:
+                            real(self, f, g, 2 * floor))
+        tripped = 0
+        for i in range(100):
+            p = random_instance(random.Random(20260810 + i))
+            try:
+                debug_assert_mode(p, plan(p))
+            except DebugAssertionError as e:
+                assert e.point == "store-agreement"
+                assert ", diagram " in str(e)
                 tripped += 1
         assert tripped > 0
 
