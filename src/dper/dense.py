@@ -17,9 +17,11 @@ DenseStore gives the operations `pbf.PbFunc` delegates to, as
 kernel's, which does the same float arithmetic:
 
 - join multiplies pointwise, and a join floored at L then sets every entry
-  below L to 0; existential projection takes the pointwise max of the two
-  cofactors, and a derivative sign (`pbf.DsgnFunc`) compares two
-  entries of the table it was taken from, as on diagrams;
+  below L to 0; a clause is its 0/1 table and joins like any other table,
+  since times 0 and times 1 are exact and exempt from the underflow rule;
+- existential projection takes the pointwise max of the two cofactors, and
+  a derivative sign (`pbf.DsgnFunc`) compares two entries of the table it
+  was taken from, as on diagrams;
 - randomized projection is p*hi + (1-p)*lo, except that hi == lo gives lo,
   as the kernel's `f == g` short-cut does;
 - the underflow flag follows the kernel's terminal rule: a product of two
@@ -48,18 +50,14 @@ from .pbf import _MIN_NORMAL, PbFunc, VarOrder, poll_deadline
 
 class Table:
     """The values of a function over `vars`, in store order, and a lower
-    bound `low` on its nonzero entries.  A clause's table also keeps
-    `falsifier`, the one assignment to its variables (var -> bit) where it
-    is 0; it is 1 everywhere else."""
+    bound `low` on its nonzero entries."""
 
-    __slots__ = ("vars", "entries", "low", "falsifier")
+    __slots__ = ("vars", "entries", "low")
 
-    def __init__(self, variables: tuple[int, ...], entries: list, low: float,
-                 falsifier: dict[int, int] | None = None):
+    def __init__(self, variables: tuple[int, ...], entries: list, low: float):
         self.vars = variables
         self.entries = entries
         self.low = low
-        self.falsifier = falsifier
 
     def expand(self, variables: tuple[int, ...]) -> list:
         """The entries over `variables`, a superset of `vars` in store order,
@@ -101,32 +99,6 @@ def _repeat_blocks(t: list, size: int) -> list:
         out[r::2 * size] = column
         out[size + r::2 * size] = column
     return out
-
-
-def _zero_subcube(t: list, n: int, fixed: dict[int, int]):
-    """Set to 0 each entry of `t`, a table over n axes, whose bits on the
-    axes of `fixed` (axis -> bit) are the given ones.
-
-    The longest run of consecutive free axes is one extended slice; every
-    assignment to the other free axes gives one slice assignment."""
-    runs, start = [], None  # (first axis, length) of each run of free axes
-    for i in range(n + 1):
-        if i < n and i not in fixed:
-            start = i if start is None else start
-        elif start is not None:
-            runs.append((start, i - start))
-            start = None
-    first, length = max(runs, key=lambda r: r[1], default=(n, 0))
-    step = 1 << (n - first - length)  # the weight of the run's inner axis
-    offsets = [sum(b << (n - 1 - i) for i, b in fixed.items())]
-    for i in range(n):
-        if i not in fixed and not first <= i < first + length:
-            w = 1 << (n - 1 - i)
-            offsets += [o + w for o in offsets]
-    count = 1 << length
-    zeros = [0.0] * count
-    for o in offsets:
-        t[o:o + count * step:step] = zeros
 
 
 def _cofactors(t: list, axis: int) -> tuple[list, list]:
@@ -186,8 +158,7 @@ class DenseStore:
         for l in lits:
             falsified = 2 * falsified + (l < 0)
         entries[falsified] = 0.0
-        return PbFunc(self, Table(tuple(abs(l) for l in lits), entries, 1.0,
-                                  {abs(l): int(l < 0) for l in lits}))
+        return PbFunc(self, Table(tuple(abs(l) for l in lits), entries, 1.0))
 
     def node_done(self, live: Callable[[], Iterable[PbFunc]]):
         """End of a tree node.  Dead tables are freed as soon as nothing
@@ -214,18 +185,6 @@ class DenseStore:
         variables = a.vars
         if b.vars != variables:
             variables = tuple(sorted({*a.vars, *b.vars}, key=self.rank))
-        if b.falsifier is None and a.falsifier is not None:
-            a, b = b, a
-        if b.falsifier is not None:
-            # times 1 keeps an entry and times 0 zeroes it, exactly, and no
-            # product underflows: zero the subcube the clause falsifies
-            r = a.expand(variables)
-            if r is a.entries:
-                r = r[:]
-            axis = {v: i for i, v in enumerate(variables)}
-            _zero_subcube(r, len(variables),
-                          {axis[v]: bit for v, bit in b.falsifier.items()})
-            return Table(variables, r, a.low)
         x, y = a.expand(variables), b.expand(variables)
         r = list(map(mul, x, y))
         low = a.low * b.low

@@ -10,13 +10,13 @@ store's VarOrder, and terminals sit at level len(order).  On any
 root-to-terminal path the levels strictly increase.  One binary recursion
 (`_apply`) serves every binary op: product, max, convex combination and
 the product floored at a bound L, which is 0 wherever the product is below
-L.  The floored product is an op family with one op id per distinct L, as
-convex combination has one per probability; it has no short-cut for ONE,
-so ONE * g floors g.  One projection walk (`_abstract`) serves existential
-and randomized projection; a derivative sign builds no diagram
-(`DsgnFunc`).  Unique-table and op-cache keys are packed ints; handles and
-levels take HANDLE_BITS each below an unbounded, signed top field (the
-level in a node key, the op id in a cache key), so keys never collide.
+L.  One registry (`_op`) gives each probability and each L its op id; the
+floored product has no short-cut for ONE, so ONE * g floors g.  One
+projection walk (`_abstract`) serves existential and randomized
+projection; a derivative sign builds no diagram (`DsgnFunc`).  Unique-table
+and op-cache keys are packed ints; handles and levels take HANDLE_BITS each
+below an unbounded, signed top field (the level in a node key, the op id
+in a cache key), so keys never collide.
 
 A node holds only its level, its children and, on a terminal, its value,
 as in CUDD.  A support is found by one walk; `support_bound` reads a bound
@@ -67,10 +67,11 @@ from typing import Callable, Iterable
 HANDLE_BITS = 32  # handles and levels stay below 2**HANDLE_BITS
 
 # Binary op ids are even; `_abstract` keys its cache entries with op | 1.
-# Convex combinations get one even id per distinct probability, and products
-# floored at a bound one negative even id per distinct bound, so that every
-# op id at most MAX is a commuting product or max.
-MUL, MAX, _FIRST_CONVEX = 0, 2, 4
+# A parameterized op gets one even id per distinct parameter (`_op`): a
+# convex combination a positive id from _FIRST_PARAM up, a product floored
+# at a bound a negative one, so that every op id at most MAX is a commuting
+# product or max.
+MUL, MAX, _FIRST_PARAM = 0, 2, 4
 ZERO, ONE = 0, 1  # handles of the first two terminals of every store
 _MIN_NORMAL = sys.float_info.min  # below it a nonzero double is subnormal
 _NOT = bytes([1]) + bytes(255)  # bytes.translate table: 0 -> 1, 1 -> 0
@@ -148,10 +149,8 @@ class DiagramStore:
         self._bounds: dict[int, int] = {}  # handed-out handle -> support bound mask
         self._unique: dict[int, int] = {}
         self._cache: dict[int, int] = {}
-        self._convex_ops: dict[float, int] = {}
-        self._prob: dict[int, float] = {}  # convex op id -> its probability
-        self._floor_ops: dict[float, int] = {}
-        self._floor: dict[int, float] = {}  # floored-product op id -> its bound
+        self._ops: dict[tuple[int, float], int] = {}  # (sign, value) -> op id
+        self._param: dict[int, float] = {}  # op id -> its probability or bound
         self._free: list[int] = []  # reclaimed handles, reused before appending
         self._reused = 0  # nodes made in reclaimed slots
         self._peak = 0  # most nodes held at once, as of the last collection
@@ -330,8 +329,8 @@ class DiagramStore:
                 r = a * b
                 if r < _MIN_NORMAL and a != 1.0 and b != 1.0:
                     self.underflow = True
-                return ZERO if r < self._floor[op] else self._terminal(r)
-            p = self._prob[op]
+                return ZERO if r < self._param[op] else self._terminal(r)
+            p = self._param[op]
             r = p * a + (1.0 - p) * b
             if r < _MIN_NORMAL and (p and a or p != 1.0 and b):
                 self.underflow = True
@@ -376,13 +375,7 @@ class DiagramStore:
     # -- the operations PbFunc delegates to, on handles ------------------------
 
     def join(self, f: int, g: int, floor: float = 0.0) -> int:
-        op = MUL
-        if floor:
-            op = self._floor_ops.get(floor)  # one op id per distinct bound
-            if op is None:
-                op = self._floor_ops[floor] = -2 - 2 * len(self._floor_ops)
-                self._floor[op] = floor
-        h = self._apply(op, f, g)
+        h = self._apply(self._op(-1, floor) if floor else MUL, f, g)
         self._bounds[h] = self._bound(f) | self._bound(g)
         return h
 
@@ -390,11 +383,17 @@ class DiagramStore:
         return self._project(MAX, f, self.order.rank(x))
 
     def rand_project(self, f: int, x: int, p: float) -> int:
-        op = self._convex_ops.get(p)  # one op id per distinct probability
+        return self._project(self._op(1, p), f, self.order.rank(x))
+
+    def _op(self, sign: int, value: float) -> int:
+        """The op id of a convex combination with probability `value` (sign
+        1) or of a product floored at the bound `value` (sign -1): one id
+        per distinct pair, its sign the given one."""
+        op = self._ops.get((sign, value))
         if op is None:
-            op = self._convex_ops[p] = _FIRST_CONVEX + 2 * len(self._convex_ops)
-            self._prob[op] = p
-        return self._project(op, f, self.order.rank(x))
+            op = self._ops[sign, value] = sign * (_FIRST_PARAM + 2 * len(self._ops))
+            self._param[op] = value
+        return op
 
     def _project(self, op: int, f: int, level: int) -> int:
         h = self._abstract(op, f, level)

@@ -122,7 +122,10 @@ def random_clause(rng):
 
 
 def test_clause_joins_match_the_kernel():
-    # a join with a clause zeroes the subcube the clause falsifies
+    # a clause is a plain 0/1 table, so its joins run through the same
+    # product as any other; times 0 and times 1 are exact, and the operands
+    # include subnormal entries, which the product's underflow scan must
+    # exempt when the other side is a clause, as the kernel's short-cuts do
     rng = random.Random(102)
     for _ in range(400):
         ds, gs = stores(rng)
