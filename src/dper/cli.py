@@ -16,6 +16,12 @@ limit caps the diagram nodes a solve holds at once (dead ones are reclaimed
 between tree nodes); a tree runs on tables only when its tables hold fewer
 entries in all than the limit, so the limit never stops a table run.  It
 can also be set through the DPER_NODE_LIMIT environment variable.
+
+`dper solve` runs one instance per process, so start-up counts: `import
+dper.cli` loads the solve path and `argparse`, `json` and `pathlib`; its
+records are plain classes, so it needs no `dataclasses`, `inspect` or
+`typing`.  Only a subcommand loads the rest: `bench` loads `csv`
+(through `dper.bench`) and checks for scipy, `oracle` loads numpy.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import executor, planner
@@ -40,22 +45,33 @@ SCHEMA_VERSION = 1
 RECOUNT_MAX_Y = 24
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    heuristic: str = "min-fill"
-    timeout: float = 1000.0
-    fmt: str = "json"
-    debug_assert: bool = False
-    free_as_exist: bool = False
-    tree_out: str | None = None
-    node_limit: int | None = None
-    verify: bool = True  # re-count the maximizer when the Y block is small
+    """The options of one run, each with its default; immutable.  `verify`
+    re-counts the maximizer when the Y block is small."""
 
-    def __post_init__(self):
-        if not self.timeout > 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout}")
-        if self.node_limit is not None and self.node_limit < 1:
-            raise ValueError(f"node limit must be at least 1, got {self.node_limit}")
+    __slots__ = ("heuristic", "timeout", "fmt", "debug_assert", "free_as_exist",
+                 "tree_out", "node_limit", "verify")
+
+    def __init__(self, heuristic: str = "min-fill", timeout: float = 1000.0,
+                 fmt: str = "json", debug_assert: bool = False,
+                 free_as_exist: bool = False, tree_out: str | None = None,
+                 node_limit: int | None = None, verify: bool = True):
+        if not timeout > 0:
+            raise ValueError(f"timeout must be positive, got {timeout}")
+        if node_limit is not None and node_limit < 1:
+            raise ValueError(f"node limit must be at least 1, got {node_limit}")
+        values = (heuristic, timeout, fmt, debug_assert, free_as_exist,
+                  tree_out, node_limit, verify)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RunConfig is immutable: cannot set {name!r}")
+
+    def replace(self, **changes) -> RunConfig:
+        """A copy with `changes` applied, validated like a new RunConfig."""
+        fields = {n: getattr(self, n) for n in self.__slots__}
+        return RunConfig(**(fields | changes))
 
 
 class UsageError(Exception):
@@ -157,7 +173,7 @@ def run_solve(path: str, cfg: RunConfig) -> dict:
             status="ok",
             maximum=result.maximum,
             maximizer=_signed_literals(result.maximizer),
-            **asdict(result.stats),
+            **result.stats.as_dict(),
         )
         if cfg.verify and len(p.Y) <= RECOUNT_MAX_Y:
             t_check = time.perf_counter()
@@ -240,7 +256,7 @@ def _bench_one(path: str, cfg: RunConfig):
     started = time.perf_counter()
     try:
         # reference answers replace the per-run verification sub-step here
-        report = run_solve(path, replace(cfg, verify=False))
+        report = run_solve(path, cfg.replace(verify=False))
     except Exception as e:  # a failing instance must never abort the sweep
         report = {"status": "error", "error": f"{type(e).__name__}: {e}"}
     elapsed = report.get("total_seconds", time.perf_counter() - started)
@@ -324,8 +340,7 @@ def cmd_oracle(args, cfg: RunConfig) -> int:
 
 def _config_from_args(args) -> RunConfig:
     """A RunConfig from the options given; RunConfig holds every default."""
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
-             if hasattr(args, f.name)}
+    given = {n: getattr(args, n) for n in RunConfig.__slots__ if hasattr(args, n)}
     env = os.environ.get("DPER_NODE_LIMIT")
     if "node_limit" not in given and env:
         try:

@@ -42,8 +42,8 @@ node.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from operator import mul
-from typing import Callable, Iterable
 
 from .pbf import _MIN_NORMAL, PbFunc, VarOrder, poll_deadline
 

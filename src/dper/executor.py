@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from math import prod
@@ -126,25 +125,37 @@ class DebugAssertionError(AssertionError):
         super().__init__(msg)
 
 
-@dataclass
 class SolveStats:
-    executor: str = "diagram"    # the store that ran: "diagram" or "dense"
-    diagram_nodes: int = 0       # nodes created, reclaimed ones included;
-                                 # 0 on dense tables
-    peak_live_nodes: int = 0     # most nodes the store held at once
-    max_support: int = 0         # largest support of any intermediate function
-    underflow: bool = False      # a nonzero product or combination rounded
-                                 # to 0 or to a subnormal
-    exist_bound: float = 0.0     # the bound the x-region's joins were
-                                 # floored at; 0.0 if none was
-    exec_seconds: float = 0.0
+    """A solve's counters, kept in report order (`as_dict`)."""
+
+    __slots__ = ("executor", "diagram_nodes", "peak_live_nodes", "max_support",
+                 "underflow", "exist_bound", "exec_seconds")
+
+    def __init__(self, executor: str = "diagram", diagram_nodes: int = 0,
+                 peak_live_nodes: int = 0, max_support: int = 0,
+                 underflow: bool = False, exist_bound: float = 0.0,
+                 exec_seconds: float = 0.0):
+        self.executor = executor  # the store that ran: "diagram" or "dense"
+        self.diagram_nodes = diagram_nodes  # made, reclaimed ones included; 0 on tables
+        self.peak_live_nodes = peak_live_nodes  # most nodes the store held at once
+        self.max_support = max_support  # largest support of any intermediate function
+        # a nonzero product or combination rounded to 0 or to a subnormal
+        self.underflow = underflow
+        self.exist_bound = exist_bound  # the x-region's join floor; 0.0 if none
+        self.exec_seconds = exec_seconds
+
+    def as_dict(self) -> dict:
+        return {n: getattr(self, n) for n in self.__slots__}
 
 
-@dataclass
 class SolveResult:
-    maximum: float
-    maximizer: dict[int, bool]   # total over the existential block
-    stats: SolveStats
+    __slots__ = ("maximum", "maximizer", "stats")
+
+    def __init__(self, maximum: float, maximizer: dict[int, bool],
+                 stats: SolveStats):
+        self.maximum = maximum
+        self.maximizer = maximizer  # total over the existential block
+        self.stats = stats
 
 
 def tree_var_order(p: Problem, t: PjTree) -> VarOrder:

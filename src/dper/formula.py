@@ -17,7 +17,6 @@ variable twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 
@@ -46,19 +45,28 @@ class ValidationError(FormulaError):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass(frozen=True)
 class Problem:
     """A CNF formula with an existential block X and a randomized block Y.
 
     Clause order is as given in the input file; the planner's leaf-to-clause
-    map refers to clauses by position in this tuple.
+    map refers to clauses by position in this tuple.  Immutable, with no
+    __slots__: the cached properties below live in the instance __dict__.
     """
 
-    num_vars: int
-    clauses: tuple[Clause, ...]
-    X: frozenset[Variable]
-    Y: frozenset[Variable]
-    pr: dict[Variable, float] = field(default_factory=dict)
+    def __init__(self, num_vars: int, clauses: tuple[Clause, ...],
+                 X: frozenset[Variable], Y: frozenset[Variable],
+                 pr: dict[Variable, float] | None = None):
+        self.__dict__.update(num_vars=num_vars, clauses=clauses, X=X, Y=Y,
+                             pr={} if pr is None else pr)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Problem is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):  # unhashable, as pr is a dict
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num_vars, self.clauses, self.X, self.Y, self.pr) == (
+            other.num_vars, other.clauses, other.X, other.Y, other.pr)
 
     def clause_vars(self, idx: int) -> frozenset[Variable]:
         return self._clause_vars[idx]

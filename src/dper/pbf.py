@@ -60,9 +60,8 @@ from __future__ import annotations
 import sys
 import time
 from collections import ChainMap
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from itertools import compress
-from typing import Callable, Iterable
 
 HANDLE_BITS = 32  # handles and levels stay below 2**HANDLE_BITS
 
@@ -500,7 +499,6 @@ class PbFunc:
         return hash((id(self.store), self.root))
 
 
-@dataclass(frozen=True)
 class DsgnFunc:
     """A derivative sign: the variable x and the function f it was taken from.
 
@@ -508,8 +506,14 @@ class DsgnFunc:
     tau must assign every other variable of f; its value of x is not read.
     """
 
-    var: int
-    f: PbFunc
+    __slots__ = ("var", "f")
+
+    def __init__(self, var: int, f: PbFunc):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "f", f)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DsgnFunc is immutable: cannot set {name!r}")
 
     def pick(self, assignment: dict[int, bool]) -> bool:
         x, f = self.var, self.f

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Container
-from dataclasses import dataclass, field
 
 from .formula import Problem, primal_graph
 from .pbf import poll_deadline
@@ -60,21 +59,27 @@ class TreeError(Exception):
         super().__init__("; ".join(self.violations))
 
 
-@dataclass
 class PjNode:
-    clause: int | None = None          # leaf: 0-based clause index
-    children: list[int] = field(default_factory=list)
-    projected: frozenset[int] = frozenset()
+    __slots__ = ("clause", "children", "projected")
+
+    def __init__(self, clause: int | None = None,
+                 children: list[int] | None = None,
+                 projected: frozenset[int] = frozenset()):
+        self.clause = clause  # leaf: 0-based clause index
+        self.children = [] if children is None else children
+        self.projected = projected
 
     @property
     def is_leaf(self) -> bool:
         return self.clause is not None
 
 
-@dataclass
 class PjTree:
-    nodes: dict[int, PjNode]
-    root: int
+    __slots__ = ("nodes", "root")
+
+    def __init__(self, nodes: dict[int, PjNode], root: int):
+        self.nodes = nodes
+        self.root = root
 
     def internal_ids(self):
         return [i for i, n in self.nodes.items() if not n.is_leaf]

@@ -47,6 +47,17 @@ class TestSolveCommand:
         assert report["width"] == 2
         assert report["verification"]["agrees"] is True
 
+    def test_report_keys_in_order(self, example_file, capsys):
+        _, out, _ = run_cli(["solve", "--input", example_file], capsys)
+        report = json.loads(out)
+        assert list(report) == [
+            "schema_version", "instance", "width", "tree_nodes",
+            "plan_seconds", "status", "maximum", "maximizer", "executor",
+            "diagram_nodes", "peak_live_nodes", "max_support", "underflow",
+            "exist_bound", "exec_seconds", "verification", "total_seconds"]
+        assert list(report["verification"]) == [
+            "checked", "weighted_count", "agrees", "seconds"]
+
     def test_text_matches_json_numbers(self, example_file, capsys):
         _, json_out, _ = run_cli(["solve", "--input", example_file], capsys)
         report = json.loads(json_out)
@@ -270,6 +281,28 @@ class TestSolveCommand:
         assert planner.width(t, p) == 2
 
 
+class TestRunConfig:
+    def test_fields_are_immutable(self):
+        cfg = cli.RunConfig()
+        with pytest.raises(AttributeError):
+            cfg.timeout = 5.0
+        assert cfg.timeout == 1000.0
+
+    @pytest.mark.parametrize("bad", [{"timeout": 0}, {"node_limit": 0}])
+    def test_rejects_non_positive_limits(self, bad):
+        with pytest.raises(ValueError):
+            cli.RunConfig(**bad)
+
+    def test_replace_keeps_other_fields_and_validates(self):
+        cfg = cli.RunConfig(heuristic="lex", timeout=7.0, node_limit=9)
+        off = cfg.replace(verify=False)
+        assert (off.heuristic, off.timeout, off.node_limit, off.verify) == (
+            "lex", 7.0, 9, False)
+        assert cfg.verify
+        with pytest.raises(ValueError):
+            cfg.replace(timeout=0)
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["solve"],
@@ -415,6 +448,25 @@ class TestBenchCommand:
         assert all(r.split(",")[1] == "1" for r in rows[1:])
         assert all(r.split(",")[8] == "dense" for r in rows[1:])  # small trees
         assert "mean PAR-2" in err
+
+    def test_solves_with_the_recount_off(self, bench_dir, tmp_path, capsys,
+                                         monkeypatch):
+        configs = []
+        run_solve = cli.run_solve
+
+        def recording(path, cfg):
+            configs.append(cfg)
+            return run_solve(path, cfg)
+
+        monkeypatch.setattr(cli, "run_solve", recording)
+        out_csv = tmp_path / "results.csv"
+        code, _, _ = run_cli(
+            ["bench", "--dir", str(bench_dir), "--out", str(out_csv),
+             "--timeout", "60"], capsys)
+        assert code == 0
+        assert [(c.verify, c.timeout) for c in configs] == [(False, 60.0)] * 3
+        rows = out_csv.read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["1"] * 3
 
     @pytest.mark.usefixtures("diagrams")
     def test_nodes_created_column(self, bench_dir, tmp_path, capsys):
@@ -598,10 +650,19 @@ class TestParScoring:
 
 
 class TestConsoleScript:
-    @pytest.mark.parametrize("module", ["scipy", "numpy", "multiprocessing"])
+    @pytest.mark.parametrize("module", ["scipy", "numpy", "multiprocessing",
+                                        "dataclasses", "inspect"])
     def test_import_leaves_module_unloaded(self, module):
         code = f"import sys, dper, dper.cli; print({module!r} in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_import_without_site_leaves_typing_unloaded(self):
+        # site's .pth files may load typing themselves; without them,
+        # nothing dper.cli loads needs it
+        code = "import sys, dper.cli; print('typing' in sys.modules)"
+        out = subprocess.run([sys.executable, "-S", "-c", code],
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 

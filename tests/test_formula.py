@@ -44,6 +44,28 @@ class TestParse:
         assert p.pr == {1: 0.4, 2: 0.6}
 
 
+class TestProblem:
+    def test_fields_are_immutable(self, example):
+        with pytest.raises(AttributeError):
+            example.num_vars = 7
+        with pytest.raises(AttributeError):
+            example.pr = {}
+        assert example.num_vars == 6
+
+    def test_equal_when_every_field_is(self, example):
+        fields = (example.num_vars, example.clauses, example.X, example.Y,
+                  dict(example.pr))
+        assert Problem(*fields) == example
+        assert Problem(*fields[:4], {**example.pr, 2: 0.25}) != example
+        assert Problem(7, *fields[1:]) != example
+        assert example != fields
+
+    def test_pr_defaults_to_a_fresh_dict(self):
+        a = Problem(1, (), frozenset({1}), frozenset())
+        b = Problem(1, (), frozenset({1}), frozenset())
+        assert a.pr == {} and a.pr is not b.pr and a == b
+
+
 class TestParseErrors:
     def test_malformed_header(self):
         with pytest.raises(ParseError, match="line 1"):
