@@ -119,19 +119,22 @@ def _check_cap(p: Problem, cap: int, what: str):
 def _plan(p: Problem, cfg: RunConfig, deadline: float, report: dict):
     """Plan `p`, record the plan's stats in `report` and write `--tree-out`.
 
-    The stats stay in the report even if the deadline hits later.
+    Returns the tree and its `joined_vars` map, which the width and the
+    store choice both read.  The stats stay in the report even if the
+    deadline hits later.
     """
     t_plan = time.perf_counter()
     tree = planner.plan(p, cfg.heuristic, deadline=deadline)
     plan_seconds = time.perf_counter() - t_plan
-    report["width"] = planner.width(tree, p)
+    joined = tree.joined_vars(p)
+    report["width"] = planner.width(tree, p, joined)
     report["tree_nodes"] = len(tree.nodes)
     report["plan_seconds"] = plan_seconds
     if time.monotonic() > deadline:
         raise DeadlineExceeded("deadline hit after planning")
     if cfg.tree_out:
         Path(cfg.tree_out).write_text(planner.write_tree(tree, p))
-    return tree
+    return tree, joined
 
 
 def recount(p: Problem, tau_x: dict[int, bool], cfg: RunConfig,
@@ -162,13 +165,13 @@ def run_solve(path: str, cfg: RunConfig) -> dict:
         p = _load_problem(path, cfg)
         if cfg.debug_assert:
             _check_cap(p, executor.DEBUG_VAR_CAP, "--debug-assert")
-        tree = _plan(p, cfg, deadline, report)
+        tree, joined = _plan(p, cfg, deadline, report)
         if cfg.debug_assert:
             result = executor.debug_assert_mode(p, tree, node_limit=cfg.node_limit,
                                                 deadline=deadline)
         else:
             result = executor.solve(p, tree, node_limit=cfg.node_limit,
-                                    deadline=deadline)
+                                    deadline=deadline, joined=joined)
         report.update(
             status="ok",
             maximum=result.maximum,
@@ -241,7 +244,7 @@ def cmd_plan(args, cfg: RunConfig) -> int:
     report: dict = {"schema_version": SCHEMA_VERSION, "instance": args.input}
     try:
         p = _load_problem(args.input, cfg)
-        tree = _plan(p, cfg, deadline, report)
+        tree, _ = _plan(p, cfg, deadline, report)
         report["status"] = "ok"
         if not cfg.tree_out:
             report["tree"] = planner.write_tree(tree, p)

@@ -61,15 +61,24 @@ class Table:
 
     def expand(self, variables: tuple[int, ...]) -> list:
         """The entries over `variables`, a superset of `vars` in store order,
-        repeated along the axes they lack."""
+        repeated along the axes they lack, one pass per run of adjacent
+        missing axes."""
         t = self.entries
         if variables != self.vars:
             own = set(self.vars)
             size = 1  # entries below the axis
+            run = 1  # 2 to the number of missing axes just outside `size`
             for v in reversed(variables):
                 if v not in own:
-                    t = _repeat_blocks(t, size)
+                    run *= 2
+                    continue
+                if run > 1:
+                    t = _repeat_blocks(t, size, run)
+                    size *= run
+                    run = 1
                 size *= 2
+            if run > 1:
+                t = _repeat_blocks(t, size, run)
         return t
 
     def split(self, x: int) -> tuple[tuple[int, ...], list, list]:
@@ -79,25 +88,26 @@ class Table:
         return self.vars[:i] + self.vars[i + 1:], hi, lo
 
 
-def _repeat_blocks(t: list, size: int) -> list:
-    """`t` with each run of `size` entries repeated once in place: a new
-    axis just outside the innermost axes whose entries make up `size`.
+def _repeat_blocks(t: list, size: int, copies: int) -> list:
+    """`t` with each run of `size` entries repeated `copies` times in place:
+    new axes, `copies` = 2^m for m of them, just outside the innermost axes
+    whose entries make up `size`.
 
     Copying block by block takes one step per block and copying by stride
-    one step per entry of a block; each is used where it takes fewer."""
+    one step per entry of a block and copy; each is used where it takes
+    fewer."""
     n = len(t)
-    if n <= 2 * size * size:  # few blocks, so copy them one by one
+    if n <= copies * size * size:  # few blocks, so copy them one by one
         out = []
         for k in range(0, n, size):
-            block = t[k:k + size]
-            out += block
-            out += block
+            out += t[k:k + size] * copies
         return out
-    out = [0.0] * (2 * n)  # many short blocks, so copy them by stride
+    out = [0.0] * (copies * n)  # many short blocks, so copy them by stride
+    step = copies * size
     for r in range(size):
         column = t[r::size]
-        out[r::2 * size] = column
-        out[size + r::2 * size] = column
+        for j in range(r, step, size):
+            out[j::step] = column
     return out
 
 
@@ -139,7 +149,7 @@ class DenseStore:
     peak_held = 0
 
     def __init__(self, order: VarOrder, deadline: float | None = None):
-        self.rank = order.rank
+        self.rank = order._rank.__getitem__  # a sort key that runs no Python
         self.deadline = deadline
         self.underflow = False
 
@@ -152,13 +162,14 @@ class DenseStore:
         """0/1 table of a disjunction of signed literals, each variable once;
         an empty clause gives constant 0."""
         poll_deadline(self.deadline, "execution")
-        lits = sorted(clause, key=lambda l: self.rank(abs(l)))
-        entries = [1.0] * (1 << len(lits))
+        variables = tuple(sorted(map(abs, clause), key=self.rank))
+        negated = {-l for l in clause if l < 0}
+        entries = [1.0] * (1 << len(variables))
         falsified = 0  # the one assignment that falsifies every literal
-        for l in lits:
-            falsified = 2 * falsified + (l < 0)
+        for v in variables:
+            falsified = 2 * falsified + (v in negated)
         entries[falsified] = 0.0
-        return PbFunc(self, Table(tuple(abs(l) for l in lits), entries, 1.0))
+        return PbFunc(self, Table(variables, entries, 1.0))
 
     def node_done(self, live: Callable[[], Iterable[PbFunc]]):
         """End of a tree node.  Dead tables are freed as soon as nothing

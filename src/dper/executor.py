@@ -435,13 +435,16 @@ def _run(p: Problem, t: PjTree, store, obs=None) -> SolveResult:
 
 
 def choose_store(p: Problem, t: PjTree, node_limit: int | None = None,
-                 deadline: float | None = None):
+                 deadline: float | None = None,
+                 joined: dict[int, frozenset[int]] | None = None):
     """The store a solve of `t` runs on: dense tables in the tree's order if
     the tree's tables hold fewer entries (`planner.table_entries`) than
     DENSE_MAX_WORK and `node_limit`, else diagrams in the MCS order, whose
-    nodes held at once `node_limit` caps."""
+    nodes held at once `node_limit` caps.  `joined` is `t.joined_vars(p)`,
+    if the caller has it already."""
     cap = DENSE_MAX_WORK if node_limit is None else min(DENSE_MAX_WORK, node_limit)
-    return _make_store(table_entries(t, p) < cap, p, t, node_limit, deadline)
+    return _make_store(table_entries(t, p, joined) < cap, p, t, node_limit,
+                       deadline)
 
 
 def _make_store(dense: bool, p: Problem, t: PjTree, node_limit: int | None,
@@ -454,9 +457,11 @@ def _make_store(dense: bool, p: Problem, t: PjTree, node_limit: int | None,
 
 
 def solve(p: Problem, t: PjTree, node_limit: int | None = None,
-          deadline: float | None = None) -> SolveResult:
-    """Maximum and a maximizer from a valid graded project-join tree."""
-    return _run(p, t, choose_store(p, t, node_limit, deadline))
+          deadline: float | None = None,
+          joined: dict[int, frozenset[int]] | None = None) -> SolveResult:
+    """Maximum and a maximizer from a valid graded project-join tree.
+    `joined` is `t.joined_vars(p)`, if the caller has it already."""
+    return _run(p, t, choose_store(p, t, node_limit, deadline, joined))
 
 
 def monolithic_tree(p: Problem) -> PjTree:

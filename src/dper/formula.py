@@ -176,14 +176,21 @@ def parse_problem(text: str, free_as_exist: bool = False) -> Problem:
             continue
 
         # clause line
+        if not raw_clause_lines:  # the blocks are complete from here on
+            quantified = X | Y
         raw_clause_lines += 1
         try:
-            lits = [int(t) for t in toks]
+            lits = list(map(int, toks))
         except ValueError:
             raise ParseError(f"bad clause token in {line!r}", lineno) from None
-        if lits[-1] != 0:
+        if lits.pop() != 0:
             raise ParseError("clause not 0-terminated", lineno)
-        lits = lits[:-1]
+        vs = set(map(abs, lits))
+        if len(vs) == len(lits) and vs <= quantified:
+            # distinct quantified variables: no literal 0, none beyond the
+            # header, and nothing for normalize_clause to drop
+            clauses.append(tuple(lits))
+            continue
         if any(l == 0 for l in lits):
             raise ParseError("literal 0 inside clause", lineno)
         for l in lits:
@@ -269,12 +276,16 @@ def serialize(p: Problem) -> str:
 
 def primal_graph(p: Problem) -> dict[Variable, set[Variable]]:
     """Adjacency over the clause variables, the only ones planned and
-    valuated; edge iff two vars share a clause."""
-    adj: dict[int, set[int]] = {}
-    for c in p.clauses:
-        vs = {abs(l) for l in c}
+    valuated; edge iff two vars share a clause.  Each variable's
+    neighborhood is one union of the variable sets of its clauses."""
+    sets_of: dict[int, list[frozenset[int]]] = {}
+    for vs in p._clause_vars:
         for v in vs:
-            adj.setdefault(v, set()).update(vs - {v})
+            sets_of.setdefault(v, []).append(vs)
+    adj: dict[int, set[int]] = {}
+    for v, sets in sets_of.items():
+        adj[v] = nbrs = set().union(*sets)
+        nbrs.discard(v)
     return adj
 
 

@@ -18,8 +18,14 @@ itself: removing the eliminated vertex v lowers fill(w) by |N(w) - N[v]| for
 each neighbor w, and each edge (a, b) added to clique-connect N(v) lowers
 fill(c) by 1 for each common neighbor c of a and b and raises fill(a) by
 |N(a) - N[b]| and fill(b) by |N(b) - N[a]|, counted before the edge goes
-in.  So min-fill plans in time near-linear in
-the number of variables for bounded width.  Ties break to the lowest
+in.  So min-fill plans in time near-linear in the number of variables for
+bounded width.  Min-fill also takes the simplicial rule (Bodlaender, Koster
+& van den Eijkhof, Computational Intelligence 2005).  Vertices with the
+same closed neighborhood have the same fill, so a block scores one vertex
+of each such class.  A pick of fill 0 has a clique for a neighborhood, so
+eliminating it adds no edge, and each neighbor's fill falls by a count
+read off two set sizes, with no set intersections.  One k-literal clause,
+a k-clique, thus plans in O(k^2) time, not O(k^3).  Ties break to the lowest
 variable id, exactly as a full rescan of the block would, so each heuristic
 gives one plan per formula.  An optional deadline is polled at every
 variable, while scoring, ordering (once for lex) and building the tree.
@@ -92,19 +98,17 @@ class PjTree:
         """Children before parents, left-to-right in stored child order.
 
         Covers the subtree of `start`, by default the whole tree; a node in
-        `stop` is listed without its subtree.
+        `stop` is listed without its subtree.  Built as the reverse of a
+        preorder that visits children right to left.
         """
         out: list[int] = []
-        stack: list[tuple[int, bool]] = [
-            (self.root if start is None else start, False)]
+        stack = [self.root if start is None else start]
         while stack:
-            nid, expanded = stack.pop()
-            if expanded or nid in stop:
-                out.append(nid)
-                continue
-            stack.append((nid, True))
-            for c in reversed(self.nodes[nid].children):
-                stack.append((c, False))
+            nid = stack.pop()
+            out.append(nid)
+            if nid not in stop:
+                stack += self.nodes[nid].children
+        out.reverse()
         return out
 
     def joined_vars(self, p: Problem) -> dict[int, frozenset[int]]:
@@ -138,10 +142,14 @@ def _fill(adj, v) -> int:
     return (d * (d - 1) - sum(len(nbrs & adj[a]) for a in nbrs)) // 2
 
 
-def _eliminate(adj, pick, heuristic: str) -> dict[int, int]:
+def _eliminate(adj, pick, heuristic: str,
+               simplicial: bool = False) -> dict[int, int]:
     """Remove `pick` from `adj` and clique-connect its neighbors; return the
     change in each touched vertex's score under `heuristic`, min-degree or
-    min-fill, the latter's by the delta rules `elimination_order` states."""
+    min-fill, the latter's by the delta rules `elimination_order` states.
+    A `simplicial` pick, one whose min-fill score is 0, has a clique for a
+    neighborhood, so no edge goes in and each neighbor w's fill loses only
+    the pairs of `pick` with w's neighbors outside N[pick]."""
     nbrs = adj.pop(pick)
     delta: dict[int, int] = {}
     if heuristic == "min-degree":
@@ -151,6 +159,13 @@ def _eliminate(adj, pick, heuristic: str) -> dict[int, int]:
             na |= nbrs
             na -= {a, pick}
             delta[a] = len(na) - before
+        return delta
+    if simplicial:
+        d = len(nbrs)
+        for w in nbrs:
+            nw = adj[w]
+            nw.discard(pick)
+            delta[w] = d - 1 - len(nw)  # N(w) holds the other d - 1
         return delta
     for w in nbrs:
         nw = adj[w]
@@ -195,6 +210,12 @@ def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fi
         |N(a) - N[b]| and fill(b) by |N(b) - N[a]|, counted before the edge
         goes in.
 
+    A block's first scores are shared within each class of vertices with
+    the same closed neighborhood, which have the same fill.  A pick of fill
+    0 is simplicial: its neighbors already form a clique, so no edge goes in
+    and the first rule alone applies, as d - 1 - |N(w)| for each w in N,
+    d = |N|, with N(w) taken after `pick` leaves it.
+
     Ties break to the lowest variable id, which is the heap order.
     `deadline` (a time.monotonic() value) is polled once per scored and once
     per eliminated variable, and raises DeadlineExceeded once passed; lex
@@ -207,19 +228,23 @@ def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fi
         return (sorted(v for v in graph if v in Y)
                 + sorted(v for v in graph if v in X))
     adj = {v: set(ns) for v, ns in graph.items()}
-    if heuristic == "min-fill":
-        score_of = lambda v: _fill(adj, v)
-    else:
-        score_of = lambda v: len(adj[v])
-
+    min_fill = heuristic == "min-fill"
     order: list[int] = []
     for block in (Y, X):
         score = {}
+        shared: dict[frozenset[int], int] = {}  # closed neighborhood -> fill
         for v in adj:
             if v in block:
-                # min-fill scores a long clause's clique for seconds
+                # scoring a long clause's clique is k^2 set work
                 poll_deadline(deadline, "planning")
-                score[v] = score_of(v)
+                if min_fill:
+                    closed = frozenset(adj[v]).union((v,))
+                    s = shared.get(closed)
+                    if s is None:
+                        s = shared[closed] = _fill(adj, v)
+                    score[v] = s
+                else:
+                    score[v] = len(adj[v])
         heap = [(s, v) for v, s in score.items()]
         heapq.heapify(heap)
         while score:
@@ -229,7 +254,8 @@ def elimination_order(graph: dict[int, set[int]], X, Y, heuristic: str = "min-fi
             poll_deadline(deadline, "planning")
             order.append(pick)
             del score[pick]
-            for w, d in _eliminate(adj, pick, heuristic).items():
+            for w, d in _eliminate(adj, pick, heuristic,
+                                   min_fill and s == 0).items():
                 if d and w in score:
                     score[w] += d
                     heapq.heappush(heap, (score[w], w))
@@ -318,7 +344,7 @@ def build_graded_tree(p: Problem, order: list[int],
         nid = new_leaf(ci)
         vs = support[nid]
         if vs:
-            buckets[min(pos[v] for v in vs)].append(nid)
+            buckets[min(map(pos.__getitem__, vs))].append(nid)
         else:
             done.append(nid)  # empty clause: constant-0 leaf under the root
 
@@ -342,7 +368,7 @@ def build_graded_tree(p: Problem, order: list[int],
         sup = frozenset(set().union(*(support[c] for c in group)) - {x})
         support[nid] = sup
         if sup:
-            buckets[min(pos[v] for v in sup)].append(nid)
+            buckets[min(map(pos.__getitem__, sup))].append(nid)
         else:
             done.append(nid)
 
@@ -474,15 +500,23 @@ def check_tree(t: PjTree, p: Problem) -> None:
         raise TreeError(bad)
 
 
-def width(t: PjTree, p: Problem) -> int:
-    """Most variables any one node's valuation joins."""
-    return max(map(len, t.joined_vars(p).values()))
+def width(t: PjTree, p: Problem,
+          joined: dict[int, frozenset[int]] | None = None) -> int:
+    """Most variables any one node's valuation joins.  `joined` is
+    `t.joined_vars(p)`, if the caller has it already."""
+    if joined is None:
+        joined = t.joined_vars(p)
+    return max(map(len, joined.values()))
 
 
-def table_entries(t: PjTree, p: Problem) -> int:
+def table_entries(t: PjTree, p: Problem,
+                  joined: dict[int, frozenset[int]] | None = None) -> int:
     """Entries of the tables a dense valuation joins: the sum over internal
-    nodes of 2 to the number of variables joined there."""
-    return sum(1 << len(vs) for nid, vs in t.joined_vars(p).items()
+    nodes of 2 to the number of variables joined there.  `joined` is
+    `t.joined_vars(p)`, if the caller has it already."""
+    if joined is None:
+        joined = t.joined_vars(p)
+    return sum(1 << len(vs) for nid, vs in joined.items()
                if not t.nodes[nid].is_leaf)
 
 

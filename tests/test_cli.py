@@ -260,6 +260,9 @@ class TestSolveCommand:
         assert "verification" not in report
         (_, solve_limits), (recounted, recount_limits) = calls
         assert not recounted.X  # the conditioned formula
+        # the run's own solve also hands over its tree's joined_vars map,
+        # which the width report read; the re-count plans a tree of its own
+        assert solve_limits.pop("joined") is not None
         assert recount_limits == solve_limits
         assert solve_limits["node_limit"] == 1000
 
@@ -749,6 +752,22 @@ class TestConsoleScript:
         report = json.loads(out.stdout)
         assert (report["status"], report["executor"]) == ("ok", "diagram")
         assert report["maximum"] == 1.0  # 1 - 2**-1100, rounded
+        assert report["max_support"] == 1100
+        assert report["total_seconds"] < 2.0
+
+    def test_long_clause_solves_under_min_fill(self, tmp_path):
+        # the default heuristic: the clause is one 1,100-clique, whose fill
+        # min-fill scores once (one closed neighborhood) and whose every
+        # pick is simplicial, so planning takes O(k^2), not O(k^3), time
+        lits = " ".join(map(str, range(1, 1101)))
+        f = tmp_path / "clause1100.cnf"
+        f.write_text(f"p cnf 1100 1\nr 0.5 {lits} 0\n{lits} 0\n")
+        out = subprocess.run([sys.executable, "-m", "dper.cli", "solve",
+                              "--input", str(f)],
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        report = json.loads(out.stdout)
+        assert (report["status"], report["executor"]) == ("ok", "diagram")
         assert report["max_support"] == 1100
         assert report["total_seconds"] < 2.0
 

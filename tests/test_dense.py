@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from dper import dense
 from dper.dense import DenseStore, Table, _varies
 from dper.pbf import DiagramStore, PbFunc, VarOrder
 
@@ -204,3 +205,56 @@ def test_varies_matches_brute_force_cofactors():
             assert _varies(t, axis) == want, (n, axis)
             seen[want] += 1
     assert min(seen.values()) > 300
+
+
+def naive_expand(table, variables):
+    """Each entry over `variables` read from the bits of the table's own
+    variables, the first variable the most significant bit."""
+    n = len(variables)
+    bit = {v: n - 1 - i for i, v in enumerate(variables)}
+    out = []
+    for i in range(1 << n):
+        index = 0
+        for v in table.vars:
+            index = 2 * index + (i >> bit[v] & 1)
+        out.append(table.entries[index])
+    return out
+
+
+@pytest.mark.parametrize("n, own", [
+    (6, (1, 2, 3, 4, 5)),        # the innermost axis missing
+    (6, (2, 3, 4, 5, 6)),        # the outermost axis missing
+    (9, (1, 4, 5, 8)),           # two runs of missing axes, and the last
+    (9, (2, 3, 6, 7, 8)),        # two runs, the outermost one of them
+    (8, ()),                     # a constant table
+    (8, (1, 2, 3, 4, 5, 6, 7, 8)),
+])
+def test_expand_matches_entries_read_by_bits(n, own):
+    entries = [float(i) for i in range(1 << len(own))]
+    table = Table(own, entries, 1.0)
+    variables = tuple(range(1, n + 1))
+    assert table.expand(variables) == naive_expand(table, variables)
+
+
+def test_expand_takes_both_copy_paths(monkeypatch):
+    # random tables over subsets of up to 12 variables; one pass of
+    # `_repeat_blocks` per run of missing axes, by blocks or by stride
+    real = dense._repeat_blocks
+    paths = {"blocks": 0, "stride": 0}
+
+    def spy(t, size, copies):
+        paths["blocks" if len(t) <= copies * size * size else "stride"] += 1
+        return real(t, size, copies)
+    monkeypatch.setattr(dense, "_repeat_blocks", spy)
+    rng = random.Random(106)
+    for _ in range(200):
+        n = rng.randint(0, 12)
+        variables = tuple(range(1, n + 1))
+        own = tuple(v for v in variables if rng.random() < 0.5)
+        table = Table(own, [rng.random() for _ in range(1 << len(own))], 0.0)
+        runs = sum(1 for i, v in enumerate(variables) if v not in own
+                   and (i == 0 or variables[i - 1] in own))
+        before = sum(paths.values())
+        assert table.expand(variables) == naive_expand(table, variables)
+        assert sum(paths.values()) - before == runs
+    assert min(paths.values()) > 50, paths

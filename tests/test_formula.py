@@ -39,6 +39,13 @@ class TestParse:
         p = parse_problem("c hi\n\np cnf 1 1\nc mid\ne 1 0\n1 0\n")
         assert p.clauses == ((1,),)
 
+    def test_clause_lines_slow_and_fast_keep_order(self):
+        # a line of distinct quantified variables is taken whole; a
+        # tautology or a repeated literal goes through normalize_clause
+        p = parse_problem("p cnf 3 5\ne 1 2 0\nr 0.5 3 0\n"
+                          "1 -2 3 0\n2 2 0\n1 -1 0\n-3 -1 -3 0\n0\n")
+        assert p.clauses == ((1, -2, 3), (2,), (-3, -1), ())
+
     def test_multiple_r_lines_with_distinct_probs(self):
         p = parse_problem("p cnf 2 0\nr 0.4 1 0\nr 0.6 2 0\n")
         assert p.pr == {1: 0.4, 2: 0.6}
@@ -102,6 +109,25 @@ class TestParseErrors:
     def test_variable_beyond_header(self):
         with pytest.raises(ParseError, match="beyond header"):
             parse_problem("p cnf 1 0\ne 2 0\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("1 0 2 0", "literal 0 inside clause"),
+        ("2 -4 0", "variable 4 beyond header count 3"),
+        ("-1 3 0", "variable 3 used in clause but unquantified"),
+        ("3 3 -4 0", "variable 3 used in clause but unquantified"),
+    ])
+    def test_clause_errors_name_their_line(self, line, message):
+        # after a clause line of distinct quantified variables, each bad
+        # line falls back to the per-literal checks and fails on its line
+        text = f"p cnf 3 2\ne 1 2 0\n1 -2 0\n{line}\n"
+        with pytest.raises(ParseError, match=f"^line 4: {message}$"):
+            parse_problem(text, free_as_exist=True)
+
+    def test_tautology_counted_as_a_clause_line(self):
+        p = parse_problem("p cnf 2 3\ne 1 2 0\n1 2 0\n1 -1 0\n2 2 0\n")
+        assert p.clauses == ((1, 2), (2,))
+        with pytest.raises(ParseError, match="declares 2 clauses but file has 3"):
+            parse_problem("p cnf 2 2\ne 1 2 0\n1 2 0\n1 -1 0\n2 2 0\n")
 
     def test_clause_count_mismatch(self):
         with pytest.raises(ParseError, match="declares"):

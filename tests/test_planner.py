@@ -523,6 +523,59 @@ class TestIncrementalOrder:
                 compared += 1
         assert compared == 206 * 3
 
+    @staticmethod
+    def _clique_instances():
+        """Formulas where simplicial picks and shared closed neighborhoods
+        are common, each variable in a random block: single long clauses,
+        a long clause with 3-clauses over its variables, two disjoint
+        cliques and a repeated clause."""
+        rng = random.Random(20261020)
+
+        def problem(clauses):
+            vs = sorted({abs(l) for c in clauses for l in c})
+            Y = frozenset(v for v in vs if rng.random() < 0.5)
+            sign = lambda v: v if rng.random() < 0.5 else -v
+            return Problem(num_vars=max(vs), X=frozenset(vs) - Y, Y=Y,
+                           pr=dict.fromkeys(Y, 0.5),
+                           clauses=tuple(tuple(map(sign, c)) for c in clauses))
+
+        for k in (20, 33, 47, 60):
+            yield problem([range(1, k + 1)])
+        for _ in range(3):
+            long = list(range(1, 31))
+            yield problem([long] + [rng.sample(long, 3) for _ in range(12)])
+        yield problem([range(1, 16), range(16, 41)])
+        yield problem([range(1, 26), range(1, 26), [25, 26, 27], [27, 28]])
+
+    def test_cliques_match_reference_order_and_tree_bytes(self):
+        for p in self._clique_instances():
+            validate(p)
+            g = primal_graph(p)
+            for h in HEURISTICS:
+                ref = _reference_order(g, p.X, p.Y, h)
+                assert elimination_order(g, p.X, p.Y, h) == ref, h
+                assert (write_tree(plan(p, h), p)
+                        == write_tree(build_graded_tree(p, ref), p))
+
+    def test_clique_scored_once_and_eliminated_without_edges(self,
+                                                             monkeypatch):
+        # one 300-literal clause is one closed neighborhood, so one fill
+        # count, and every pick has fill 0
+        lits = " ".join(map(str, range(1, 301)))
+        p = parse_problem(f"p cnf 300 1\ne {lits} 0\n{lits} 0\n")
+        scored, simplicial = [], []
+        real_fill, real_eliminate = planner._fill, planner._eliminate
+        monkeypatch.setattr(planner, "_fill",
+                            lambda adj, v: scored.append(v) or real_fill(adj, v))
+        monkeypatch.setattr(
+            planner, "_eliminate",
+            lambda adj, pick, h, simple=False: simplicial.append(simple)
+            or real_eliminate(adj, pick, h, simple))
+        order = elimination_order(primal_graph(p), p.X, p.Y)
+        assert order == list(range(1, 301))
+        assert scored == [1]
+        assert simplicial == [True] * 300
+
     @pytest.mark.parametrize("seed, length", [(7, 640)] + [
         (8000 + i, 40) for i in range(8)])
     def test_min_fill_matches_rescoring_on_long_bands(self, seed, length):
