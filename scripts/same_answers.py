@@ -6,10 +6,11 @@ The instances are the 32 benchmark pool instances (made by
 `perfbench.workloads`, which this script only reads) and
 `dper.gen.random_instance(Random(20260810 + i))` for i < N.  Each is planned
 with min-fill and solved as `dper solve` solves it.  A line holds the
-maximum as `float.hex`, the maximizer as sorted signed literals, and the
-store's counters: executor, diagram_nodes, peak_live_nodes, max_support and
-underflow.  Its "diagram" object repeats the maximum, maximizer, node counts
-and max_support of the same tree solved with `executor.DENSE_MAX_WORK = 0`,
+maximum as `float.hex`, the maximizer as sorted signed literals, the
+store's counters (executor, diagram_nodes, peak_live_nodes, max_support and
+underflow) and the x-region's floor `exist_bound` as `float.hex`.  Its
+"diagram" object repeats the maximum, maximizer, node counts, max_support
+and exist_bound of the same tree solved with `executor.DENSE_MAX_WORK = 0`,
 so that the diagram kernel is compared on every instance, not only on those
 `dper solve` runs on diagrams.
 
@@ -52,6 +53,7 @@ def fields(r) -> dict:
         "peak_live_nodes": s.peak_live_nodes,
         "max_support": s.max_support,
         "underflow": s.underflow,
+        "exist_bound": s.exist_bound.hex(),
     }
 
 

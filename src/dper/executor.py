@@ -8,31 +8,33 @@ assignment into a maximizing one, top projection first.  Fixed orders make the
 output reproducible: children are valuated in stored order and projection
 sets are processed in ascending variable id.
 
-Every solver is the one postorder loop `valuate` plus the one stack replay
+Every solver is the one valuation loop `valuate` plus the one stack replay
 `_replay_stack`: `solve` on a planned tree, `solve_monolithic` on a fixed
 two-node tree, and `debug_assert_mode` on a planned tree with an observer that
 checks the annotated assertions at each point the loop and the replay report.
+The loop walks node ids, children before parents, over a node->value map.
 
 Above its randomized-grade nodes a graded tree only multiplies values in
 [0, 1] and takes maxima: the MPE half of MAP.  So a value below a lower
 bound L on the maximum can never reach it, and an unobserved run prunes
 such values, as exact MAP and ER-SSAT searchers do (Park & Darwiche, UAI
-2003; DC-SSAT, Majercik & Boots, AAAI 2005).  It runs in two phases.  The
-first valuates the inputs of the x-region (`x_region_inputs`): the
-randomized-grade nodes and clause leaves under the top nodes that project
-only existential variables.  A search over the existential variables in
-their supports then yields a value v that the maximum is at least, and
-the bound L = v(1 - delta), whose margin delta covers the rounding between
-the search's product order and the tree's (`exist_bound`).  The second
-phase valuates the x-region with every join floored at L: each value
-below L becomes 0.  Every value lies in [0, 1] and the region only
-multiplies and maxes, so a value below L <= maximum lies only on
-assignments whose value is below the maximum.  Every value on an optimal
-path is unchanged, and each derivative sign compares an unchanged optimal
-cofactor with one that can only fall, so the maximum's bits and the
-maximizer do not move, ties included.  A tree whose root projects a
-randomized variable, or whose region takes no max or has one input, runs
-in one pass with no floor, and so does an observed run, whose checks
+2003; DC-SSAT, Majercik & Boots, AAAI 2005).  It walks the tree's
+postorder in two phases.  The first walks the nodes outside the x-region
+(`x_region`: the top nodes that project only existential variables), which
+leaves pending exactly the region's inputs: the randomized-grade nodes and
+clause leaves under it.  A search over the existential variables in their
+supports then yields a value v that the maximum is at least, and the bound
+L = v(1 - delta), whose margin delta covers the rounding between the
+search's product order and the tree's (`exist_bound`).  The second phase
+walks the region's nodes with every join floored at L: each value below L
+becomes 0.  Every value lies in [0, 1] and the region only multiplies and
+maxes, so a value below L <= maximum lies only on assignments whose value
+is below the maximum.  Every value on an optimal path is unchanged, and
+each derivative sign compares an unchanged optimal cofactor with one that
+can only fall, so the maximum's bits and the maximizer do not move, ties
+included.  A tree whose root projects a randomized variable, or whose
+region takes no max or has one input, has no region, so its first phase
+is the whole tree, unfloored, as is an observed run's, whose checks
 compare against the formula itself.
 
 The loop and the replay run on either of two stores, chosen per solve before
@@ -52,8 +54,8 @@ contract and nothing more:
   `node_count`, `peak_held`, `underflow` and its `name`;
 - a function gives `join` (a product, with an optional floor below which
   every value becomes 0), `exists_project`, `rand_project`, `dsgn` (a
-  `pbf.DsgnFunc`), `evaluate`, `support` and `support_size` (the true
-  support and its size) and `support_bound` (an O(1) upper bound on it).
+  `pbf.DsgnFunc`), `evaluate`, `support` (the true support) and
+  `support_bound` (an O(1) upper bound on its size).
 
 Both stores floor a join alike, so they compute the same functions, and
 `max_support` and `underflow` agree between them with or without a floor.
@@ -185,23 +187,25 @@ def diagram_var_order(p: Problem, t: PjTree) -> VarOrder:
     return VarOrder(mcs_order(primal_graph(p)))
 
 
-def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc], store,
-            stats: SolveStats | None = None, obs=None, *,
-            given: dict[int, PbFunc] | None = None, floor: float = 0.0):
-    """Valuation of node v, pushing derivative signs for existential vars.
+def valuate(p: Problem, t: PjTree, order: list[int], sigma: list[DsgnFunc],
+            store, stats: SolveStats | None = None, obs=None, *,
+            done: dict[int, PbFunc] | None = None,
+            floor: float = 0.0) -> dict[int, PbFunc]:
+    """Valuate the nodes of `order`, children before parents, into `done`,
+    which maps a node id to its valuation until its parent pops it; after a
+    whole postorder `done` holds the root's alone.  It is returned.
 
-    One pass over `t.postorder(v)`.  Leaves valuate to their clause function.
-    An internal node joins its children's valuations left to right, each
-    join floored at `floor`, and then projects its variable set in ascending
-    id order; each existential variable's derivative sign is pushed before
-    that variable is projected.  A node in `given` is not valuated: it takes
-    the valuation the dict holds for it, which is popped, and its subtree
-    is skipped.  After every internal node the store takes its `node_done`
-    step: a diagram store clears its op cache, which bounds its memory to
-    one node's work, and reclaims dead nodes once it has grown enough; a
-    dense store polls the deadline.  The live functions are the pending
-    valuations, the node's own, those still in `given` and the function of
-    every sign on `sigma`.
+    A leaf valuates to its clause function.  An internal node joins its
+    children's valuations in stored child order, each join floored at
+    `floor`, and then projects its variable set in ascending id order; each
+    existential variable's derivative sign is pushed before that variable
+    is projected.  After every internal node the store takes its
+    `node_done` step: a diagram store clears its op cache, which bounds its
+    memory to one node's work, and reclaims dead nodes once it has grown
+    enough; a dense store polls the deadline.  The live functions are those
+    in `done`, the node's own and the function of every sign on `sigma`.
+    `stats.max_support` is noted where a support can grow: at a leaf, its
+    clause's length, and after a join whose support bound passes it.
 
     An observer `obs`, if given, is called at five points of node `nid`:
     `enter(nid)`; `joined(nid, prev, h, f)` after each `f = prev.join(h)`;
@@ -209,33 +213,26 @@ def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc], store,
     prev, f)` after each projection of `x`; and `leave(nid, f)`.  Its own
     functions are not kept live, so it observes tables only, which stay valid.
     """
-
-    def note(f):
-        if stats is not None and f.support_bound() > stats.max_support:
-            stats.max_support = max(stats.max_support, f.support_size())
-
-    given = {} if given is None else given
+    done = {} if done is None else done
+    stats = SolveStats() if stats is None else stats
 
     def live():
-        return chain(done, (f,), given.values(), (s.f for s in sigma))
+        return chain(done.values(), (f,), (s.f for s in sigma))
 
-    done = []  # valuations whose parent is still ahead
-    for nid in t.postorder(v, given):
-        if nid in given:
-            done.append(given.pop(nid))
-            continue
+    for nid in order:
         n = t.nodes[nid]
         if obs is not None:
             obs.enter(nid)
         if n.is_leaf:
             f = store.clause_func(p.clauses[n.clause])
+            stats.max_support = max(stats.max_support, len(p.clauses[n.clause]))
         else:
-            k = len(done) - len(n.children)
-            kids, done[k:] = done[k:], []
             f = store.constant(1.0)
-            for h in kids:
+            for c in n.children:
+                h = done.pop(c)
                 prev, f = f, f.join(h, floor)
-                note(f)
+                if f.support_bound() > stats.max_support:
+                    stats.max_support = max(stats.max_support, len(f.support))
                 if obs is not None:
                     obs.joined(nid, prev, h, f)
             if obs is not None:
@@ -247,15 +244,13 @@ def valuate(p: Problem, t: PjTree, v: int, sigma: list[DsgnFunc], store,
                     f = f.exists_project(x)
                 else:
                     f = f.rand_project(x, p.pr[x])
-                note(f)
                 if obs is not None:
                     obs.projected(nid, x, prev, f)
             store.node_done(live)
-        note(f)
         if obs is not None:
             obs.leave(nid, f)
-        done.append(f)
-    return done[-1]
+        done[nid] = f
+    return done
 
 
 def _replay_stack(p: Problem, sigma: list[DsgnFunc], obs=None) -> dict[int, bool]:
@@ -282,8 +277,8 @@ def _replay_stack(p: Problem, sigma: list[DsgnFunc], obs=None) -> dict[int, bool
     return full
 
 
-def x_region_inputs(p: Problem, t: PjTree) -> list[int]:
-    """The inputs of the tree's x-region, in postorder; [] if it has none.
+def x_region(p: Problem, t: PjTree) -> set[int]:
+    """The node ids of the tree's x-region; empty if it has none.
 
     The x-region is the internal nodes that project no randomized variable
     and have no ancestor that does: the root, unless it projects one, and
@@ -296,20 +291,19 @@ def x_region_inputs(p: Problem, t: PjTree) -> list[int]:
     """
     root = t.nodes[t.root]
     if root.is_leaf or root.projected & p.Y:
-        return []
-    inputs, stack, maxes = set(), [root], False
+        return set()
+    region, stack, inputs = set(), [t.root], 0
     while stack:
-        n = stack.pop()
-        maxes = maxes or bool(n.projected)
-        for c in n.children:
+        nid = stack.pop()
+        region.add(nid)
+        for c in t.nodes[nid].children:
             m = t.nodes[c]
             if m.is_leaf or m.projected & p.Y:
-                inputs.add(c)
+                inputs += 1
             else:
-                stack.append(m)
-    if not maxes or len(inputs) < 2:
-        return []
-    return [i for i in t.postorder(stop=inputs) if i in inputs]
+                stack.append(c)
+    maxes = any(t.nodes[i].projected for i in region)
+    return region if maxes and inputs >= 2 else set()
 
 
 def exist_bound(inputs: list[PbFunc], deadline: float | None) -> float:
@@ -401,28 +395,28 @@ def _better(after: list[float], before: list[float]) -> bool:
 def _run(p: Problem, t: PjTree, store, obs=None) -> SolveResult:
     """Valuate the root, then replay the stack, with `obs` observing both.
 
-    Unobserved, a tree with an x-region is valuated in two phases: first
-    the region's inputs, then, from the bound `exist_bound` finds on them,
-    the region's nodes with every join floored at that bound.  An observed
-    run valuates the tree in one pass with no floor, since its checks
-    compare against the formula itself."""
+    Unobserved, a tree with an x-region is valuated in two phases over its
+    postorder: the nodes outside the region, which leave its inputs
+    pending, then the region's nodes, every join floored at the bound
+    `exist_bound` finds on those inputs.  An observed run has no region,
+    since its checks compare against the formula itself."""
     t0 = time.perf_counter()
     stats = SolveStats()
     sigma: list[DsgnFunc] = []
-    inputs = x_region_inputs(p, t) if obs is None else []
-    given: dict[int, PbFunc] = {}
+    region = x_region(p, t) if obs is None else set()
+    order = t.postorder()
     limit = sys.getrecursionlimit()
     if isinstance(store, DiagramStore):  # whose kernel recurses per level
         sys.setrecursionlimit(max(limit, 4 * len(store.order) + 1000))
     try:
-        for i in inputs:
-            given[i] = valuate(p, t, i, sigma, store, stats, given=given)
-        if given:
-            stats.exist_bound = exist_bound(list(given.values()),
+        done = valuate(p, t, [i for i in order if i not in region], sigma,
+                       store, stats, obs)
+        if region:  # `done` holds the region's inputs, in postorder
+            stats.exist_bound = exist_bound(list(done.values()),
                                             store.deadline)
-        f = valuate(p, t, t.root, sigma, store, stats, obs, given=given,
-                    floor=stats.exist_bound)
-        maximum = f.evaluate({})
+        valuate(p, t, [i for i in order if i in region], sigma, store, stats,
+                obs, done=done, floor=stats.exist_bound)
+        maximum = done[t.root].evaluate({})
     finally:
         sys.setrecursionlimit(limit)
     tau = _replay_stack(p, sigma, obs)
@@ -501,12 +495,14 @@ class _DebugContext:
     the reference function: the fully joined formula with the eliminated
     variables projected out, rebuilt only when E changes.  Equality is
     pointwise within a tolerance because the two sides multiply in different
-    orders.  Entering or leaving a node checks nothing more: the product of A
-    (entering adds a constant 1) and E are those the last check passed, or
-    before the first node the clause product the reference starts from, since
-    a table store's step after a node only polls the deadline.  Leaving the
-    root checks that E holds every clause variable and that the root's value
-    is constant.  Around each pick of `_replay_stack` it checks that tau
+    orders.  Entering or leaving a node checks A and E no further: the
+    product of A (entering adds a constant 1) and E are those the last check
+    passed, or before the first node the clause product the reference starts
+    from, since a table store's step after a node only polls the deadline.
+    Leaving a node checks that no earlier valuation of it is pending, since
+    `valuate` keeps one per node id until its parent takes it; leaving the
+    root, that E holds every clause variable and that the root's value is
+    constant.  Around each pick of `_replay_stack` it checks that tau
     maximizes the formula with the still-eliminated variables projected out;
     what reads tau is checked before the pick, so a sign that would read an
     unassigned variable fails here and not in `pick`.
@@ -530,6 +526,7 @@ class _DebugContext:
         self.active = [store.clause_func(c) for c in p.clauses]
         self.joined_all = self.reference = self.active_product()
         self.eliminated: set[int] = set()
+        self.pending: set[int] = set()  # nodes left whose parent is ahead
 
     def project_eliminated(self) -> PbFunc:
         g = self.joined_all
@@ -555,9 +552,9 @@ class _DebugContext:
                     point, node, detail="active multiset missing a function")
             del self.active[i]
         self.active.append(f)
-        if f.support_size() > self.width:
+        if len(f.support) > self.width:
             raise DebugAssertionError(point, node, var,
-                                      detail=f"support {f.support_size()} exceeds "
+                                      detail=f"support {len(f.support)} exceeds "
                                              f"tree width {self.width}")
         lo, hi = self.store.value_range(f.root)
         if lo < 0.0 or hi > 1.0:
@@ -572,7 +569,9 @@ class _DebugContext:
                                              "projected formula")
 
     def enter(self, node):
-        if not self.t.nodes[node].is_leaf:
+        n = self.t.nodes[node]
+        self.pending.difference_update(n.children)
+        if not n.is_leaf:
             self.active.append(self.store.constant(1.0))
 
     def joined(self, node, prev: PbFunc, h: PbFunc, f: PbFunc):
@@ -588,12 +587,16 @@ class _DebugContext:
         self.check("project-condition", node, x)
 
     def leave(self, node, f: PbFunc):
+        if node in self.pending:
+            raise DebugAssertionError("join-condition", node,
+                                      detail="valuated again while pending")
+        self.pending.add(node)
         if node == self.t.root and self.eliminated != self.p.all_clause_vars():
             raise DebugAssertionError(
                 "post-condition", node,
                 detail=f"eliminated {sorted(self.eliminated)} != formula "
                        f"variables {sorted(self.p.all_clause_vars())}")
-        if node == self.t.root and f.support_size() != 0:
+        if node == self.t.root and len(f.support) != 0:
             raise DebugAssertionError("post-condition", node,
                                       detail="root valuation is not constant")
 

@@ -484,11 +484,8 @@ class PbFunc:
         """The variables the function's value changes with."""
         return self.store.support(self.root)
 
-    def support_size(self) -> int:
-        return len(self.store.support(self.root))
-
     def support_bound(self) -> int:
-        """An O(1) upper bound on `support_size()`."""
+        """An O(1) upper bound on the size of `support`."""
         return self.store.support_bound(self.root)
 
     def __eq__(self, other):

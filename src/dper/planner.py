@@ -44,7 +44,6 @@ that projects nothing may carry either letter.  `write_tree` writes x there.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Container
 
 from .formula import Problem, primal_graph
 from .pbf import poll_deadline
@@ -93,21 +92,18 @@ class PjTree:
     def leaf_ids(self):
         return [i for i, n in self.nodes.items() if n.is_leaf]
 
-    def postorder(self, start: int | None = None,
-                  stop: Container[int] = ()) -> list[int]:
+    def postorder(self) -> list[int]:
         """Children before parents, left-to-right in stored child order.
 
-        Covers the subtree of `start`, by default the whole tree; a node in
-        `stop` is listed without its subtree.  Built as the reverse of a
-        preorder that visits children right to left.
+        Covers every node reachable from the root.  Built as the reverse of
+        a preorder that visits children right to left.
         """
         out: list[int] = []
-        stack = [self.root if start is None else start]
+        stack = [self.root]
         while stack:
             nid = stack.pop()
             out.append(nid)
-            if nid not in stop:
-                stack += self.nodes[nid].children
+            stack += self.nodes[nid].children
         out.reverse()
         return out
 

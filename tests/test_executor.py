@@ -14,8 +14,8 @@ from dper.executor import (DebugAssertionError, debug_assert_mode,
 from dper.formula import parse_problem, primal_graph, serialize
 from dper.gen import band_instance, random_instance
 from dper.pbf import DeadlineExceeded, DiagramStore, ResourceLimitError
-from dper.planner import (HEURISTICS, TreeError, check_tree, mcs_order, plan,
-                          table_entries)
+from dper.planner import (HEURISTICS, PjTree, TreeError, check_tree,
+                          mcs_order, plan, table_entries)
 from dper.planner import width as tree_width
 
 
@@ -28,12 +28,17 @@ def leaf_of_clause(t, ci):
     return next(i for i in t.leaf_ids() if t.nodes[i].clause == ci)
 
 
+def subtree(t, v):
+    """The postorder of node v's subtree."""
+    return PjTree(t.nodes, v).postorder()
+
+
 class TestValuate:
     def test_leaf_is_clause_function(self, example):
         t = plan(example)
         store = DiagramStore(tree_var_order(example, t))
         leaf = leaf_of_clause(t, 2)  # unit clause over variable 1
-        f = valuate(example, t, leaf, [], store)
+        f = valuate(example, t, [leaf], [], store)[leaf]
         assert f == store.clause_func((1,))
 
     def test_existential_pair_node(self, example):
@@ -43,7 +48,7 @@ class TestValuate:
         v = node_projecting(t, {3, 5})
         store = DiagramStore(tree_var_order(example, t))
         sigma = []
-        f = valuate(example, t, v, sigma, store)
+        f = valuate(example, t, subtree(t, v), sigma, store)[v]
         assert f == store.constant(1.0)
         assert [e.var for e in sigma] == [3, 5]
 
@@ -53,9 +58,47 @@ class TestValuate:
         v = node_projecting(t, {2, 4})
         store = DiagramStore(tree_var_order(example, t))
         sigma = []
-        f = valuate(example, t, v, sigma, store)
+        f = valuate(example, t, subtree(t, v), sigma, store)[v]
         assert f == store.constant(0.75)
         assert sigma == []
+
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["diagram", "dense"])
+    def test_region_last_walk_makes_the_same_values(self, example, dense):
+        # walking the nodes outside the x-region first leaves exactly its
+        # inputs pending, in postorder; the region's nodes then give the
+        # root and every sign the functions a plain postorder gives: the
+        # same handles on diagrams, which hash-cons, the same entries on
+        # tables
+        def key(f):
+            return (f.root.vars, f.root.entries) if dense else f.root
+
+        problems = [example] + [
+            random_instance(random.Random(20260810 + i), max_clauses=12)
+            for i in range(50)]
+        regions = 0
+        for p in problems:
+            t = plan(p)
+            order, region = t.postorder(), executor.x_region(p, t)
+            parent = {c: i for i in order for c in t.nodes[i].children}
+            inputs = [i for i in order
+                      if i not in region and parent.get(i) in region]
+            store = executor._make_store(dense, p, t, None, None)
+            want_sigma, sigma = [], []
+            want = valuate(p, t, order, want_sigma, store)
+            done = valuate(p, t, [i for i in order if i not in region],
+                           sigma, store)
+            assert list(done) == (inputs if region else [t.root])
+            valuate(p, t, [i for i in order if i in region], sigma, store,
+                    done=done)
+            assert list(done) == list(want) == [t.root]
+            assert key(done[t.root]) == key(want[t.root])
+            assert ([(e.var, key(e.f)) for e in sigma]
+                    == [(e.var, key(e.f)) for e in want_sigma])
+            # no collection freed the first walk's functions
+            assert store.node_count < pbf.COLLECT_FLOOR
+            regions += bool(region)
+        assert regions >= 20
 
 
 class TestSolve:
@@ -318,7 +361,8 @@ def unpruned(monkeypatch, p, t):
 
 def margin_below(maximum, p, t):
     """The bound a search that reaches `maximum` yields."""
-    n = len(executor.x_region_inputs(p, t))
+    region = executor.x_region(p, t)
+    n = sum(c not in region for i in region for c in t.nodes[i].children)
     return maximum * (1.0 - 8 * (n + 1) * 2.0 ** -53)
 
 
@@ -397,8 +441,9 @@ class TestExistBound:
         p = parse_problem(REACHED)
         t = plan(p)
         store = executor.choose_store(p, t)
-        inputs = [valuate(p, t, i, [], store)
-                  for i in executor.x_region_inputs(p, t)]
+        region = executor.x_region(p, t)
+        inputs = list(valuate(p, t, [i for i in t.postorder()
+                                     if i not in region], [], store).values())
         n = len(inputs)
         calls = []
         evaluate = pbf.PbFunc.evaluate
@@ -518,6 +563,19 @@ def leaf_with_two_parents(t):
     t.nodes[t.root].children.append(leaf_of_clause(t, 3))
 
 
+def leaf_valuated_again_while_pending(t):
+    # the leaf is valuated again under its own parent while its valuation
+    # for the root is still pending
+    t.nodes[t.root].children.insert(0, leaf_of_clause(t, 3))
+
+
+def leaf_listed_twice(t):
+    # both of the leaf's valuations are pending until its parent
+    leaf = leaf_of_clause(t, 3)
+    parent = next(i for i in t.internal_ids() if leaf in t.nodes[i].children)
+    t.nodes[parent].children.append(leaf)
+
+
 def project_foreign_var(t):
     v = node_projecting(t, {6})
     t.nodes[v].projected = t.nodes[v].projected | {5}
@@ -533,6 +591,8 @@ MUTATIONS = [
     remove_leaf,
     swap_projection_sets,
     leaf_with_two_parents,
+    leaf_valuated_again_while_pending,
+    leaf_listed_twice,
     project_foreign_var,
 ]
 GRADE_MUTATIONS = [
@@ -553,6 +613,8 @@ TRIP_POINTS = {
     "remove_leaf": ("project-condition", 9, 3),
     "swap_projection_sets": ("project-condition", 6, 1),
     "leaf_with_two_parents": ("join-condition", 10, None),
+    "leaf_valuated_again_while_pending": ("join-condition", 4, None),
+    "leaf_listed_twice": ("join-condition", 4, None),
     "project_foreign_var": ("project-condition", 7, 5),
 }
 

@@ -424,7 +424,7 @@ class TestCollect:
             live = {ZERO, ONE}.union(*(reachable(st, g.root) for g in pool))
             assert st._bounds.keys() <= live
             for g in pool:
-                assert g.support_bound() >= g.support_size()
+                assert g.support_bound() >= len(g.support)
         assert st.node_count > len(st._lev)  # freed slots were reused
 
     def test_node_count_is_the_nodes_made(self):

@@ -285,7 +285,6 @@ def test_support_mask_matches_dag_walk(tables, steps):
         pool.append(g)
     for f in pool:
         assert f.support == walked_support(f)
-        assert f.support_size() == len(f.support)
 
 
 SUPPORT_POOL = VAR_POOL[:6]  # few enough to evaluate every assignment
@@ -328,7 +327,7 @@ def test_support_matches_cofactors_across_collections(tables, steps):
     def check(f):
         want = cofactor_support(f)
         assert f.support == want
-        assert f.support_size() == len(want) <= f.support_bound()
+        assert len(want) <= f.support_bound()
 
     for i, (op, *args) in steps:
         f = pool[i % len(pool)]

@@ -225,6 +225,8 @@ class TestWidth:
         "remove_leaf": (2, 15),
         "swap_projection_sets": (3, 32),
         "leaf_with_two_parents": (2, 18),
+        "leaf_valuated_again_while_pending": (2, 18),
+        "leaf_listed_twice": (2, 15),
         "project_foreign_var": (3, 19),
         "swap_grade_label_y_node": (2, 15),
         "mislabel_x_grade": (2, 18),
