@@ -34,7 +34,8 @@ import time
 from pathlib import Path
 
 from . import executor, planner
-from .formula import FormulaError, Problem, condition, parse_problem
+from .formula import (FormulaError, Problem, condition, parse_problem,
+                      primal_graph)
 from .pbf import DeadlineExceeded, ResourceLimitError
 
 SCHEMA_VERSION = 1
@@ -119,12 +120,14 @@ def _check_cap(p: Problem, cap: int, what: str):
 def _plan(p: Problem, cfg: RunConfig, deadline: float, report: dict):
     """Plan `p`, record the plan's stats in `report` and write `--tree-out`.
 
-    Returns the tree and its `joined_vars` map, which the width and the
-    store choice both read.  The stats stay in the report even if the
-    deadline hits later.
+    Returns the tree, its `joined_vars` map, which the width and the store
+    choice both read, and the primal graph, which planning and the diagram
+    order both read.  The stats stay in the report even if the deadline
+    hits later.
     """
     t_plan = time.perf_counter()
-    tree = planner.plan(p, cfg.heuristic, deadline=deadline)
+    graph = primal_graph(p)
+    tree = planner.plan(p, cfg.heuristic, deadline=deadline, graph=graph)
     plan_seconds = time.perf_counter() - t_plan
     joined = tree.joined_vars(p)
     report["width"] = planner.width(tree, p, joined)
@@ -134,7 +137,7 @@ def _plan(p: Problem, cfg: RunConfig, deadline: float, report: dict):
         raise DeadlineExceeded("deadline hit after planning")
     if cfg.tree_out:
         Path(cfg.tree_out).write_text(planner.write_tree(tree, p))
-    return tree, joined
+    return tree, joined, graph
 
 
 def recount(p: Problem, tau_x: dict[int, bool], cfg: RunConfig,
@@ -151,9 +154,10 @@ def recount(p: Problem, tau_x: dict[int, bool], cfg: RunConfig,
         return 0.0
     if not q.clauses:
         return 1.0
-    tree = planner.plan(q, cfg.heuristic, deadline=deadline)
+    graph = primal_graph(q)
+    tree = planner.plan(q, cfg.heuristic, deadline=deadline, graph=graph)
     return executor.solve(q, tree, node_limit=cfg.node_limit,
-                          deadline=deadline).maximum
+                          deadline=deadline, graph=graph).maximum
 
 
 def run_solve(path: str, cfg: RunConfig) -> dict:
@@ -165,13 +169,14 @@ def run_solve(path: str, cfg: RunConfig) -> dict:
         p = _load_problem(path, cfg)
         if cfg.debug_assert:
             _check_cap(p, executor.DEBUG_VAR_CAP, "--debug-assert")
-        tree, joined = _plan(p, cfg, deadline, report)
+        tree, joined, graph = _plan(p, cfg, deadline, report)
         if cfg.debug_assert:
             result = executor.debug_assert_mode(p, tree, node_limit=cfg.node_limit,
                                                 deadline=deadline)
         else:
             result = executor.solve(p, tree, node_limit=cfg.node_limit,
-                                    deadline=deadline, joined=joined)
+                                    deadline=deadline, joined=joined,
+                                    graph=graph)
         report.update(
             status="ok",
             maximum=result.maximum,
@@ -244,7 +249,7 @@ def cmd_plan(args, cfg: RunConfig) -> int:
     report: dict = {"schema_version": SCHEMA_VERSION, "instance": args.input}
     try:
         p = _load_problem(args.input, cfg)
-        tree, _ = _plan(p, cfg, deadline, report)
+        tree, _, _ = _plan(p, cfg, deadline, report)
         report["status"] = "ok"
         if not cfg.tree_out:
             report["tree"] = planner.write_tree(tree, p)

@@ -37,6 +37,18 @@ region takes no max or has one input, has no region, so its first phase
 is the whole tree, unfloored, as is an observed run's, whose checks
 compare against the formula itself.
 
+When the root projects existential variables only, the one it projects
+last, x*, is the first its replay decides, and its two cofactors are two
+independent solves.  Where they carry nearly all of a large tree's work
+and a second CPU is free (`split_var`), `solve` runs them in two processes
+(`_split_run`), the cofactor split of parallel diagram packages (Sylvan,
+van Dijk & van de Pol, STTT 2017) and the first branch of DC-SSAT.  The
+answer is the unsplit run's, bit for bit.  Its counters then cover both
+processes: `diagram_nodes` and `peak_live_nodes` are the two halves' sums,
+`max_support` and `underflow` are taken over either half (whose functions
+lack x*, so `max_support` can read one less than unsplit), `exist_bound`
+is the larger of the two floors, and `split` is x* (0 on an unsplit solve).
+
 The loop and the replay run on either of two stores, chosen per solve before
 execution by `choose_store` (see DENSE_MAX_WORK): decision diagrams
 (`pbf.DiagramStore`) or dense tables (`dense.DenseStore`).  Diagrams order
@@ -70,7 +82,10 @@ table-store methods on handles: `approx_equal(f, g, tol)`, pointwise
 
 from __future__ import annotations
 
+import marshal
+import os
 import sys
+import threading
 import time
 from functools import reduce
 from itertools import chain
@@ -79,7 +94,8 @@ from random import Random
 
 from .dense import DenseStore
 from .formula import Problem, primal_graph
-from .pbf import DiagramStore, DsgnFunc, PbFunc, VarOrder, poll_deadline
+from .pbf import (DeadlineExceeded, DiagramStore, DsgnFunc, PbFunc,
+                  ResourceLimitError, VarOrder, poll_deadline)
 from .planner import PjNode, PjTree, check_tree, mcs_order, table_entries
 from .planner import width as tree_width
 
@@ -109,6 +125,23 @@ SEARCH_KICK = 3  # variables flipped to restart the search
 # the benchmark's rand-verify among them, take 0.37-0.44 times as long.
 DENSE_MAX_WORK = 1 << 17
 
+# `solve` splits a tree into two processes (`split_var`) only when its
+# tables would hold at least SPLIT_MIN_ENTRIES entries.  That is
+# DENSE_MAX_WORK's value, so a split solve runs on diagrams, but it is its
+# own constant, so that a run forced onto diagrams by DENSE_MAX_WORK = 0
+# still solves small trees in one process.  On the benchmark's rand-exist
+# pool such a solve takes 20-120 ms; the fork, the pipe and the child's
+# exit cost about 3 ms.
+SPLIT_MIN_ENTRIES = 1 << 17
+SPLIT_SHARE = 0.9  # least share of table entries at nodes joining x*
+
+# The failures a split solve's child reports by type, so that the parent
+# raises the same one and `cli.FAILURES` maps it to the same status.
+SPLIT_FAILURES = (DeadlineExceeded, ResourceLimitError, RecursionError)
+# Seconds between a split solve's child's checks that its parent still
+# runs: a parent killed by a signal runs no code that could stop the child.
+ORPHAN_POLL = 0.1
+
 
 class DebugAssertionError(AssertionError):
     """An annotated-run assertion failed, with its program point."""
@@ -131,12 +164,12 @@ class SolveStats:
     """A solve's counters, kept in report order (`as_dict`)."""
 
     __slots__ = ("executor", "diagram_nodes", "peak_live_nodes", "max_support",
-                 "underflow", "exist_bound", "exec_seconds")
+                 "underflow", "exist_bound", "split", "exec_seconds")
 
     def __init__(self, executor: str = "diagram", diagram_nodes: int = 0,
                  peak_live_nodes: int = 0, max_support: int = 0,
                  underflow: bool = False, exist_bound: float = 0.0,
-                 exec_seconds: float = 0.0):
+                 split: int = 0, exec_seconds: float = 0.0):
         self.executor = executor  # the store that ran: "diagram" or "dense"
         self.diagram_nodes = diagram_nodes  # made, reclaimed ones included; 0 on tables
         self.peak_live_nodes = peak_live_nodes  # most nodes the store held at once
@@ -144,6 +177,7 @@ class SolveStats:
         # a nonzero product or combination rounded to 0 or to a subnormal
         self.underflow = underflow
         self.exist_bound = exist_bound  # the x-region's join floor; 0.0 if none
+        self.split = split  # the variable a split solve fixed per process; 0 if none
         self.exec_seconds = exec_seconds
 
     def as_dict(self) -> dict:
@@ -179,25 +213,29 @@ def tree_var_order(p: Problem, t: PjTree) -> VarOrder:
     return VarOrder(seq)
 
 
-def diagram_var_order(p: Problem, t: PjTree) -> VarOrder:
+def diagram_var_order(p: Problem, t: PjTree,
+                      graph: dict[int, set[int]] | None = None) -> VarOrder:
     """Diagram order: maximum-cardinality search on the primal graph
     (`planner.mcs_order`).  It has a level for every clause variable, so a
     tree that projects any other variable is malformed; the annotated debug
-    run, on tables, rejects it."""
-    return VarOrder(mcs_order(primal_graph(p)))
+    run, on tables, rejects it.  `graph` is `primal_graph(p)`, if the caller
+    has it already."""
+    return VarOrder(mcs_order(primal_graph(p) if graph is None else graph))
 
 
 def valuate(p: Problem, t: PjTree, order: list[int], sigma: list[DsgnFunc],
             store, stats: SolveStats | None = None, obs=None, *,
             done: dict[int, PbFunc] | None = None,
-            floor: float = 0.0) -> dict[int, PbFunc]:
+            floor: float = 0.0, fixed: int = 0) -> dict[int, PbFunc]:
     """Valuate the nodes of `order`, children before parents, into `done`,
     which maps a node id to its valuation until its parent pops it; after a
     whole postorder `done` holds the root's alone.  It is returned.
 
-    A leaf valuates to its clause function.  An internal node joins its
-    children's valuations in stored child order, each join floored at
-    `floor`, and then projects its variable set in ascending id order; each
+    A leaf valuates to its clause function, or with `fixed`, a literal set
+    true, to its clause's cofactor: constant 1 if the clause holds `fixed`,
+    else the function of the clause without `-fixed`.  An internal node
+    joins its children's valuations in stored child order, each join floored
+    at `floor`, and then projects its variable set in ascending id order; each
     existential variable's derivative sign is pushed before that variable
     is projected.  After every internal node the store takes its
     `node_done` step: a diagram store clears its op cache, which bounds its
@@ -224,8 +262,15 @@ def valuate(p: Problem, t: PjTree, order: list[int], sigma: list[DsgnFunc],
         if obs is not None:
             obs.enter(nid)
         if n.is_leaf:
-            f = store.clause_func(p.clauses[n.clause])
-            stats.max_support = max(stats.max_support, len(p.clauses[n.clause]))
+            clause = p.clauses[n.clause]
+            if fixed:
+                clause = None if fixed in clause else tuple(
+                    l for l in clause if l != -fixed)
+            if clause is None:
+                f = store.constant(1.0)
+            else:
+                f = store.clause_func(clause)
+                stats.max_support = max(stats.max_support, len(clause))
         else:
             f = store.constant(1.0)
             for c in n.children:
@@ -392,14 +437,15 @@ def _better(after: list[float], before: list[float]) -> bool:
         filter(None, before))
 
 
-def _run(p: Problem, t: PjTree, store, obs=None) -> SolveResult:
+def _run(p: Problem, t: PjTree, store, obs=None, fixed: int = 0) -> SolveResult:
     """Valuate the root, then replay the stack, with `obs` observing both.
 
     Unobserved, a tree with an x-region is valuated in two phases over its
     postorder: the nodes outside the region, which leave its inputs
     pending, then the region's nodes, every join floored at the bound
     `exist_bound` finds on those inputs.  An observed run has no region,
-    since its checks compare against the formula itself."""
+    since its checks compare against the formula itself.  With `fixed`, a
+    literal, every leaf valuates to its clause's cofactor (see `valuate`)."""
     t0 = time.perf_counter()
     stats = SolveStats()
     sigma: list[DsgnFunc] = []
@@ -410,12 +456,12 @@ def _run(p: Problem, t: PjTree, store, obs=None) -> SolveResult:
         sys.setrecursionlimit(max(limit, 4 * len(store.order) + 1000))
     try:
         done = valuate(p, t, [i for i in order if i not in region], sigma,
-                       store, stats, obs)
+                       store, stats, obs, fixed=fixed)
         if region:  # `done` holds the region's inputs, in postorder
             stats.exist_bound = exist_bound(list(done.values()),
                                             store.deadline)
         valuate(p, t, [i for i in order if i in region], sigma, store, stats,
-                obs, done=done, floor=stats.exist_bound)
+                obs, done=done, floor=stats.exist_bound, fixed=fixed)
         maximum = done[t.root].evaluate({})
     finally:
         sys.setrecursionlimit(limit)
@@ -430,32 +476,171 @@ def _run(p: Problem, t: PjTree, store, obs=None) -> SolveResult:
 
 def choose_store(p: Problem, t: PjTree, node_limit: int | None = None,
                  deadline: float | None = None,
-                 joined: dict[int, frozenset[int]] | None = None):
+                 joined: dict[int, frozenset[int]] | None = None,
+                 graph: dict[int, set[int]] | None = None):
     """The store a solve of `t` runs on: dense tables in the tree's order if
     the tree's tables hold fewer entries (`planner.table_entries`) than
     DENSE_MAX_WORK and `node_limit`, else diagrams in the MCS order, whose
-    nodes held at once `node_limit` caps.  `joined` is `t.joined_vars(p)`,
-    if the caller has it already."""
+    nodes held at once `node_limit` caps.  `joined` is `t.joined_vars(p)`
+    and `graph` is `primal_graph(p)`, if the caller has them already."""
     cap = DENSE_MAX_WORK if node_limit is None else min(DENSE_MAX_WORK, node_limit)
     return _make_store(table_entries(t, p, joined) < cap, p, t, node_limit,
-                       deadline)
+                       deadline, graph)
 
 
 def _make_store(dense: bool, p: Problem, t: PjTree, node_limit: int | None,
-                deadline: float | None):
+                deadline: float | None, graph: dict[int, set[int]] | None = None):
     """Dense tables in the tree's order, or diagrams in the MCS order."""
     if dense:
         return DenseStore(tree_var_order(p, t), deadline=deadline)
-    return DiagramStore(diagram_var_order(p, t), node_limit=node_limit,
+    return DiagramStore(diagram_var_order(p, t, graph), node_limit=node_limit,
                         deadline=deadline)
+
+
+def split_var(p: Problem, t: PjTree, node_limit: int | None = None,
+              joined: dict[int, frozenset[int]] | None = None) -> int:
+    """The variable x* on which `solve` splits `t` into two processes, or 0.
+
+    x* is the largest variable the root projects, so the root projects it
+    last and the replay pops its sign first.  The split needs: a root that
+    projects some existential variable and no randomized one; tables of at
+    least SPLIT_MIN_ENTRIES entries in all (`planner.table_entries`), at
+    least SPLIT_SHARE of them at nodes whose joined set holds x*, so that
+    fixing x* halves nearly all the work; no `node_limit`, which caps one
+    store; and `os.fork` with at least two CPUs this process may run on and
+    no other thread in it, whose locks a forked child could inherit held.
+    `joined` is `t.joined_vars(p)`, if the caller has it already.
+    """
+    root = t.nodes[t.root]
+    affinity = getattr(os, "sched_getaffinity", None)
+    if (node_limit is not None or root.is_leaf or root.projected & p.Y
+            or not root.projected & p.X or not hasattr(os, "fork")
+            or affinity is None or len(affinity(0)) < 2
+            or threading.active_count() > 1):
+        return 0
+    x = max(root.projected)
+    total = near = 0
+    for nid, vs in (t.joined_vars(p) if joined is None else joined).items():
+        if not t.nodes[nid].is_leaf:
+            total += 1 << len(vs)
+            if x in vs:
+                near += 1 << len(vs)
+    return x if total >= SPLIT_MIN_ENTRIES and near >= SPLIT_SHARE * total else 0
+
+
+def _split_run(p: Problem, t: PjTree, store, x: int) -> SolveResult:
+    """`_run` on the tree's two cofactors in x*, x*=1 in a forked child and
+    x*=0 here, then the better one: x* = 1 iff M1 >= M0, the tie rule of
+    `DsgnFunc.pick`.
+
+    Fixing x* commutes pointwise with every product, maximum and convex
+    combination, so each half valuates the unsplit run's functions at its
+    value of x*, with the same float operations.  Each half floors its own
+    x-region at a bound at most its own maximum, so the larger half's
+    maximum and maximizer are those of the unsplit run, whose root value
+    before x* is projected is (M0, M1).  The child sends back through a
+    pipe only its maximum, its maximizer's true variables and its counters,
+    or a failure of a type in SPLIT_FAILURES, which is raised here.  It
+    ends with `os._exit`, which flushes no inherited buffer and runs no exit
+    hook, and its store polls the same deadline.  Whatever happens here,
+    the child is killed if it still runs and reaped before this returns;
+    if this process is killed, the child exits within ORPHAN_POLL seconds.
+    If no process can be forked, the tree is solved unsplit.
+    """
+    t0 = time.perf_counter()
+    parent = os.getpid()
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: solve in this one
+        os.close(read)
+        os.close(write)
+        return _run(p, t, store)
+    if pid == 0:
+        os.close(read)
+        _split_child(p, t, store, x, write, parent)
+    os.close(write)
+    try:
+        with os.fdopen(read, "rb") as pipe:
+            r = _run(p, t, store, fixed=-x)
+            data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        pid = 0
+    finally:
+        if pid:  # this half failed: its failure is the solve's
+            import signal  # off the start-up path, like its enum classes
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError(f"the x{x} = 1 half's process ended without a "
+                           f"result (wait status {status})")
+    tag, *rest = marshal.loads(data)
+    if tag == "error":
+        raise RuntimeError(f"the x{x} = 1 half failed: {rest[0]}")
+    if tag != "ok":
+        raise {c.__name__: c for c in SPLIT_FAILURES}[tag](*rest)
+    maximum, true_vars, nodes, peak, support, underflow, bound = rest
+    one = maximum >= r.maximum
+    if one:
+        r.maximum = maximum
+        r.maximizer = dict.fromkeys(p.X, False)
+        r.maximizer.update(dict.fromkeys(true_vars, True))
+    r.maximizer[x] = one
+    s = r.stats
+    s.diagram_nodes += nodes
+    s.peak_live_nodes += peak
+    s.max_support = max(s.max_support, support)
+    s.underflow = s.underflow or underflow
+    s.exist_bound = max(s.exist_bound, bound)
+    s.split = x
+    s.exec_seconds = time.perf_counter() - t0
+    return r
+
+
+def _split_child(p: Problem, t: PjTree, store, x: int, fd: int, parent: int):
+    """The x* = 1 half of `_split_run`, in the child: write its result or
+    its failure to `fd` and exit, or exit at once when it finds that its
+    parent, process `parent`, is gone."""
+    try:
+        import signal
+
+        def exit_if_orphaned(*_):
+            if os.getppid() != parent:
+                os._exit(1)
+        signal.signal(signal.SIGALRM, exit_if_orphaned)
+        signal.setitimer(signal.ITIMER_REAL, ORPHAN_POLL, ORPHAN_POLL)
+        try:
+            r = _run(p, t, store, fixed=x)
+            s = r.stats
+            msg = ("ok", r.maximum, _true_vars(r.maximizer), s.diagram_nodes,
+                   s.peak_live_nodes, s.max_support, s.underflow, s.exist_bound)
+        except SPLIT_FAILURES as e:
+            msg = (next(c for c in SPLIT_FAILURES if isinstance(e, c)).__name__,
+                   str(e))
+        except Exception:  # a fault, reported with its traceback
+            import traceback
+
+            msg = ("error", traceback.format_exc())
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(marshal.dumps(msg))
+    finally:
+        os._exit(0)
 
 
 def solve(p: Problem, t: PjTree, node_limit: int | None = None,
           deadline: float | None = None,
-          joined: dict[int, frozenset[int]] | None = None) -> SolveResult:
-    """Maximum and a maximizer from a valid graded project-join tree.
-    `joined` is `t.joined_vars(p)`, if the caller has it already."""
-    return _run(p, t, choose_store(p, t, node_limit, deadline, joined))
+          joined: dict[int, frozenset[int]] | None = None,
+          graph: dict[int, set[int]] | None = None) -> SolveResult:
+    """Maximum and a maximizer from a valid graded project-join tree, in
+    two processes where `split_var` finds a variable to split on.
+    `joined` is `t.joined_vars(p)` and `graph` is `primal_graph(p)`, if the
+    caller has them already."""
+    if joined is None:
+        joined = t.joined_vars(p)
+    store = choose_store(p, t, node_limit, deadline, joined, graph)
+    x = split_var(p, t, node_limit, joined)
+    return _split_run(p, t, store, x) if x else _run(p, t, store)
 
 
 def monolithic_tree(p: Problem) -> PjTree:
@@ -638,9 +823,9 @@ def debug_assert_mode(p: Problem, t: PjTree, *, validate: bool = True,
     maximizer, so every run's maximum (`float.hex`) and maximizer must equal
     the annotated run's, else the "store-agreement" assertion trips.  The
     run on the chosen store is returned and is held to `node_limit`, so its
-    stats and limits are a plain solve's; the others are not held to the
-    limit, and under DEBUG_VAR_CAP their diagrams stay small.  All poll
-    `deadline`.
+    stats and limits are those of a plain solve in one process (`split` is
+    0); the others are not held to the limit, and under DEBUG_VAR_CAP their
+    diagrams stay small.  All poll `deadline`.
     """
     if len(p.quantified) > DEBUG_VAR_CAP:
         raise ValueError(f"{len(p.quantified)} variables exceed the debug cap "

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from dper import bench, cli, executor, oracle, planner
 from dper.formula import (ParseError, Problem, condition, parse_problem,
-                          serialize, validate)
+                          primal_graph, serialize, validate)
 from dper.gen import band_instance, random_instance
 from dper.pbf import DeadlineExceeded, DiagramStore
 
@@ -54,7 +54,8 @@ class TestSolveCommand:
             "schema_version", "instance", "width", "tree_nodes",
             "plan_seconds", "status", "maximum", "maximizer", "executor",
             "diagram_nodes", "peak_live_nodes", "max_support", "underflow",
-            "exist_bound", "exec_seconds", "verification", "total_seconds"]
+            "exist_bound", "split", "exec_seconds", "verification",
+            "total_seconds"]
         assert list(report["verification"]) == [
             "checked", "weighted_count", "agrees", "seconds"]
 
@@ -258,13 +259,30 @@ class TestSolveCommand:
         report = json.loads(out)
         assert report["status"] == "deadline"
         assert "verification" not in report
-        (_, solve_limits), (recounted, recount_limits) = calls
+        (solved, solve_limits), (recounted, recount_limits) = calls
         assert not recounted.X  # the conditioned formula
         # the run's own solve also hands over its tree's joined_vars map,
-        # which the width report read; the re-count plans a tree of its own
+        # which the width report read; the re-count plans a tree of its own.
+        # each hands over the primal graph its planning built
         assert solve_limits.pop("joined") is not None
+        assert solve_limits.pop("graph") == primal_graph(solved)
+        assert recount_limits.pop("graph") == primal_graph(recounted)
         assert recount_limits == solve_limits
         assert solve_limits["node_limit"] == 1000
+
+    def test_primal_graph_built_once(self, tmp_path, monkeypatch):
+        # planning and the diagram order read one graph; the re-count, a
+        # solve of its own, is off
+        built = []
+        real = cli.primal_graph
+        for module in (cli, planner, executor):
+            monkeypatch.setattr(module, "primal_graph",
+                                lambda p: built.append(p) or real(p))
+        f = tmp_path / "band14.cnf"
+        f.write_text(serialize(band_instance(random.Random(14), 14)))
+        report = cli.run_solve(str(f), cli.RunConfig(verify=False))
+        assert (report["status"], report["executor"]) == ("ok", "diagram")
+        assert len(built) == 1
 
     def test_unwritable_tree_out_exit_1(self, example_file, tmp_path, capsys):
         tree_path = tmp_path / "missing" / "t.pjt"
