@@ -87,10 +87,12 @@ def load_reference_answers(text: str) -> dict[str, float]:
             continue
         try:
             name, value = line.rsplit(None, 1)
-            out[name] = float(value)
+            out[name] = ref = float(value)
+            if not math.isfinite(ref):  # NaN would pass every comparison
+                raise ValueError
         except ValueError:
-            raise ValueError(f"line {lineno}: expected 'name value', got "
-                             f"{line!r}") from None
+            raise ValueError(f"line {lineno}: expected 'name value' with a "
+                             f"finite value, got {line!r}") from None
     return out
 
 

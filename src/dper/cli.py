@@ -34,8 +34,7 @@ import time
 from pathlib import Path
 
 from . import executor, planner
-from .formula import (FormulaError, Problem, condition, parse_problem,
-                      primal_graph)
+from .formula import FormulaError, Problem, condition, parse_problem
 from .pbf import DeadlineExceeded, ResourceLimitError
 
 SCHEMA_VERSION = 1
@@ -120,14 +119,12 @@ def _check_cap(p: Problem, cap: int, what: str):
 def _plan(p: Problem, cfg: RunConfig, deadline: float, report: dict):
     """Plan `p`, record the plan's stats in `report` and write `--tree-out`.
 
-    Returns the tree, its `joined_vars` map, which the width and the store
-    choice both read, and the primal graph, which planning and the diagram
-    order both read.  The stats stay in the report even if the deadline
-    hits later.
+    Returns the tree and its `joined_vars` map, which the width and the
+    store choice both read.  The stats stay in the report even if the
+    deadline hits later.
     """
     t_plan = time.perf_counter()
-    graph = primal_graph(p)
-    tree = planner.plan(p, cfg.heuristic, deadline=deadline, graph=graph)
+    tree = planner.plan(p, cfg.heuristic, deadline=deadline)
     plan_seconds = time.perf_counter() - t_plan
     joined = tree.joined_vars(p)
     report["width"] = planner.width(tree, p, joined)
@@ -137,7 +134,7 @@ def _plan(p: Problem, cfg: RunConfig, deadline: float, report: dict):
         raise DeadlineExceeded("deadline hit after planning")
     if cfg.tree_out:
         Path(cfg.tree_out).write_text(planner.write_tree(tree, p))
-    return tree, joined, graph
+    return tree, joined
 
 
 def recount(p: Problem, tau_x: dict[int, bool], cfg: RunConfig,
@@ -154,10 +151,9 @@ def recount(p: Problem, tau_x: dict[int, bool], cfg: RunConfig,
         return 0.0
     if not q.clauses:
         return 1.0
-    graph = primal_graph(q)
-    tree = planner.plan(q, cfg.heuristic, deadline=deadline, graph=graph)
+    tree = planner.plan(q, cfg.heuristic, deadline=deadline)
     return executor.solve(q, tree, node_limit=cfg.node_limit,
-                          deadline=deadline, graph=graph).maximum
+                          deadline=deadline).maximum
 
 
 def run_solve(path: str, cfg: RunConfig) -> dict:
@@ -169,14 +165,13 @@ def run_solve(path: str, cfg: RunConfig) -> dict:
         p = _load_problem(path, cfg)
         if cfg.debug_assert:
             _check_cap(p, executor.DEBUG_VAR_CAP, "--debug-assert")
-        tree, joined, graph = _plan(p, cfg, deadline, report)
+        tree, joined = _plan(p, cfg, deadline, report)
         if cfg.debug_assert:
             result = executor.debug_assert_mode(p, tree, node_limit=cfg.node_limit,
                                                 deadline=deadline)
         else:
             result = executor.solve(p, tree, node_limit=cfg.node_limit,
-                                    deadline=deadline, joined=joined,
-                                    graph=graph)
+                                    deadline=deadline, joined=joined)
         report.update(
             status="ok",
             maximum=result.maximum,
@@ -249,7 +244,7 @@ def cmd_plan(args, cfg: RunConfig) -> int:
     report: dict = {"schema_version": SCHEMA_VERSION, "instance": args.input}
     try:
         p = _load_problem(args.input, cfg)
-        tree, _, _ = _plan(p, cfg, deadline, report)
+        tree, _ = _plan(p, cfg, deadline, report)
         report["status"] = "ok"
         if not cfg.tree_out:
             report["tree"] = planner.write_tree(tree, p)
@@ -270,7 +265,8 @@ def _bench_one(path: str, cfg: RunConfig):
     elapsed = report.get("total_seconds", time.perf_counter() - started)
     return bench_mod.BenchRecord(
         name=Path(path).name,
-        solved=report["status"] == "ok",
+        # an ok run can end past the cap: nothing polls it after valuation
+        solved=report["status"] == "ok" and elapsed <= cfg.timeout,
         seconds=elapsed,
         answer=report.get("maximum"),
         width=report.get("width"),

@@ -53,7 +53,8 @@ The loop and the replay run on either of two stores, chosen per solve before
 execution by `choose_store` (see DENSE_MAX_WORK): decision diagrams
 (`pbf.DiagramStore`) or dense tables (`dense.DenseStore`).  Diagrams order
 their levels by maximum-cardinality search on the primal graph
-(`diagram_var_order`); tables keep the tree's projection order
+(`diagram_var_order`), which the problem builds once and keeps, so it is
+the graph planning read; tables keep the tree's projection order
 (`tree_var_order`), so each projection takes the two halves of its table.
 Both compute every value by the same float operations in the same order,
 so the order changes only how much a diagram shares.  Every function
@@ -213,14 +214,12 @@ def tree_var_order(p: Problem, t: PjTree) -> VarOrder:
     return VarOrder(seq)
 
 
-def diagram_var_order(p: Problem, t: PjTree,
-                      graph: dict[int, set[int]] | None = None) -> VarOrder:
+def diagram_var_order(p: Problem) -> VarOrder:
     """Diagram order: maximum-cardinality search on the primal graph
     (`planner.mcs_order`).  It has a level for every clause variable, so a
     tree that projects any other variable is malformed; the annotated debug
-    run, on tables, rejects it.  `graph` is `primal_graph(p)`, if the caller
-    has it already."""
-    return VarOrder(mcs_order(primal_graph(p) if graph is None else graph))
+    run, on tables, rejects it."""
+    return VarOrder(mcs_order(primal_graph(p)))
 
 
 def valuate(p: Problem, t: PjTree, order: list[int], sigma: list[DsgnFunc],
@@ -476,24 +475,23 @@ def _run(p: Problem, t: PjTree, store, obs=None, fixed: int = 0) -> SolveResult:
 
 def choose_store(p: Problem, t: PjTree, node_limit: int | None = None,
                  deadline: float | None = None,
-                 joined: dict[int, frozenset[int]] | None = None,
-                 graph: dict[int, set[int]] | None = None):
+                 joined: dict[int, frozenset[int]] | None = None):
     """The store a solve of `t` runs on: dense tables in the tree's order if
     the tree's tables hold fewer entries (`planner.table_entries`) than
     DENSE_MAX_WORK and `node_limit`, else diagrams in the MCS order, whose
-    nodes held at once `node_limit` caps.  `joined` is `t.joined_vars(p)`
-    and `graph` is `primal_graph(p)`, if the caller has them already."""
+    nodes held at once `node_limit` caps.  `joined` is `t.joined_vars(p)`,
+    if the caller has it already."""
     cap = DENSE_MAX_WORK if node_limit is None else min(DENSE_MAX_WORK, node_limit)
     return _make_store(table_entries(t, p, joined) < cap, p, t, node_limit,
-                       deadline, graph)
+                       deadline)
 
 
 def _make_store(dense: bool, p: Problem, t: PjTree, node_limit: int | None,
-                deadline: float | None, graph: dict[int, set[int]] | None = None):
+                deadline: float | None):
     """Dense tables in the tree's order, or diagrams in the MCS order."""
     if dense:
         return DenseStore(tree_var_order(p, t), deadline=deadline)
-    return DiagramStore(diagram_var_order(p, t, graph), node_limit=node_limit,
+    return DiagramStore(diagram_var_order(p), node_limit=node_limit,
                         deadline=deadline)
 
 
@@ -630,15 +628,13 @@ def _split_child(p: Problem, t: PjTree, store, x: int, fd: int, parent: int):
 
 def solve(p: Problem, t: PjTree, node_limit: int | None = None,
           deadline: float | None = None,
-          joined: dict[int, frozenset[int]] | None = None,
-          graph: dict[int, set[int]] | None = None) -> SolveResult:
+          joined: dict[int, frozenset[int]] | None = None) -> SolveResult:
     """Maximum and a maximizer from a valid graded project-join tree, in
     two processes where `split_var` finds a variable to split on.
-    `joined` is `t.joined_vars(p)` and `graph` is `primal_graph(p)`, if the
-    caller has them already."""
+    `joined` is `t.joined_vars(p)`, if the caller has it already."""
     if joined is None:
         joined = t.joined_vars(p)
-    store = choose_store(p, t, node_limit, deadline, joined, graph)
+    store = choose_store(p, t, node_limit, deadline, joined)
     x = split_var(p, t, node_limit, joined)
     return _split_run(p, t, store, x) if x else _run(p, t, store)
 

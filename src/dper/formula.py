@@ -75,7 +75,8 @@ class Problem:
         """Variables that actually occur in some clause (vars of the formula)."""
         return self._all_clause_vars
 
-    # computed on first use: a solve asks for each clause's set several times
+    # computed on first use: a solve asks for each clause's set several
+    # times, and planning and the diagram order both read the graph
     @cached_property
     def _clause_vars(self) -> tuple[frozenset[Variable], ...]:
         return tuple(frozenset(abs(l) for l in c) for c in self.clauses)
@@ -83,6 +84,19 @@ class Problem:
     @cached_property
     def _all_clause_vars(self) -> frozenset[Variable]:
         return frozenset().union(*self._clause_vars)
+
+    @cached_property
+    def _primal_graph(self) -> dict[Variable, set[Variable]]:
+        # each variable's neighborhood is one union of its clauses' sets
+        sets_of: dict[int, list[frozenset[int]]] = {}
+        for vs in self._clause_vars:
+            for v in vs:
+                sets_of.setdefault(v, []).append(vs)
+        adj: dict[int, set[int]] = {}
+        for v, sets in sets_of.items():
+            adj[v] = nbrs = set().union(*sets)
+            nbrs.discard(v)
+        return adj
 
     @property
     def quantified(self) -> frozenset[Variable]:
@@ -276,17 +290,11 @@ def serialize(p: Problem) -> str:
 
 def primal_graph(p: Problem) -> dict[Variable, set[Variable]]:
     """Adjacency over the clause variables, the only ones planned and
-    valuated; edge iff two vars share a clause.  Each variable's
-    neighborhood is one union of the variable sets of its clauses."""
-    sets_of: dict[int, list[frozenset[int]]] = {}
-    for vs in p._clause_vars:
-        for v in vs:
-            sets_of.setdefault(v, []).append(vs)
-    adj: dict[int, set[int]] = {}
-    for v, sets in sets_of.items():
-        adj[v] = nbrs = set().union(*sets)
-        nbrs.discard(v)
-    return adj
+    valuated; edge iff two vars share a clause.  Built on first use and
+    kept on `p`, so planning and the diagram order share one graph: its
+    readers must not change it (`planner.elimination_order` eliminates on
+    a copy)."""
+    return p._primal_graph
 
 
 def condition(p: Problem, tau_x: dict[Variable, bool]) -> Problem:

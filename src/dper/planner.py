@@ -611,15 +611,13 @@ def read_tree(text: str, p: Problem) -> PjTree:
 
 
 def plan(p: Problem, heuristic: str = "min-fill", *,
-         deadline: float | None = None,
-         graph: dict[int, set[int]] | None = None) -> PjTree:
+         deadline: float | None = None) -> PjTree:
     """Elimination order + bucket elimination in one step.
 
     `deadline` (a time.monotonic() value) is polled at every variable in
-    both steps; DeadlineExceeded is raised once it has passed.  `graph` is
-    `primal_graph(p)`, if the caller has it already; it is not changed.
+    both steps; DeadlineExceeded is raised once it has passed.  The order
+    reads `primal_graph(p)`, built once per problem and kept on it.
     """
-    if graph is None:
-        graph = primal_graph(p)
-    order = elimination_order(graph, p.X, p.Y, heuristic, deadline=deadline)
+    order = elimination_order(primal_graph(p), p.X, p.Y, heuristic,
+                              deadline=deadline)
     return build_graded_tree(p, order, deadline=deadline)

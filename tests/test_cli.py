@@ -7,6 +7,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from dper import bench, cli, executor, oracle, planner
 from dper.formula import (ParseError, Problem, condition, parse_problem,
-                          primal_graph, serialize, validate)
+                          serialize, validate)
 from dper.gen import band_instance, random_instance
 from dper.pbf import DeadlineExceeded, DiagramStore
 
@@ -262,22 +263,19 @@ class TestSolveCommand:
         (solved, solve_limits), (recounted, recount_limits) = calls
         assert not recounted.X  # the conditioned formula
         # the run's own solve also hands over its tree's joined_vars map,
-        # which the width report read; the re-count plans a tree of its own.
-        # each hands over the primal graph its planning built
+        # which the width report read; the re-count plans a tree of its own
         assert solve_limits.pop("joined") is not None
-        assert solve_limits.pop("graph") == primal_graph(solved)
-        assert recount_limits.pop("graph") == primal_graph(recounted)
         assert recount_limits == solve_limits
         assert solve_limits["node_limit"] == 1000
 
     def test_primal_graph_built_once(self, tmp_path, monkeypatch):
-        # planning and the diagram order read one graph; the re-count, a
-        # solve of its own, is off
+        # planning and the diagram order read the one graph the problem
+        # keeps; the re-count, a solve of its own, is off
         built = []
-        real = cli.primal_graph
-        for module in (cli, planner, executor):
-            monkeypatch.setattr(module, "primal_graph",
-                                lambda p: built.append(p) or real(p))
+        real = Problem._primal_graph.func
+        counted = cached_property(lambda p: built.append(p) or real(p))
+        counted.__set_name__(Problem, "_primal_graph")
+        monkeypatch.setattr(Problem, "_primal_graph", counted)
         f = tmp_path / "band14.cnf"
         f.write_text(serialize(band_instance(random.Random(14), 14)))
         report = cli.run_solve(str(f), cli.RunConfig(verify=False))
@@ -533,8 +531,9 @@ class TestBenchCommand:
     @pytest.mark.parametrize("text, problem", [
         ("a.cnf 0.75\nb.cnf\n", "line 2: expected 'name value'"),
         ("# refs\n\na.cnf abc\n", "line 3: expected 'name value'"),
+        ("a.cnf 0.75\nb.cnf nan\n", "line 2: expected 'name value'"),
         (None, "No such file"),
-    ], ids=["one-field", "not-a-number", "missing"])
+    ], ids=["one-field", "not-a-number", "nan", "missing"])
     def test_bad_reference_file_exit_1_before_solving(
             self, bench_dir, tmp_path, capsys, monkeypatch, text, problem):
         refs = tmp_path / "refs.txt"
@@ -549,6 +548,28 @@ class TestBenchCommand:
         assert err.startswith("error:") and problem in err
         assert err.count("\n") == 1
         assert solved == []
+
+    def test_run_past_the_cap_scores_unsolved(self, tmp_path, capsys,
+                                              monkeypatch):
+        # nothing polls the deadline in the stack replay, so a slow one ends
+        # the run past --timeout with status ok
+        d = tmp_path / "one"
+        d.mkdir()
+        (d / "a.cnf").write_text(EXAMPLE_TEXT)
+        replay = executor._replay_stack
+
+        def slow_replay(*args):
+            time.sleep(0.5)
+            return replay(*args)
+        monkeypatch.setattr(executor, "_replay_stack", slow_replay)
+        out_csv = tmp_path / "results.csv"
+        code, _, err = run_cli(["bench", "--dir", str(d), "--out", str(out_csv),
+                                "--timeout", "0.25"], capsys)
+        assert code == 0
+        row = out_csv.read_text().splitlines()[1].split(",")
+        assert float(row[2]) > 0.5 and row[4] == "0.75"  # ok, with an answer
+        assert (row[1], row[3]) == ("0", "0.500000")  # PAR-2: twice the cap
+        assert "solved: 0" in err
 
     def test_unwritable_out_exit_1(self, bench_dir, tmp_path, capsys):
         out_csv = tmp_path / "missing" / "results.csv"

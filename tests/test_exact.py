@@ -60,7 +60,7 @@ def exact_value(p: Problem) -> Fraction:
     if not p.clauses:
         return Fraction(1)
     t = plan(p)
-    store = ExactStore(diagram_var_order(p, t))
+    store = ExactStore(diagram_var_order(p))
     f = valuate(p, t, t.postorder(), [], store)[t.root]
     value = f.evaluate({})
     assert isinstance(value, Fraction)  # one float anywhere makes it a float

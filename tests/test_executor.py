@@ -11,7 +11,7 @@ from dper.dense import DenseStore
 from dper.executor import (DebugAssertionError, debug_assert_mode,
                            monolithic_tree, solve, solve_monolithic,
                            tree_var_order, valuate)
-from dper.formula import parse_problem, primal_graph, serialize
+from dper.formula import Problem, parse_problem, primal_graph, serialize
 from dper.gen import band_instance, random_instance
 from dper.pbf import DeadlineExceeded, DiagramStore, ResourceLimitError
 from dper.planner import (HEURISTICS, PjTree, TreeError, check_tree,
@@ -346,6 +346,24 @@ class TestDense:
             store = executor.choose_store(p, t)
             assert (store.name, built) == (kind, [order])
         assert store.order.variables == tuple(mcs_order(primal_graph(p)))
+
+    @pytest.mark.parametrize("kind", ["band", "long-clause"])
+    def test_planning_and_solving_keep_the_shared_graph(self, kind):
+        # the problem builds its graph once, and planning (which eliminates
+        # on a copy) and the diagram order both read it without changing it
+        if kind == "band":
+            p = band_instance(random.Random(14), 14)
+        else:  # one 60-literal clause: a 60-clique
+            lits = list(range(1, 61))
+            p = Problem(60, (tuple(lits),), frozenset(lits[:30]),
+                        frozenset(lits[30:]), dict.fromkeys(lits[30:], 0.5))
+        g = primal_graph(p)
+        fresh = Problem(p.num_vars, p.clauses, p.X, p.Y, p.pr)
+        for h in HEURISTICS:
+            plan(p, h)
+            assert primal_graph(p) is g and g == primal_graph(fresh), h
+        assert solve(p, plan(p)).stats.executor == "diagram"
+        assert primal_graph(p) is g and g == primal_graph(fresh)
 
     def test_needs_no_numpy(self, example, monkeypatch):
         monkeypatch.setitem(sys.modules, "numpy", None)

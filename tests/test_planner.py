@@ -109,7 +109,7 @@ class TestBuildGradedTree:
                 assert (write_tree(t, padded).splitlines()[1:]
                         == write_tree(plan(p, h), p).splitlines()[1:])
                 for order in (tree_var_order(padded, t),
-                              diagram_var_order(padded, t)):
+                              diagram_var_order(padded)):
                     assert sorted(order.variables) == sorted(
                         p.all_clause_vars())
 
