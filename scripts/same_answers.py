@@ -8,11 +8,13 @@ The instances are the 32 benchmark pool instances (made by
 with min-fill and solved as `dper solve` solves it.  A line holds the
 maximum as `float.hex`, the maximizer as sorted signed literals, the
 store's counters (executor, diagram_nodes, peak_live_nodes, max_support and
-underflow) and the x-region's floor `exist_bound` as `float.hex`.  Its
-"diagram" object repeats the maximum, maximizer, node counts, max_support
-and exist_bound of the same tree solved with `executor.DENSE_MAX_WORK = 0`,
-so that the diagram kernel is compared on every instance, not only on those
-`dper solve` runs on diagrams.
+underflow), the x-region's floor `exist_bound` as `float.hex` and the
+variable a split solve split on (`split`, 0 if it ran in one process; a
+split needs two CPUs, so `taskset -c 0` makes every line 0).  Its
+"diagram" object repeats the maximum, maximizer, node counts, max_support,
+exist_bound and split of the same tree solved with
+`executor.DENSE_MAX_WORK = 0`, so that the diagram kernel is compared on
+every instance, not only on those `dper solve` runs on diagrams.
 
     PYTHONPATH=src python scripts/same_answers.py > answers.jsonl
     PYTHONPATH=src python scripts/same_answers.py --fuzz 20
@@ -54,6 +56,7 @@ def fields(r) -> dict:
         "max_support": s.max_support,
         "underflow": s.underflow,
         "exist_bound": s.exist_bound.hex(),
+        "split": s.split,
     }
 
 

@@ -27,7 +27,6 @@ class BenchRecord:
     nodes_created: int | None = None
     peak_live_nodes: int | None = None
     executor: str | None = None
-    error: str | None = None
     disqualified: bool = False
 
     def par2(self, cap: float) -> float:
@@ -78,7 +77,8 @@ def apply_reference_answers(records: list[BenchRecord],
 def load_reference_answers(text: str) -> dict[str, float]:
     """Parse 'name value' lines; '#' starts a comment.
 
-    Raises ValueError naming the 1-based line of the first malformed entry.
+    Raises ValueError naming the 1-based line of the first malformed entry
+    or of a name's second listing.
     """
     out: dict[str, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -87,12 +87,15 @@ def load_reference_answers(text: str) -> dict[str, float]:
             continue
         try:
             name, value = line.rsplit(None, 1)
-            out[name] = ref = float(value)
+            ref = float(value)
             if not math.isfinite(ref):  # NaN would pass every comparison
                 raise ValueError
         except ValueError:
             raise ValueError(f"line {lineno}: expected 'name value' with a "
                              f"finite value, got {line!r}") from None
+        if name in out:
+            raise ValueError(f"line {lineno}: {name!r} is listed twice")
+        out[name] = ref
     return out
 
 

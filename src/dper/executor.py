@@ -167,19 +167,16 @@ class SolveStats:
     __slots__ = ("executor", "diagram_nodes", "peak_live_nodes", "max_support",
                  "underflow", "exist_bound", "split", "exec_seconds")
 
-    def __init__(self, executor: str = "diagram", diagram_nodes: int = 0,
-                 peak_live_nodes: int = 0, max_support: int = 0,
-                 underflow: bool = False, exist_bound: float = 0.0,
-                 split: int = 0, exec_seconds: float = 0.0):
-        self.executor = executor  # the store that ran: "diagram" or "dense"
-        self.diagram_nodes = diagram_nodes  # made, reclaimed ones included; 0 on tables
-        self.peak_live_nodes = peak_live_nodes  # most nodes the store held at once
-        self.max_support = max_support  # largest support of any intermediate function
+    def __init__(self):
+        self.executor = "diagram"  # the store that ran: "diagram" or "dense"
+        self.diagram_nodes = 0  # made, reclaimed ones included; 0 on tables
+        self.peak_live_nodes = 0  # most nodes the store held at once
+        self.max_support = 0  # largest support of any intermediate function
         # a nonzero product or combination rounded to 0 or to a subnormal
-        self.underflow = underflow
-        self.exist_bound = exist_bound  # the x-region's join floor; 0.0 if none
-        self.split = split  # the variable a split solve fixed per process; 0 if none
-        self.exec_seconds = exec_seconds
+        self.underflow = False
+        self.exist_bound = 0.0  # the x-region's join floor; 0.0 if none
+        self.split = 0  # the variable a split solve fixed per process; 0 if none
+        self.exec_seconds = 0.0
 
     def as_dict(self) -> dict:
         return {n: getattr(self, n) for n in self.__slots__}
@@ -444,7 +441,8 @@ def _run(p: Problem, t: PjTree, store, obs=None, fixed: int = 0) -> SolveResult:
     pending, then the region's nodes, every join floored at the bound
     `exist_bound` finds on those inputs.  An observed run has no region,
     since its checks compare against the formula itself.  With `fixed`, a
-    literal, every leaf valuates to its clause's cofactor (see `valuate`)."""
+    literal, every leaf valuates to its clause's cofactor (see `valuate`).
+    The store's deadline is polled after the replay too."""
     t0 = time.perf_counter()
     stats = SolveStats()
     sigma: list[DsgnFunc] = []
@@ -465,6 +463,7 @@ def _run(p: Problem, t: PjTree, store, obs=None, fixed: int = 0) -> SolveResult:
     finally:
         sys.setrecursionlimit(limit)
     tau = _replay_stack(p, sigma, obs)
+    poll_deadline(store.deadline, "execution")
     stats.executor = store.name
     stats.diagram_nodes = store.node_count
     stats.peak_live_nodes = store.peak_held
@@ -482,14 +481,7 @@ def choose_store(p: Problem, t: PjTree, node_limit: int | None = None,
     nodes held at once `node_limit` caps.  `joined` is `t.joined_vars(p)`,
     if the caller has it already."""
     cap = DENSE_MAX_WORK if node_limit is None else min(DENSE_MAX_WORK, node_limit)
-    return _make_store(table_entries(t, p, joined) < cap, p, t, node_limit,
-                       deadline)
-
-
-def _make_store(dense: bool, p: Problem, t: PjTree, node_limit: int | None,
-                deadline: float | None):
-    """Dense tables in the tree's order, or diagrams in the MCS order."""
-    if dense:
+    if table_entries(t, p, joined) < cap:
         return DenseStore(tree_var_order(p, t), deadline=deadline)
     return DiagramStore(diagram_var_order(p), node_limit=node_limit,
                         deadline=deadline)
@@ -516,13 +508,12 @@ def split_var(p: Problem, t: PjTree, node_limit: int | None = None,
             or affinity is None or len(affinity(0)) < 2
             or threading.active_count() > 1):
         return 0
+    if joined is None:
+        joined = t.joined_vars(p)
     x = max(root.projected)
-    total = near = 0
-    for nid, vs in (t.joined_vars(p) if joined is None else joined).items():
-        if not t.nodes[nid].is_leaf:
-            total += 1 << len(vs)
-            if x in vs:
-                near += 1 << len(vs)
+    total = table_entries(t, p, joined)
+    near = sum(1 << len(vs) for nid, vs in joined.items()
+               if x in vs and not t.nodes[nid].is_leaf)
     return x if total >= SPLIT_MIN_ENTRIES and near >= SPLIT_SHARE * total else 0
 
 
@@ -543,16 +534,17 @@ def _split_run(p: Problem, t: PjTree, store, x: int) -> SolveResult:
     hook, and its store polls the same deadline.  Whatever happens here,
     the child is killed if it still runs and reaped before this returns;
     if this process is killed, the child exits within ORPHAN_POLL seconds.
-    If no process can be forked, the tree is solved unsplit.
+    If no pipe or no process can be made, the tree is solved unsplit.
     """
     t0 = time.perf_counter()
     parent = os.getpid()
-    read, write = os.pipe()
+    fds = ()
     try:
+        fds = read, write = os.pipe()
         pid = os.fork()
-    except OSError:  # no process to spare: solve in this one
-        os.close(read)
-        os.close(write)
+    except OSError:  # no descriptor or process to spare: solve in this one
+        for fd in fds:
+            os.close(fd)
         return _run(p, t, store)
     if pid == 0:
         os.close(read)
@@ -829,11 +821,12 @@ def debug_assert_mode(p: Problem, t: PjTree, *, validate: bool = True,
     if validate:
         check_tree(t, p)
     chosen = choose_store(p, t, node_limit, deadline)
-    tables = _make_store(True, p, t, None, deadline)
+    tables = DenseStore(tree_var_order(p, t), deadline=deadline)
     r = _run(p, t, tables, _DebugContext(p, t, tables))
     runs = [_run(p, t, chosen)]
     if chosen.name == "dense":
-        runs.append(_run(p, t, _make_store(False, p, t, None, deadline)))
+        runs.append(_run(p, t, DiagramStore(diagram_var_order(p),
+                                            deadline=deadline)))
     for o in runs:
         if (r.maximum.hex(), r.maximizer) != (o.maximum.hex(), o.maximizer):
             raise DebugAssertionError(

@@ -104,6 +104,21 @@ class TestSolveCommand:
         assert report["status"] == "deadline"
         assert "width" not in report  # it fired while planning
 
+    def test_run_past_the_deadline_exit_2(self, example_file, capsys,
+                                          monkeypatch):
+        # the deadline is polled once more after the stack replay
+        replay = executor._replay_stack
+
+        def slow_replay(*args):
+            time.sleep(0.5)
+            return replay(*args)
+        monkeypatch.setattr(executor, "_replay_stack", slow_replay)
+        code, out, _ = run_cli(["solve", "--input", example_file,
+                                "--timeout", "0.3"], capsys)
+        report = json.loads(out)
+        assert (code, report["status"]) == (2, "deadline")
+        assert "maximum" not in report and report["total_seconds"] > 0.5
+
     def test_deadline_after_planning_keeps_plan_stats(self, example_file,
                                                       capsys, monkeypatch):
         def expire(*args, **kwargs):
@@ -532,8 +547,10 @@ class TestBenchCommand:
         ("a.cnf 0.75\nb.cnf\n", "line 2: expected 'name value'"),
         ("# refs\n\na.cnf abc\n", "line 3: expected 'name value'"),
         ("a.cnf 0.75\nb.cnf nan\n", "line 2: expected 'name value'"),
+        ("b.cnf 1.0\na.cnf 0.75\nb.cnf 0.1\n",
+         "line 3: 'b.cnf' is listed twice"),
         (None, "No such file"),
-    ], ids=["one-field", "not-a-number", "nan", "missing"])
+    ], ids=["one-field", "not-a-number", "nan", "listed-twice", "missing"])
     def test_bad_reference_file_exit_1_before_solving(
             self, bench_dir, tmp_path, capsys, monkeypatch, text, problem):
         refs = tmp_path / "refs.txt"
@@ -551,8 +568,8 @@ class TestBenchCommand:
 
     def test_run_past_the_cap_scores_unsolved(self, tmp_path, capsys,
                                               monkeypatch):
-        # nothing polls the deadline in the stack replay, so a slow one ends
-        # the run past --timeout with status ok
+        # a slow stack replay ends the run past --timeout: it reports
+        # deadline, with no answer
         d = tmp_path / "one"
         d.mkdir()
         (d / "a.cnf").write_text(EXAMPLE_TEXT)
@@ -567,7 +584,7 @@ class TestBenchCommand:
                                 "--timeout", "0.25"], capsys)
         assert code == 0
         row = out_csv.read_text().splitlines()[1].split(",")
-        assert float(row[2]) > 0.5 and row[4] == "0.75"  # ok, with an answer
+        assert float(row[2]) > 0.5 and row[4] == ""
         assert (row[1], row[3]) == ("0", "0.500000")  # PAR-2: twice the cap
         assert "solved: 0" in err
 

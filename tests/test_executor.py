@@ -83,7 +83,8 @@ class TestValuate:
             parent = {c: i for i in order for c in t.nodes[i].children}
             inputs = [i for i in order
                       if i not in region and parent.get(i) in region]
-            store = executor._make_store(dense, p, t, None, None)
+            store = (DenseStore(tree_var_order(p, t)) if dense
+                     else DiagramStore(executor.diagram_var_order(p)))
             want_sigma, sigma = [], []
             want = valuate(p, t, order, want_sigma, store)
             done = valuate(p, t, [i for i in order if i not in region],

@@ -8,6 +8,7 @@ either process must be the solve's failure, with its status and exit
 code; and no process may outlive a solve.
 """
 
+import errno
 import json
 import os
 import random
@@ -20,9 +21,11 @@ from pathlib import Path
 import pytest
 
 from dper import cli, executor
+from dper.dense import DenseStore
 from dper.formula import parse_problem
 from dper.gen import random_instance
-from dper.pbf import DeadlineExceeded, ResourceLimitError, poll_deadline
+from dper.pbf import (DeadlineExceeded, DiagramStore, ResourceLimitError,
+                      poll_deadline)
 from dper.planner import plan, table_entries
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # for perfbench
@@ -67,7 +70,9 @@ def answer(r):
 def same_halves(p, t, x, dense=False):
     """The split run's answer and the unsplit run's, on one kind of store."""
     def store():
-        return executor._make_store(dense, p, t, None, None)
+        if dense:
+            return DenseStore(executor.tree_var_order(p, t))
+        return DiagramStore(executor.diagram_var_order(p))
     split = executor._split_run(p, t, store(), x)
     assert split.stats.split == x
     return answer(split), answer(executor._run(p, t, store()))
@@ -252,14 +257,20 @@ class TestFailures:
             executor.solve(p, plan(p))
         assert_no_child()
 
-    def test_no_process_to_fork_solves_unsplit(self, cpus, monkeypatch):
+    @pytest.mark.parametrize("call,error", [
+        ("pipe", OSError(errno.EMFILE, "Too many open files")),
+        ("fork", BlockingIOError(errno.EAGAIN,
+                                 "Resource temporarily unavailable"))],
+        ids=["pipe", "fork"])
+    def test_no_pipe_or_process_solves_unsplit(self, cpus, monkeypatch, call,
+                                               error):
         _, p = RAND_EXIST[1]
         t = plan(p)
         whole = answer(executor._run(p, t, executor.choose_store(p, t)))
 
-        def no_fork():
-            raise BlockingIOError("Resource temporarily unavailable")
-        monkeypatch.setattr(os, "fork", no_fork)
+        def fail():
+            raise error
+        monkeypatch.setattr(os, call, fail)
         r = executor.solve(p, t)
         assert (answer(r), r.stats.split) == (whole, 0)
 
