@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 REF_TOLERANCE = 1e-6
 
@@ -27,6 +27,7 @@ class BenchRecord:
     nodes_created: int | None = None
     peak_live_nodes: int | None = None
     executor: str | None = None
+    status: str = ""  # the solve report's status, or "error" for a fault
     disqualified: bool = False
 
     def par2(self, cap: float) -> float:
@@ -37,15 +38,17 @@ class BenchRecord:
 class BenchSummary:
     records: list[BenchRecord]
     cap: float
-    mean_par2: float = 0.0
-    ci95: tuple[float, float] = (math.nan, math.nan)
-    solved: int = 0
-    disqualified: int = 0
+    mean_par2: float = field(init=False, default=0.0)
+    ci95: tuple[float, float] = field(init=False, default=(math.nan, math.nan))
+    solved: int = field(init=False)
+    disqualified: int = field(init=False)
+    errors: int = field(init=False)
 
     def __post_init__(self):
         scores = [r.par2(self.cap) for r in self.records]
         self.solved = sum(r.solved for r in self.records)
         self.disqualified = sum(r.disqualified for r in self.records)
+        self.errors = sum(r.status == "error" for r in self.records)
         if scores:
             self.mean_par2, self.ci95 = mean_with_ci(scores)
 
@@ -103,7 +106,7 @@ def records_to_csv(records: list[BenchRecord], cap: float) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["name", "solved", "seconds", "par2", "answer", "width",
-                     "nodes_created", "peak_live_nodes", "executor"])
+                     "nodes_created", "peak_live_nodes", "executor", "status"])
     for r in records:
         writer.writerow([
             r.name,
@@ -115,5 +118,6 @@ def records_to_csv(records: list[BenchRecord], cap: float) -> str:
             "" if r.nodes_created is None else r.nodes_created,
             "" if r.peak_live_nodes is None else r.peak_live_nodes,
             r.executor or "",
+            r.status,
         ])
     return buf.getvalue()

@@ -119,22 +119,19 @@ def _check_cap(p: Problem, cap: int, what: str):
 def _plan(p: Problem, cfg: RunConfig, deadline: float, report: dict):
     """Plan `p`, record the plan's stats in `report` and write `--tree-out`.
 
-    Returns the tree and its `joined_vars` map, which the width and the
-    store choice both read.  The stats stay in the report even if the
-    deadline hits later.
+    The stats stay in the report even if the deadline hits later.
     """
     t_plan = time.perf_counter()
     tree = planner.plan(p, cfg.heuristic, deadline=deadline)
     plan_seconds = time.perf_counter() - t_plan
-    joined = tree.joined_vars(p)
-    report["width"] = planner.width(tree, p, joined)
+    report["width"] = planner.width(tree, p)
     report["tree_nodes"] = len(tree.nodes)
     report["plan_seconds"] = plan_seconds
     if time.monotonic() > deadline:
         raise DeadlineExceeded("deadline hit after planning")
     if cfg.tree_out:
         Path(cfg.tree_out).write_text(planner.write_tree(tree, p))
-    return tree, joined
+    return tree
 
 
 def recount(p: Problem, tau_x: dict[int, bool], cfg: RunConfig,
@@ -165,13 +162,13 @@ def run_solve(path: str, cfg: RunConfig) -> dict:
         p = _load_problem(path, cfg)
         if cfg.debug_assert:
             _check_cap(p, executor.DEBUG_VAR_CAP, "--debug-assert")
-        tree, joined = _plan(p, cfg, deadline, report)
+        tree = _plan(p, cfg, deadline, report)
         if cfg.debug_assert:
             result = executor.debug_assert_mode(p, tree, node_limit=cfg.node_limit,
                                                 deadline=deadline)
         else:
             result = executor.solve(p, tree, node_limit=cfg.node_limit,
-                                    deadline=deadline, joined=joined)
+                                    deadline=deadline)
         report.update(
             status="ok",
             maximum=result.maximum,
@@ -244,7 +241,7 @@ def cmd_plan(args, cfg: RunConfig) -> int:
     report: dict = {"schema_version": SCHEMA_VERSION, "instance": args.input}
     try:
         p = _load_problem(args.input, cfg)
-        tree, _ = _plan(p, cfg, deadline, report)
+        tree = _plan(p, cfg, deadline, report)
         report["status"] = "ok"
         if not cfg.tree_out:
             report["tree"] = planner.write_tree(tree, p)
@@ -256,15 +253,17 @@ def cmd_plan(args, cfg: RunConfig) -> int:
 def _bench_one(path: str, cfg: RunConfig):
     from . import bench as bench_mod  # with csv, loaded only by `dper bench`
 
+    name = Path(path).name
     started = time.perf_counter()
     try:
         # reference answers replace the per-run verification sub-step here
         report = run_solve(path, cfg.replace(verify=False))
-    except Exception:  # a failing instance must never abort the sweep
+    except Exception as e:  # a fault is reported, but must not end the sweep
+        print(f"error: {name}: {type(e).__name__}: {e}", file=sys.stderr)
         report = {"status": "error"}
     elapsed = report.get("total_seconds", time.perf_counter() - started)
     return bench_mod.BenchRecord(
-        name=Path(path).name,
+        name=name,
         # an ok run can still end past the cap: the last deadline poll comes
         # before the report is made
         solved=report["status"] == "ok" and elapsed <= cfg.timeout,
@@ -274,6 +273,7 @@ def _bench_one(path: str, cfg: RunConfig):
         nodes_created=report.get("diagram_nodes"),
         peak_live_nodes=report.get("peak_live_nodes"),
         executor=report.get("executor"),
+        status=report["status"],
     )
 
 
@@ -315,7 +315,8 @@ def cmd_bench(args, cfg: RunConfig) -> int:
     lo, hi = summary.ci95
     print(f"instances: {len(records)}  solved: {summary.solved}  "
           f"disqualified: {summary.disqualified}  "
-          f"unchecked: {len(records) - len(refs)}", file=sys.stderr)
+          f"unchecked: {len(records) - len(refs)}  "
+          f"errors: {summary.errors}", file=sys.stderr)
     print(f"mean PAR-2: {summary.mean_par2:.3f}  "
           f"95% CI: [{lo:.3f}, {hi:.3f}]", file=sys.stderr)
     return 0

@@ -473,22 +473,19 @@ def _run(p: Problem, t: PjTree, store, obs=None, fixed: int = 0) -> SolveResult:
 
 
 def choose_store(p: Problem, t: PjTree, node_limit: int | None = None,
-                 deadline: float | None = None,
-                 joined: dict[int, frozenset[int]] | None = None):
+                 deadline: float | None = None):
     """The store a solve of `t` runs on: dense tables in the tree's order if
     the tree's tables hold fewer entries (`planner.table_entries`) than
     DENSE_MAX_WORK and `node_limit`, else diagrams in the MCS order, whose
-    nodes held at once `node_limit` caps.  `joined` is `t.joined_vars(p)`,
-    if the caller has it already."""
+    nodes held at once `node_limit` caps."""
     cap = DENSE_MAX_WORK if node_limit is None else min(DENSE_MAX_WORK, node_limit)
-    if table_entries(t, p, joined) < cap:
+    if table_entries(t, p) < cap:
         return DenseStore(tree_var_order(p, t), deadline=deadline)
     return DiagramStore(diagram_var_order(p), node_limit=node_limit,
                         deadline=deadline)
 
 
-def split_var(p: Problem, t: PjTree, node_limit: int | None = None,
-              joined: dict[int, frozenset[int]] | None = None) -> int:
+def split_var(p: Problem, t: PjTree, node_limit: int | None = None) -> int:
     """The variable x* on which `solve` splits `t` into two processes, or 0.
 
     x* is the largest variable the root projects, so the root projects it
@@ -499,7 +496,6 @@ def split_var(p: Problem, t: PjTree, node_limit: int | None = None,
     fixing x* halves nearly all the work; no `node_limit`, which caps one
     store; and `os.fork` with at least two CPUs this process may run on and
     no other thread in it, whose locks a forked child could inherit held.
-    `joined` is `t.joined_vars(p)`, if the caller has it already.
     """
     root = t.nodes[t.root]
     affinity = getattr(os, "sched_getaffinity", None)
@@ -508,11 +504,9 @@ def split_var(p: Problem, t: PjTree, node_limit: int | None = None,
             or affinity is None or len(affinity(0)) < 2
             or threading.active_count() > 1):
         return 0
-    if joined is None:
-        joined = t.joined_vars(p)
     x = max(root.projected)
-    total = table_entries(t, p, joined)
-    near = sum(1 << len(vs) for nid, vs in joined.items()
+    total = table_entries(t, p)
+    near = sum(1 << len(vs) for nid, vs in t.joined_vars(p).items()
                if x in vs and not t.nodes[nid].is_leaf)
     return x if total >= SPLIT_MIN_ENTRIES and near >= SPLIT_SHARE * total else 0
 
@@ -619,15 +613,11 @@ def _split_child(p: Problem, t: PjTree, store, x: int, fd: int, parent: int):
 
 
 def solve(p: Problem, t: PjTree, node_limit: int | None = None,
-          deadline: float | None = None,
-          joined: dict[int, frozenset[int]] | None = None) -> SolveResult:
+          deadline: float | None = None) -> SolveResult:
     """Maximum and a maximizer from a valid graded project-join tree, in
-    two processes where `split_var` finds a variable to split on.
-    `joined` is `t.joined_vars(p)`, if the caller has it already."""
-    if joined is None:
-        joined = t.joined_vars(p)
-    store = choose_store(p, t, node_limit, deadline, joined)
-    x = split_var(p, t, node_limit, joined)
+    two processes where `split_var` finds a variable to split on."""
+    store = choose_store(p, t, node_limit, deadline)
+    x = split_var(p, t, node_limit)
     return _split_run(p, t, store, x) if x else _run(p, t, store)
 
 

@@ -80,11 +80,12 @@ class PjNode:
 
 
 class PjTree:
-    __slots__ = ("nodes", "root")
+    __slots__ = ("nodes", "root", "_joined")
 
     def __init__(self, nodes: dict[int, PjNode], root: int):
         self.nodes = nodes
         self.root = root
+        self._joined = None  # (problem, map) once `joined_vars` has run
 
     def internal_ids(self):
         return [i for i, n in self.nodes.items() if not n.is_leaf]
@@ -114,7 +115,15 @@ class PjTree:
         projected set and whatever each child leaves unprojected: the
         child's joined set minus the child's projected set.  Covers every
         node reachable from the root.
+
+        Built on the first call and kept for that problem object, so the
+        width, the store choice and the split read one map: its readers must
+        not change it, and a tree must not be changed once it has been
+        measured.  A call with another problem object builds afresh, and so
+        does one on a deep copy of the tree, which copies the problem too.
         """
+        if self._joined is not None and self._joined[0] is p:
+            return self._joined[1]
         out: dict[int, frozenset[int]] = {}
         for nid in self.postorder():
             n = self.nodes[nid]
@@ -125,6 +134,7 @@ class PjTree:
                 for c in n.children:
                     acc |= out[c] - self.nodes[c].projected
                 out[nid] = frozenset(acc)
+        self._joined = (p, out)
         return out
 
 
@@ -496,23 +506,15 @@ def check_tree(t: PjTree, p: Problem) -> None:
         raise TreeError(bad)
 
 
-def width(t: PjTree, p: Problem,
-          joined: dict[int, frozenset[int]] | None = None) -> int:
-    """Most variables any one node's valuation joins.  `joined` is
-    `t.joined_vars(p)`, if the caller has it already."""
-    if joined is None:
-        joined = t.joined_vars(p)
-    return max(map(len, joined.values()))
+def width(t: PjTree, p: Problem) -> int:
+    """Most variables any one node's valuation joins."""
+    return max(map(len, t.joined_vars(p).values()))
 
 
-def table_entries(t: PjTree, p: Problem,
-                  joined: dict[int, frozenset[int]] | None = None) -> int:
+def table_entries(t: PjTree, p: Problem) -> int:
     """Entries of the tables a dense valuation joins: the sum over internal
-    nodes of 2 to the number of variables joined there.  `joined` is
-    `t.joined_vars(p)`, if the caller has it already."""
-    if joined is None:
-        joined = t.joined_vars(p)
-    return sum(1 << len(vs) for nid, vs in joined.items()
+    nodes of 2 to the number of variables joined there."""
+    return sum(1 << len(vs) for nid, vs in t.joined_vars(p).items()
                if not t.nodes[nid].is_leaf)
 
 
@@ -557,6 +559,8 @@ def read_tree(text: str, p: Problem) -> PjTree:
             continue
         toks = line.split()
         if toks[0] == "pjt":
+            if header is not None:
+                raise TreeError(f"line {lineno}: duplicate header")
             if len(toks) != 4:
                 raise TreeError(f"line {lineno}: malformed header")
             header = tuple(_int(x, lineno) for x in toks[1:])

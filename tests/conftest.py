@@ -6,6 +6,7 @@ enumeration, keeping the two computation paths independent.
 """
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, settings
 from dper import executor
 from dper.formula import Problem
 from dper.pbf import DiagramStore, VarOrder
+from dper.planner import PjTree
 
 settings.register_profile(
     "suite",
@@ -48,6 +50,22 @@ def make_example() -> Problem:
         Y=frozenset({2, 4, 6}),
         pr={2: 0.5, 4: 0.5, 6: 0.5},
     )
+
+
+@pytest.fixture
+def joined_reads(monkeypatch):
+    """Record every `PjTree.joined_vars` call as (its caller's name, that
+    caller's caller's name, the map returned)."""
+    reads = []
+    real = PjTree.joined_vars
+
+    def spy(t, p):
+        caller = sys._getframe(1)
+        reads.append((caller.f_code.co_name, caller.f_back.f_code.co_name,
+                      real(t, p)))
+        return reads[-1][2]
+    monkeypatch.setattr(PjTree, "joined_vars", spy)
+    return reads
 
 
 @pytest.fixture

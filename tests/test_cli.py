@@ -277,9 +277,6 @@ class TestSolveCommand:
         assert "verification" not in report
         (solved, solve_limits), (recounted, recount_limits) = calls
         assert not recounted.X  # the conditioned formula
-        # the run's own solve also hands over its tree's joined_vars map,
-        # which the width report read; the re-count plans a tree of its own
-        assert solve_limits.pop("joined") is not None
         assert recount_limits == solve_limits
         assert solve_limits["node_limit"] == 1000
 
@@ -296,6 +293,17 @@ class TestSolveCommand:
         report = cli.run_solve(str(f), cli.RunConfig(verify=False))
         assert (report["status"], report["executor"]) == ("ok", "diagram")
         assert len(built) == 1
+
+    def test_debug_run_reads_one_joined_map(self, example_file, joined_reads):
+        # the width report, the store choice and the debug observer's width
+        # bound read the one map the tree keeps; the re-count is off
+        report = cli.run_solve(example_file,
+                               cli.RunConfig(debug_assert=True, verify=False))
+        assert report["status"] == "ok"
+        assert {r[:2] for r in joined_reads} == {
+            ("width", "_plan"), ("table_entries", "choose_store"),
+            ("width", "__init__")}
+        assert all(r[2] is joined_reads[0][2] for r in joined_reads)
 
     def test_unwritable_tree_out_exit_1(self, example_file, tmp_path, capsys):
         tree_path = tmp_path / "missing" / "t.pjt"
@@ -477,11 +485,48 @@ class TestBenchCommand:
         assert code == 0
         rows = out_csv.read_text().splitlines()
         assert rows[0] == ("name,solved,seconds,par2,answer,width,"
-                           "nodes_created,peak_live_nodes,executor")
+                           "nodes_created,peak_live_nodes,executor,status")
         assert len(rows) == 4
         assert all(r.split(",")[1] == "1" for r in rows[1:])
         assert all(r.split(",")[8] == "dense" for r in rows[1:])  # small trees
-        assert "mean PAR-2" in err
+        assert all(r.split(",")[9] == "ok" for r in rows[1:])
+        assert "errors: 0" in err and "mean PAR-2" in err
+
+    def test_failed_run_records_its_status(self, bench_dir, tmp_path, capsys):
+        # a variable beyond the header: unsolved like a timeout, but the
+        # row says why
+        (bench_dir / "b.cnf").write_text("p cnf 1 1\ne 1 0\n1 2 0\n")
+        out_csv = tmp_path / "results.csv"
+        code, _, err = run_cli(["bench", "--dir", str(bench_dir),
+                                "--out", str(out_csv)], capsys)
+        assert code == 0
+        rows = [r.split(",") for r in out_csv.read_text().splitlines()[1:]]
+        assert [(r[0], r[1], r[4], r[9]) for r in rows] == [
+            ("a.cnf", "1", "0.75", "ok"), ("b.cnf", "0", "", "input-error"),
+            ("c.cnf", "1", "1", "ok")]
+        assert "errors: 0" in err  # an input error is not a fault
+
+    def test_fault_is_reported_and_the_sweep_goes_on(self, bench_dir, tmp_path,
+                                                     capsys, monkeypatch):
+        (bench_dir / "c.cnf").unlink()
+        real_solve = executor.solve
+
+        def fail_on_b(p, t, **limits):
+            if p.num_vars == 1:  # b.cnf
+                raise ValueError("bad state")
+            return real_solve(p, t, **limits)
+        monkeypatch.setattr(executor, "solve", fail_on_b)
+        out_csv = tmp_path / "results.csv"
+        code, _, err = run_cli(["bench", "--dir", str(bench_dir),
+                                "--out", str(out_csv)], capsys)
+        assert code == 0
+        rows = [r.split(",") for r in out_csv.read_text().splitlines()[1:]]
+        assert [(r[0], r[1], r[9]) for r in rows] == [("a.cnf", "1", "ok"),
+                                                      ("b.cnf", "0", "error")]
+        lines = err.splitlines()
+        assert lines[0] == "error: b.cnf: ValueError: bad state"
+        assert lines[1].startswith("instances: 2  solved: 1  ")
+        assert lines[1].endswith("  errors: 1")
 
     def test_solves_with_the_recount_off(self, bench_dir, tmp_path, capsys,
                                          monkeypatch):
@@ -584,7 +629,7 @@ class TestBenchCommand:
                                 "--timeout", "0.25"], capsys)
         assert code == 0
         row = out_csv.read_text().splitlines()[1].split(",")
-        assert float(row[2]) > 0.5 and row[4] == ""
+        assert float(row[2]) > 0.5 and (row[4], row[9]) == ("", "deadline")
         assert (row[1], row[3]) == ("0", "0.500000")  # PAR-2: twice the cap
         assert "solved: 0" in err
 
@@ -678,6 +723,13 @@ class TestParScoring:
         records.append(bench.BenchRecord("t", False, 50.0))
         s = bench.BenchSummary(records=records, cap=50.0)
         assert s.mean_par2 == 24.0
+
+    @pytest.mark.parametrize("computed", [
+        {"mean_par2": 5.0}, {"ci95": (0.0, 1.0)}, {"solved": 3},
+        {"disqualified": 1}])
+    def test_computed_fields_are_not_parameters(self, computed):
+        with pytest.raises(TypeError):
+            bench.BenchSummary(records=[], cap=1.0, **computed)
 
     def test_ci_is_student_t(self):
         scores = [1.0, 2.0, 3.0, 4.0, 200.0]

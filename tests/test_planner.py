@@ -321,6 +321,13 @@ class TestTreeFiles:
         with pytest.raises(TreeError, match=f"line {lineno}: expected an integer"):
             read_tree(text, example)
 
+    @pytest.mark.parametrize("first", ["pjt 1 1 1", "pjt 10 5 6"])
+    def test_duplicate_header_rejected(self, example, first):
+        # a stray first header must not be overridden by the true one
+        text = f"{first}\n" + write_tree(plan(example), example)
+        with pytest.raises(TreeError, match="line 2: duplicate header"):
+            read_tree(text, example)
+
     def test_non_integer_internal_token(self, example):
         lines = write_tree(plan(example), example).splitlines()
         i = next(k for k, l in enumerate(lines) if l.startswith("i "))

@@ -189,6 +189,19 @@ def split_instance(tmp_path):
     return str(f)
 
 
+def test_solve_reads_one_joined_map(tmp_path, cpus, joined_reads):
+    # the width report, the store choice and the split gate read the one
+    # map the tree keeps; the re-count, a solve of its own, is off
+    path = split_instance(tmp_path)
+    joined_reads.clear()
+    report = cli.run_solve(path, cli.RunConfig(verify=False))
+    assert report["status"] == "ok" and report["split"]
+    assert {r[:2] for r in joined_reads} == {
+        ("width", "_plan"), ("table_entries", "choose_store"),
+        ("table_entries", "split_var"), ("split_var", "solve")}
+    assert all(r[2] is joined_reads[0][2] for r in joined_reads)
+
+
 class TestFailures:
     def test_deadline_in_the_child_exits_2(self, cpus, tmp_path, capsys,
                                            monkeypatch):
