@@ -7,7 +7,7 @@ satisfaction probability plus a maximizing existential assignment from the
 recorded derivative signs.
 """
 
-from .executor import SolveResult, debug_assert_mode, solve, solve_monolithic
+from .executor import SolveResult, debug_assert_mode, solve
 from .formula import Problem, parse_problem, primal_graph, serialize, validate
 from .planner import PjTree, build_graded_tree, check_tree, plan
 from .planner import elimination_order, read_tree, width, write_tree
@@ -18,5 +18,5 @@ __all__ = [
     "Problem", "parse_problem", "serialize", "validate", "primal_graph",
     "PjTree", "plan", "elimination_order", "build_graded_tree",
     "check_tree", "width", "write_tree", "read_tree",
-    "solve", "solve_monolithic", "debug_assert_mode", "SolveResult",
+    "solve", "debug_assert_mode", "SolveResult",
 ]

@@ -8,9 +8,8 @@ assignment into a maximizing one, top projection first.  Fixed orders make the
 output reproducible: children are valuated in stored order and projection
 sets are processed in ascending variable id.
 
-Every solver is the one valuation loop `valuate` plus the one stack replay
-`_replay_stack`: `solve` on a planned tree, `solve_monolithic` on a fixed
-two-node tree, and `debug_assert_mode` on a planned tree with an observer that
+Both solvers are the one valuation loop `valuate` plus the one stack replay
+`_replay_stack`: `solve`, and `debug_assert_mode` with an observer that
 checks the annotated assertions at each point the loop and the replay report.
 The loop walks node ids, children before parents, over a node->value map.
 
@@ -97,19 +96,18 @@ from .dense import DenseStore
 from .formula import Problem, primal_graph
 from .pbf import (DeadlineExceeded, DiagramStore, DsgnFunc, PbFunc,
                   ResourceLimitError, VarOrder, poll_deadline)
-from .planner import PjNode, PjTree, check_tree, mcs_order, table_entries
+from .planner import PjTree, check_tree, mcs_order, table_entries
 from .planner import width as tree_width
 
-MONOLITHIC_VAR_CAP = 25
 DEBUG_VAR_CAP = 16
 DEBUG_TOL = 1e-9
 
-# The most input evaluations `exist_bound`'s search makes.  On the
-# benchmark's rand-exist pool the search spends all of them, about 2% of
-# execution, and its value v is the maximum on 4 of the 8 instances and
-# 30-77% of it on the others; twice the budget made 1.5% fewer nodes at
-# twice the search's cost.  A search that stops early only yields a lower
-# bound.
+# The most input evaluations `exist_bound`'s search makes.  On each of the
+# benchmark's 8 rand-exist instances the search spends all of them, about 2%
+# of execution, and its v is the maximum on 4 and 30-77% of it on the rest;
+# twice the budget made 1.5% fewer nodes at twice the cost.  Its stop rule
+# is live: it ends every band-wide, band-long and rand-verify search first
+# (80-369 evaluations), and 462 of 463 over 600 fuzz instances (median 60).
 SEARCH_BUDGET = 1 << 10
 SEARCH_KICK = 3  # variables flipped to restart the search
 
@@ -621,32 +619,6 @@ def solve(p: Problem, t: PjTree, node_limit: int | None = None,
     return _split_run(p, t, store, x) if x else _run(p, t, store)
 
 
-def monolithic_tree(p: Problem) -> PjTree:
-    """One Y-grade node over every clause leaf, under one X-grade root; each
-    projects the clause variables of its block.  Leaf i holds clause i."""
-    m = len(p.clauses)
-    cv = p.all_clause_vars()
-    nodes = {i: PjNode(clause=i) for i in range(m)}
-    nodes[m] = PjNode(children=list(range(m)), projected=cv & p.Y)
-    nodes[m + 1] = PjNode(children=[m], projected=cv & p.X)
-    return PjTree(nodes=nodes, root=m + 1)
-
-
-def solve_monolithic(p: Problem, *, node_limit: int | None = None,
-                     deadline: float | None = None) -> SolveResult:
-    """`solve` on `monolithic_tree(p)`: a cross-check that needs no planning.
-
-    Joining every clause at one node ignores the factored form entirely, so
-    this is guarded by a cap of MONOLITHIC_VAR_CAP variables.  As in `solve`,
-    an existential variable that occurs in no clause comes back as 0.
-    """
-    n = len(p.quantified)
-    if n > MONOLITHIC_VAR_CAP:
-        raise ValueError(f"{n} variables exceed the monolithic cap "
-                         f"{MONOLITHIC_VAR_CAP}")
-    return solve(p, monolithic_tree(p), node_limit, deadline)
-
-
 # -- annotated execution ------------------------------------------------------
 
 
@@ -784,32 +756,29 @@ class _DebugContext:
                 detail=f"assignment value {value} is not the maximum {best}")
 
 
-def debug_assert_mode(p: Problem, t: PjTree, *, validate: bool = True,
-                      node_limit: int | None = None,
+def debug_assert_mode(p: Problem, t: PjTree, *, node_limit: int | None = None,
                       deadline: float | None = None) -> SolveResult:
     """Solve while checking every annotated-algorithm assertion.
 
     The checked identity materializes the fully joined formula, so the run is
     guarded by a cap of DEBUG_VAR_CAP variables; values are compared within
-    DEBUG_TOL.  With validate=True the structural tree checks run first;
-    either way a corrupted tree trips an assertion before any answer is
-    returned.  The annotated run is on dense tables in the tree's order,
-    in one pass with no floor.  Then the tree is solved again, unobserved
-    and so with the x-region floored, on diagrams in the MCS order and, if
-    `solve` would choose tables (`choose_store`), on tables too.  The stores
-    promise bit-identical values and the floor keeps the maximum and the
-    maximizer, so every run's maximum (`float.hex`) and maximizer must equal
-    the annotated run's, else the "store-agreement" assertion trips.  The
-    run on the chosen store is returned and is held to `node_limit`, so its
-    stats and limits are those of a plain solve in one process (`split` is
-    0); the others are not held to the limit, and under DEBUG_VAR_CAP their
-    diagrams stay small.  All poll `deadline`.
+    DEBUG_TOL.  `check_tree` runs first, so a corrupted tree raises TreeError
+    before any answer is returned.  The annotated run is on dense tables in
+    the tree's order, in one pass with no floor.  Then the tree is solved
+    again, unobserved and so with the x-region floored, on diagrams in the
+    MCS order and, if `solve` would choose tables (`choose_store`), on tables
+    too.  The stores promise bit-identical values and the floor keeps the
+    maximum and the maximizer, so every run's maximum (`float.hex`) and
+    maximizer must equal the annotated run's, else the "store-agreement"
+    assertion trips.  The run on the chosen store is returned and is held to
+    `node_limit`, so its stats and limits are those of a plain solve in one
+    process (`split` is 0); the others are not held to the limit, and under
+    DEBUG_VAR_CAP their diagrams stay small.  All poll `deadline`.
     """
     if len(p.quantified) > DEBUG_VAR_CAP:
         raise ValueError(f"{len(p.quantified)} variables exceed the debug cap "
                          f"{DEBUG_VAR_CAP}")
-    if validate:
-        check_tree(t, p)
+    check_tree(t, p)
     chosen = choose_store(p, t, node_limit, deadline)
     tables = DenseStore(tree_var_order(p, t), deadline=deadline)
     r = _run(p, t, tables, _DebugContext(p, t, tables))

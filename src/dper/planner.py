@@ -596,6 +596,8 @@ def read_tree(text: str, p: Problem) -> PjTree:
                 raise TreeError(f"line {lineno}: duplicate node id {nid}")
             nodes[nid] = PjNode(children=kids, projected=projs)
         elif toks[0] == "r":
+            if root is not None:
+                raise TreeError(f"line {lineno}: duplicate root line")
             if len(toks) != 2:
                 raise TreeError(f"line {lineno}: malformed root line")
             root = _int(toks[1], lineno)

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, settings
 from dper import executor
 from dper.formula import Problem
 from dper.pbf import DiagramStore, VarOrder
-from dper.planner import PjTree
+from dper.planner import PjNode, PjTree
 
 settings.register_profile(
     "suite",
@@ -50,6 +50,24 @@ def make_example() -> Problem:
         Y=frozenset({2, 4, 6}),
         pr={2: 0.5, 4: 0.5, 6: 0.5},
     )
+
+
+def monolithic_tree(p: Problem) -> PjTree:
+    """The unfactored tree, a cross-check that needs no planning: one Y-grade
+    node joins every clause leaf under one X-grade root, each projecting the
+    clause variables of its block.  Leaf i holds clause i."""
+    m, cv = len(p.clauses), p.all_clause_vars()
+    nodes = {i: PjNode(clause=i) for i in range(m)}
+    nodes[m] = PjNode(children=list(range(m)), projected=cv & p.Y)
+    nodes[m + 1] = PjNode(children=[m], projected=cv & p.X)
+    return PjTree(nodes=nodes, root=m + 1)
+
+
+@pytest.fixture
+def unchecked(monkeypatch):
+    """Skip `debug_assert_mode`'s structural tree checks, so that a corrupted
+    tree reaches the annotated assertions."""
+    monkeypatch.setattr(executor, "check_tree", lambda t, p: None)
 
 
 @pytest.fixture

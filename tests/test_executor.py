@@ -8,8 +8,7 @@ import pytest
 
 from dper import cli, executor, oracle, pbf
 from dper.dense import DenseStore
-from dper.executor import (DebugAssertionError, debug_assert_mode,
-                           monolithic_tree, solve, solve_monolithic,
+from dper.executor import (DebugAssertionError, debug_assert_mode, solve,
                            tree_var_order, valuate)
 from dper.formula import Problem, parse_problem, primal_graph, serialize
 from dper.gen import band_instance, random_instance
@@ -17,6 +16,8 @@ from dper.pbf import DeadlineExceeded, DiagramStore, ResourceLimitError
 from dper.planner import (HEURISTICS, PjTree, TreeError, check_tree,
                           mcs_order, plan, table_entries)
 from dper.planner import width as tree_width
+
+from conftest import monolithic_tree
 
 
 def node_projecting(t, vars_):
@@ -124,10 +125,11 @@ class TestSolve:
         assert r.maximizer == {1: True}
 
     def test_unused_existential_defaults_to_zero(self):
-        # variable 1 occurs in no clause; the tree solver and the monolithic
-        # cross-check both return it as 0
+        # variable 1 occurs in no clause; a solve on the planned tree and one
+        # on the monolithic tree both return it as 0
         p = parse_problem("p cnf 2 1\ne 1 2 0\n2 0\n")
-        for r in (solve(p, plan(p)), solve_monolithic(p)):
+        for t in (plan(p), monolithic_tree(p)):
+            r = solve(p, t)
             assert r.maximum == 1.0
             assert r.maximizer == {1: False, 2: True}
 
@@ -479,27 +481,21 @@ class TestExistBound:
 
 class TestSolveMonolithic:
     def test_worked_example(self, example):
-        r = solve_monolithic(example)
+        r = solve(example, monolithic_tree(example))
         assert r.maximum == 0.75
         assert oracle.weighted_count(example, r.maximizer) == 0.75
 
     def test_single_clause(self):
         p = parse_problem("p cnf 1 1\ne 1 0\n1 0\n")
-        r = solve_monolithic(p)
+        r = solve(p, monolithic_tree(p))
         assert r.maximum == 1.0 and r.maximizer == {1: True}
-
-    def test_cap_enforced(self):
-        p = parse_problem("p cnf 30 0\ne " +
-                          " ".join(map(str, range(1, 31))) + " 0\n")
-        with pytest.raises(ValueError, match="cap"):
-            solve_monolithic(p)
 
     def test_agrees_with_tree_solver(self):
         rng = random.Random(23)
         for _ in range(100):
             p = random_instance(rng)
             a = solve(p, plan(p)).maximum
-            b = solve_monolithic(p).maximum
+            b = solve(p, monolithic_tree(p)).maximum
             assert abs(a - b) <= 1e-9
 
     def test_two_node_tree_is_graded(self, example):
@@ -512,9 +508,9 @@ class TestSolveMonolithic:
 #
 # Each mutation takes the (deterministic) worked-example tree and damages it.
 # The semantic mutations change what the run computes and must trip an
-# annotated assertion even with structural validation turned off; the grade
-# mutations keep both project-join-tree criteria and are caught by check_tree's
-# gradedness stage.
+# annotated assertion with structural validation turned off (`unchecked`);
+# the grade mutations keep both project-join-tree criteria and are caught by
+# check_tree's gradedness stage.
 
 
 def move_x_projection_down(t):
@@ -689,13 +685,16 @@ class TestDebugAssertMode:
     @pytest.mark.parametrize("mutate, store", by_store(ALL_MUTATIONS))
     def test_corruption_trips_before_output(self, example, mutate, store,
                                             monkeypatch):
+        # the structural checks run first and catch every mutation, before
+        # a store is chosen
         used = on_store(monkeypatch, store)
         bad = copy.deepcopy(plan(example))
         mutate(bad)
-        with pytest.raises((TreeError, DebugAssertionError)):
+        with pytest.raises(TreeError):
             debug_assert_mode(example, bad)
-        assert set(used) <= {store}  # empty if a structural check tripped
+        assert used == []
 
+    @pytest.mark.usefixtures("unchecked")
     @pytest.mark.parametrize("mutate, store", by_store(MUTATIONS))
     def test_semantic_corruption_trips_annotated_assertion(self, example,
                                                            mutate, store,
@@ -704,12 +703,12 @@ class TestDebugAssertMode:
         bad = copy.deepcopy(plan(example))
         mutate(bad)
         with pytest.raises(DebugAssertionError) as info:
-            debug_assert_mode(example, bad, validate=False)
+            debug_assert_mode(example, bad)
         e = info.value
         assert (e.point, e.node, e.var) == TRIP_POINTS[mutate.__name__]
         assert used == [store]
 
-    @pytest.mark.usefixtures("diagrams")
+    @pytest.mark.usefixtures("diagrams", "unchecked")
     @pytest.mark.parametrize("mutate", MUTATIONS,
                              ids=lambda m: m.__name__)
     def test_trip_points_hold_under_collection(self, example, mutate,
@@ -721,7 +720,7 @@ class TestDebugAssertMode:
         bad = copy.deepcopy(plan(example))
         mutate(bad)
         with pytest.raises(DebugAssertionError) as info:
-            debug_assert_mode(example, bad, validate=False)
+            debug_assert_mode(example, bad)
         e = info.value
         assert (e.point, e.node, e.var) == TRIP_POINTS[mutate.__name__]
 
@@ -837,6 +836,7 @@ class TestDebugAssertMode:
             assert debug == counts(solve(p, t).stats), i
             assert debug[0] == "diagram"
 
+    @pytest.mark.usefixtures("unchecked")
     @pytest.mark.parametrize("store", STORES)
     def test_clause_free_projection_trips_the_post_condition(self, store,
                                                              monkeypatch):
@@ -848,7 +848,7 @@ class TestDebugAssertMode:
         bad = plan(p)
         bad.nodes[bad.root].projected |= {3}
         with pytest.raises(DebugAssertionError) as info:
-            debug_assert_mode(p, bad, validate=False)
+            debug_assert_mode(p, bad)
         assert (info.value.point, info.value.node) == ("post-condition",
                                                         bad.root)
         assert used == [store]

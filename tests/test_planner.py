@@ -328,6 +328,16 @@ class TestTreeFiles:
         with pytest.raises(TreeError, match="line 2: duplicate header"):
             read_tree(text, example)
 
+    @pytest.mark.parametrize("first", ["r 6", "r 10"])
+    def test_duplicate_root_line_rejected(self, example, first):
+        # a stray root line must not be overridden by the true one
+        lines = write_tree(plan(example), example).splitlines()
+        assert lines[-1] == "r 10"
+        lines.insert(-1, first)
+        with pytest.raises(TreeError,
+                           match=f"line {len(lines)}: duplicate root line"):
+            read_tree("\n".join(lines), example)
+
     def test_non_integer_internal_token(self, example):
         lines = write_tree(plan(example), example).splitlines()
         i = next(k for k, l in enumerate(lines) if l.startswith("i "))
