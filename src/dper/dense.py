@@ -5,10 +5,10 @@ The tensor alternative to decision diagrams for the same dynamic programme
 are `pbf.PbFunc` handles whose root is a Table: one value per assignment to
 its variables, as a flat Python list in row-major order over `vars`; bit 0
 of an axis is false and bit 1 true.  The variables follow the store's
-VarOrder, the tree's projection order, with the variable projected first as
-the outermost axis: the variable a tree node projects is the first one of
-its table, so its two cofactors are the two halves of the list.  A table
-over k variables holds 2^k entries whatever the function is, so the
+variable sequence, the tree's projection order, with the variable projected
+first as the outermost axis: the variable a tree node projects is the first
+one of its table, so its two cofactors are the two halves of the list.  A
+table over k variables holds 2^k entries whatever the function is, so the
 executor chooses this store only for trees whose tables are small
 (`executor.DENSE_MAX_WORK`).
 
@@ -42,10 +42,10 @@ node.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from operator import mul
 
-from .pbf import _MIN_NORMAL, PbFunc, VarOrder, poll_deadline
+from .pbf import _MIN_NORMAL, PbFunc, poll_deadline
 
 
 class Table:
@@ -148,8 +148,11 @@ class DenseStore:
     node_count = 0  # no diagram nodes
     peak_held = 0
 
-    def __init__(self, order: VarOrder, deadline: float | None = None):
-        self.rank = order._rank.__getitem__  # a sort key that runs no Python
+    def __init__(self, variables: Sequence[int], deadline: float | None = None):
+        rank = {v: i for i, v in enumerate(variables)}
+        if len(rank) != len(variables):
+            raise ValueError("variable order contains duplicates")
+        self.rank = rank.__getitem__  # a sort key that runs no Python
         self.deadline = deadline
         self.underflow = False
 

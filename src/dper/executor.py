@@ -93,9 +93,9 @@ from math import prod
 from random import Random
 
 from .dense import DenseStore
-from .formula import Problem, primal_graph
+from .formula import Problem, cofactor, primal_graph
 from .pbf import (DeadlineExceeded, DiagramStore, DsgnFunc, PbFunc,
-                  ResourceLimitError, VarOrder, poll_deadline)
+                  ResourceLimitError, poll_deadline)
 from .planner import PjTree, check_tree, mcs_order, table_entries
 from .planner import width as tree_width
 
@@ -190,46 +190,42 @@ class SolveResult:
         self.stats = stats
 
 
-def tree_var_order(p: Problem, t: PjTree) -> VarOrder:
+def tree_var_order(p: Problem, t: PjTree) -> list[int]:
     """Table order derived from the tree: projection order, then leftovers.
 
     Dense tables only; diagrams take `diagram_var_order`.  Clause variables
     only.  It tolerates malformed trees (leftovers, repeated projections) so
     that the annotated debug run reports the corruption.
     """
-    seq: list[int] = []
-    seen: set[int] = set()
-    for nid in t.postorder():
-        n = t.nodes[nid]
-        for v in sorted(n.projected):
-            if v not in seen:
-                seen.add(v)
-                seq.append(v)
-    seq.extend(sorted(p.all_clause_vars() - seen))
-    return VarOrder(seq)
+    seq = dict.fromkeys(v for nid in t.postorder()
+                        for v in sorted(t.nodes[nid].projected))
+    return [*seq, *sorted(p.all_clause_vars() - seq.keys())]
 
 
-def diagram_var_order(p: Problem) -> VarOrder:
+def diagram_var_order(p: Problem) -> list[int]:
     """Diagram order: maximum-cardinality search on the primal graph
     (`planner.mcs_order`).  It has a level for every clause variable, so a
     tree that projects any other variable is malformed; the annotated debug
     run, on tables, rejects it."""
-    return VarOrder(mcs_order(primal_graph(p)))
+    return mcs_order(primal_graph(p))
 
 
 def valuate(p: Problem, t: PjTree, order: list[int], sigma: list[DsgnFunc],
             store, stats: SolveStats | None = None, obs=None, *,
             done: dict[int, PbFunc] | None = None,
-            floor: float = 0.0, fixed: int = 0) -> dict[int, PbFunc]:
+            floor: float = 0.0,
+            fixed: frozenset[int] = frozenset()) -> dict[int, PbFunc]:
     """Valuate the nodes of `order`, children before parents, into `done`,
     which maps a node id to its valuation until its parent pops it; after a
     whole postorder `done` holds the root's alone.  It is returned.
 
-    A leaf valuates to its clause function, or with `fixed`, a literal set
-    true, to its clause's cofactor: constant 1 if the clause holds `fixed`,
-    else the function of the clause without `-fixed`.  An internal node
-    joins its children's valuations in stored child order, each join floored
-    at `floor`, and then projects its variable set in ascending id order; each
+    A leaf valuates to the function of its clause's cofactor by `fixed`, a
+    set of literals set true (`formula.cofactor`): constant 1 if the clause
+    holds one of them, else the clause without their negations.  So the
+    run computes the tree's values at every assignment that sets `fixed`
+    true, with the same float operations.  An internal node joins its
+    children's valuations in stored child order, each join floored at
+    `floor`, and then projects its variable set in ascending id order; each
     existential variable's derivative sign is pushed before that variable
     is projected.  After every internal node the store takes its
     `node_done` step: a diagram store clears its op cache, which bounds its
@@ -256,10 +252,7 @@ def valuate(p: Problem, t: PjTree, order: list[int], sigma: list[DsgnFunc],
         if obs is not None:
             obs.enter(nid)
         if n.is_leaf:
-            clause = p.clauses[n.clause]
-            if fixed:
-                clause = None if fixed in clause else tuple(
-                    l for l in clause if l != -fixed)
+            clause = cofactor(p.clauses[n.clause], fixed)
             if clause is None:
                 f = store.constant(1.0)
             else:
@@ -431,7 +424,8 @@ def _better(after: list[float], before: list[float]) -> bool:
         filter(None, before))
 
 
-def _run(p: Problem, t: PjTree, store, obs=None, fixed: int = 0) -> SolveResult:
+def _run(p: Problem, t: PjTree, store, obs=None,
+         fixed: frozenset[int] = frozenset()) -> SolveResult:
     """Valuate the root, then replay the stack, with `obs` observing both.
 
     Unobserved, a tree with an x-region is valuated in two phases over its
@@ -439,8 +433,8 @@ def _run(p: Problem, t: PjTree, store, obs=None, fixed: int = 0) -> SolveResult:
     pending, then the region's nodes, every join floored at the bound
     `exist_bound` finds on those inputs.  An observed run has no region,
     since its checks compare against the formula itself.  With `fixed`, a
-    literal, every leaf valuates to its clause's cofactor (see `valuate`).
-    The store's deadline is polled after the replay too."""
+    set of literals, every leaf valuates to its clause's cofactor by them
+    (see `valuate`).  The store's deadline is polled after the replay too."""
     t0 = time.perf_counter()
     stats = SolveStats()
     sigma: list[DsgnFunc] = []
@@ -448,7 +442,7 @@ def _run(p: Problem, t: PjTree, store, obs=None, fixed: int = 0) -> SolveResult:
     order = t.postorder()
     limit = sys.getrecursionlimit()
     if isinstance(store, DiagramStore):  # whose kernel recurses per level
-        sys.setrecursionlimit(max(limit, 4 * len(store.order) + 1000))
+        sys.setrecursionlimit(max(limit, 4 * len(store.variables) + 1000))
     try:
         done = valuate(p, t, [i for i in order if i not in region], sigma,
                        store, stats, obs, fixed=fixed)
@@ -521,12 +515,16 @@ def _split_run(p: Problem, t: PjTree, store, x: int) -> SolveResult:
     maximum and maximizer are those of the unsplit run, whose root value
     before x* is projected is (M0, M1).  The child sends back through a
     pipe only its maximum, its maximizer's true variables and its counters,
-    or a failure of a type in SPLIT_FAILURES, which is raised here.  It
-    ends with `os._exit`, which flushes no inherited buffer and runs no exit
-    hook, and its store polls the same deadline.  Whatever happens here,
-    the child is killed if it still runs and reaped before this returns;
-    if this process is killed, the child exits within ORPHAN_POLL seconds.
-    If no pipe or no process can be made, the tree is solved unsplit.
+    or a failure of a type in SPLIT_FAILURES, which is raised here; any
+    other exception there is a fault, raised here as RuntimeError.  A
+    child that ends without a result, as one killed for its memory does,
+    raises ResourceLimitError here, naming its wait status.  The child
+    ends with `os._exit`, which flushes no inherited buffer and runs no
+    exit hook, and its store polls the same deadline.  Whatever happens
+    here, the child is killed if it still runs and reaped before this
+    returns; if this process is killed, the child exits within ORPHAN_POLL
+    seconds.  If no pipe or no process can be made, the tree is solved
+    unsplit.
     """
     t0 = time.perf_counter()
     parent = os.getpid()
@@ -544,7 +542,7 @@ def _split_run(p: Problem, t: PjTree, store, x: int) -> SolveResult:
     os.close(write)
     try:
         with os.fdopen(read, "rb") as pipe:
-            r = _run(p, t, store, fixed=-x)
+            r = _run(p, t, store, fixed=frozenset({-x}))
             data = pipe.read()
         _, status = os.waitpid(pid, 0)
         pid = 0
@@ -555,8 +553,8 @@ def _split_run(p: Problem, t: PjTree, store, x: int) -> SolveResult:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     if not data:
-        raise RuntimeError(f"the x{x} = 1 half's process ended without a "
-                           f"result (wait status {status})")
+        raise ResourceLimitError(f"the x{x} = 1 half's process ended without "
+                                 f"a result (wait status {status})")
     tag, *rest = marshal.loads(data)
     if tag == "error":
         raise RuntimeError(f"the x{x} = 1 half failed: {rest[0]}")
@@ -593,7 +591,7 @@ def _split_child(p: Problem, t: PjTree, store, x: int, fd: int, parent: int):
         signal.signal(signal.SIGALRM, exit_if_orphaned)
         signal.setitimer(signal.ITIMER_REAL, ORPHAN_POLL, ORPHAN_POLL)
         try:
-            r = _run(p, t, store, fixed=x)
+            r = _run(p, t, store, fixed=frozenset({x}))
             s = r.stats
             msg = ("ok", r.maximum, _true_vars(r.maximizer), s.diagram_nodes,
                    s.peak_live_nodes, s.max_support, s.underflow, s.exist_bound)

@@ -297,27 +297,27 @@ def primal_graph(p: Problem) -> dict[Variable, set[Variable]]:
     return p._primal_graph
 
 
+def cofactor(clause: Clause, true: frozenset[int]) -> Clause | None:
+    """`clause` with the literals of `true` set true: None if it holds one
+    of them, else the clause without their negations, in order."""
+    if not true.isdisjoint(clause):
+        return None
+    return tuple(l for l in clause if -l not in true) if true else clause
+
+
 def condition(p: Problem, tau_x: dict[Variable, bool]) -> Problem:
     """The formula under a total existential assignment, with X = {}.
 
-    Drops every clause that a literal of `tau_x` satisfies and strips the
-    false existential literals from the rest, keeping clause order.  A clause
-    whose literals were all existential and false comes back empty.  Y and
-    `pr` are those of `p`, so solving the result is weighted model counting.
+    Each clause, in order, is cofactored by the literals `tau_x` sets true
+    (`cofactor`): one they satisfy is dropped, and one whose literals were
+    all existential and false comes back empty.  Y and `pr` are those of
+    `p`, so solving the result is weighted model counting.
     """
     if not p.X <= tau_x.keys():
         missing = p.X - tau_x.keys()
         raise ValueError(f"assignment missing existential variables {sorted(missing)}")
-    clauses = []
-    for c in p.clauses:
-        rest = []
-        for l in c:
-            v = abs(l)
-            if v not in p.X:
-                rest.append(l)
-            elif tau_x[v] == (l > 0):
-                break
-        else:
-            clauses.append(tuple(rest))
-    return Problem(num_vars=p.num_vars, clauses=tuple(clauses), X=frozenset(),
+    # clause variables only: a header may declare millions of free variables
+    true = frozenset(x if tau_x[x] else -x for x in p.X & p.all_clause_vars())
+    clauses = tuple(q for c in p.clauses if (q := cofactor(c, true)) is not None)
+    return Problem(num_vars=p.num_vars, clauses=clauses, X=frozenset(),
                    Y=p.Y, pr=p.pr)

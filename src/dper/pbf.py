@@ -6,17 +6,17 @@ root handle.  Terminals are double-precision reals deduplicated by value
 equality (no epsilon merging).
 
 Nodes are indexed by level: a node stores the rank of its variable in the
-store's VarOrder, and terminals sit at level len(order).  On any
-root-to-terminal path the levels strictly increase.  One binary recursion
-(`_apply`) serves every binary op: product, max, convex combination and
-the product floored at a bound L, which is 0 wherever the product is below
-L.  One registry (`_op`) gives each probability and each L its op id; the
-floored product has no short-cut for ONE, so ONE * g floors g.  One
-projection walk (`_abstract`) serves existential and randomized
-projection; a derivative sign builds no diagram (`DsgnFunc`).  Unique-table
-and op-cache keys are packed ints; handles and levels take HANDLE_BITS each
-below an unbounded, signed top field (the level in a node key, the op id
-in a cache key), so keys never collide.
+store's variable sequence, and terminals sit at the level past its last
+variable.  On any root-to-terminal path the levels strictly increase.  One
+binary recursion (`_apply`) serves every binary op: product, max, convex
+combination and the product floored at a bound L, which is 0 wherever the
+product is below L.  One registry (`_op`) gives each probability and each
+L its op id; the floored product has no short-cut for ONE, so ONE * g
+floors g.  One projection walk (`_abstract`) serves existential and
+randomized projection; a derivative sign builds no diagram (`DsgnFunc`).
+Unique-table and op-cache keys are packed ints; handles and levels take
+HANDLE_BITS each below an unbounded, signed top field (the level in a node
+key, the op id in a cache key), so keys never collide.
 
 A node holds only its level, its children and, on a terminal, its value,
 as in CUDD.  A support is found by one walk; `support_bound` reads a bound
@@ -96,28 +96,6 @@ def poll_deadline(deadline: float | None, phase: str):
         raise DeadlineExceeded(f"deadline hit during {phase}")
 
 
-class VarOrder:
-    """Fixed bijection from variables to diagram levels, total for one solve."""
-
-    __slots__ = ("_rank", "_vars")
-
-    def __init__(self, variables: Iterable[int]):
-        self._vars = tuple(variables)
-        self._rank = {v: i for i, v in enumerate(self._vars)}
-        if len(self._rank) != len(self._vars):
-            raise ValueError("variable order contains duplicates")
-
-    def rank(self, var: int) -> int:
-        return self._rank[var]
-
-    def __len__(self) -> int:
-        return len(self._vars)
-
-    @property
-    def variables(self) -> tuple[int, ...]:
-        return self._vars
-
-
 class DiagramStore:
     """Hash-consed node store plus the op cache for one solve.
 
@@ -130,16 +108,19 @@ class DiagramStore:
     name = "diagram"  # the executor a solve reports
     _CHECK_EVERY = 4096  # deadline poll interval, in node creations
 
-    def __init__(self, order: VarOrder, node_limit: int | None = None,
+    def __init__(self, variables: Iterable[int], node_limit: int | None = None,
                  deadline: float | None = None):
-        if len(order) >= 1 << HANDLE_BITS:
-            raise ValueError(f"{len(order)} variables exceed the level range")
-        self.order = order
+        self.variables = tuple(variables)  # level -> variable, total for a solve
+        self._rank = {v: i for i, v in enumerate(self.variables)}
+        if len(self._rank) != len(self.variables):
+            raise ValueError("variable order contains duplicates")
+        if len(self._rank) >= 1 << HANDLE_BITS:
+            raise ValueError(f"{len(self._rank)} variables exceed the level range")
         self.deadline = deadline
         self._cap = 1 << HANDLE_BITS
         if node_limit is not None:
             self._cap = min(node_limit, self._cap)
-        self._tlev = len(order)  # the level of every terminal
+        self._tlev = len(self.variables)  # the level of every terminal
         self._lev: list[int] = []
         self._lo: list[int] = []
         self._hi: list[int] = []
@@ -279,12 +260,12 @@ class DiagramStore:
         The clause must not mention a variable twice (tautologies have no
         diagram here; an empty clause yields constant 0).
         """
-        rank = self.order.rank
+        rank = self._rank
         h = ZERO
-        for l in sorted(clause, key=lambda l: rank(abs(l)), reverse=True):
-            r = rank(abs(l))
+        for l in sorted(clause, key=lambda l: rank[abs(l)], reverse=True):
+            r = rank[abs(l)]
             h = self._mk(r, h, ONE) if l > 0 else self._mk(r, ONE, h)
-        self._bounds[h] = sum(1 << rank(abs(l)) for l in clause)  # exact
+        self._bounds[h] = sum(1 << rank[abs(l)] for l in clause)  # exact
         return PbFunc(self, h)
 
     # -- the recursions (handle level) ----------------------------------------
@@ -379,10 +360,10 @@ class DiagramStore:
         return h
 
     def exists_project(self, f: int, x: int) -> int:
-        return self._project(MAX, f, self.order.rank(x))
+        return self._project(MAX, f, self._rank[x])
 
     def rand_project(self, f: int, x: int, p: float) -> int:
-        return self._project(self._op(1, p), f, self.order.rank(x))
+        return self._project(self._op(1, p), f, self._rank[x])
 
     def _op(self, sign: int, value: float) -> int:
         """The op id of a convex combination with probability `value` (sign
@@ -400,7 +381,7 @@ class DiagramStore:
         return h
 
     def evaluate(self, f: int, assignment: dict[int, bool]) -> float:
-        variables = self.order.variables
+        variables = self.variables
         h = f
         while self._lev[h] != self._tlev:
             v = variables[self._lev[h]]
@@ -431,7 +412,7 @@ class DiagramStore:
                     if c not in seen:
                         seen.add(c)
                         stack.append(c)
-        variables = self.order.variables
+        variables = self.variables
         return frozenset(variables[v] for v in levels)
 
     def support_bound(self, f: int) -> int:

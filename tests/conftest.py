@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, settings
 
 from dper import executor
 from dper.formula import Problem
-from dper.pbf import DiagramStore, VarOrder
+from dper.pbf import DiagramStore
 from dper.planner import PjNode, PjTree
 
 settings.register_profile(
@@ -164,7 +164,7 @@ def tbl_dsgn(table, x):
 def diagram_from_table(store: DiagramStore, table):
     """Shannon-expand an explicit table into a canonical diagram."""
     vars_, _ = table
-    by_rank = sorted(vars_, key=store.order.rank)
+    by_rank = sorted(vars_, key=store._rank.__getitem__)
 
     def build(i, assign):
         if i == len(by_rank):
@@ -173,7 +173,7 @@ def diagram_from_table(store: DiagramStore, table):
         v = by_rank[i]
         lo = build(i + 1, {**assign, v: False})
         hi = build(i + 1, {**assign, v: True})
-        return store._mk(store.order.rank(v), lo, hi)
+        return store._mk(store._rank[v], lo, hi)
 
     from dper.pbf import PbFunc
 
@@ -190,4 +190,4 @@ def assert_diagram_matches_table(f, table, tol=0.0):
 
 
 def fresh_store(variables) -> DiagramStore:
-    return DiagramStore(VarOrder(sorted(variables)))
+    return DiagramStore(sorted(variables))

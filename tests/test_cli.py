@@ -761,8 +761,11 @@ class TestParScoring:
 
 
 class TestConsoleScript:
+    # the split loads signal and traceback, and `dper bench` loads csv, only
+    # when they run
     @pytest.mark.parametrize("module", ["scipy", "numpy", "multiprocessing",
-                                        "dataclasses", "inspect"])
+                                        "dataclasses", "inspect", "signal",
+                                        "traceback", "csv"])
     def test_import_leaves_module_unloaded(self, module):
         code = f"import sys, dper, dper.cli; print({module!r} in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code],

@@ -17,7 +17,7 @@ import pytest
 
 from dper import dense
 from dper.dense import DenseStore, Table, _varies
-from dper.pbf import DiagramStore, PbFunc, VarOrder
+from dper.pbf import DiagramStore, PbFunc
 
 from conftest import all_assignments, diagram_from_table, tbl_eval, tbl_from_rows
 
@@ -58,7 +58,7 @@ def same(dense, diagram, variables):
 
 
 def stores(rng):
-    order = VarOrder(rng.sample(VARS, len(VARS)))
+    order = rng.sample(VARS, len(VARS))
     return DenseStore(order), DiagramStore(order)
 
 

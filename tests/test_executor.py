@@ -348,7 +348,7 @@ class TestDense:
             built.clear()
             store = executor.choose_store(p, t)
             assert (store.name, built) == (kind, [order])
-        assert store.order.variables == tuple(mcs_order(primal_graph(p)))
+        assert store.variables == tuple(mcs_order(primal_graph(p)))
 
     @pytest.mark.parametrize("kind", ["band", "long-clause"])
     def test_planning_and_solving_keep_the_shared_graph(self, kind):
@@ -781,7 +781,7 @@ class TestDebugAssertMode:
         # each clause with its first literal negated
         if fault == "exists_project":
             wrong = (lambda self, f, x:
-                     self._abstract(pbf.MUL, f, self.order.rank(x)))
+                     self._abstract(pbf.MUL, f, self._rank[x]))
         else:
             real = DiagramStore.clause_func
             wrong = (lambda self, clause:

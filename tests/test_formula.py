@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dper.formula import (ParseError, Problem, ValidationError, condition,
-                          parse_problem, primal_graph, serialize, validate)
+from dper.formula import (ParseError, Problem, ValidationError, cofactor,
+                          condition, parse_problem, primal_graph, serialize,
+                          validate)
 from dper.gen import random_instance
 
 
@@ -189,6 +190,21 @@ class TestValidate:
         with pytest.raises(ValidationError) as err:
             validate(p)
         assert len(err.value.violations) >= 3
+
+
+class TestCofactor:
+    def test_satisfied_clause_is_none(self):
+        assert cofactor((2, -4, 1), frozenset({1})) is None
+        assert cofactor((2, -4), frozenset({3, -4})) is None
+
+    def test_negations_stripped_in_order(self):
+        assert cofactor((2, -4, 1, 5), frozenset({-1, 4, 6})) == (2, 5)
+        assert cofactor((-1,), frozenset({1})) == ()
+
+    def test_no_literal_keeps_the_clause(self):
+        c = (2, -4)
+        assert cofactor(c, frozenset()) is c
+        assert cofactor(c, frozenset({1, -3})) == c
 
 
 class TestCondition:

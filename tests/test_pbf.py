@@ -6,7 +6,7 @@ import pytest
 
 from dper.dense import DenseStore
 from dper.pbf import (HANDLE_BITS, MAX, ONE, ZERO, DeadlineExceeded,
-                      DiagramStore, ResourceLimitError, VarOrder)
+                      DiagramStore, ResourceLimitError)
 
 from conftest import (all_assignments, assert_diagram_matches_table,
                       diagram_from_table, fresh_store, tbl_from_rows)
@@ -40,10 +40,16 @@ class TestConstants:
 
     def test_outside_unit_interval_rejected(self):
         # [0, 1] is the one value domain of both stores
-        for st in (fresh_store([1]), DenseStore(VarOrder([1]))):
+        for st in (fresh_store([1]), DenseStore([1])):
             for c in (-0.5, 2.0):
                 with pytest.raises(ValueError, match=r"\[0, 1\]"):
                     st.constant(c)
+
+    def test_duplicate_variable_rejected(self):
+        # each store ranks its own plain variable sequence
+        for make in (DiagramStore, DenseStore):
+            with pytest.raises(ValueError, match="duplicates"):
+                make([1, 2, 1])
 
     def test_terminals_deduplicated(self):
         st = fresh_store([1])
@@ -269,8 +275,7 @@ class TestCanonicity:
 
 class TestStoreLimits:
     def test_node_limit_enforced(self):
-        order = VarOrder(range(1, 21))
-        st = DiagramStore(order, node_limit=10)
+        st = DiagramStore(range(1, 21), node_limit=10)
         with pytest.raises(ResourceLimitError):
             f = st.constant(1.0)
             for v in range(1, 21):
@@ -443,7 +448,7 @@ class TestCollect:
         assert st.node_count > len(st._lev)  # freed slots were reused
 
     def test_node_limit_counts_held_nodes(self):
-        st = DiagramStore(VarOrder(range(1, 10)), node_limit=150)
+        st = DiagramStore(range(1, 10), node_limit=150)
         for _ in range(5):
             chain(st, range(1, 9))  # 139 nodes, all dead after collect
             st.collect([])

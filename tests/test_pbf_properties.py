@@ -252,7 +252,7 @@ def walked_support(f):
         if h in seen or st_._lev[h] == st_._tlev:
             continue
         seen.add(h)
-        found.add(st_.order.variables[st_._lev[h]])
+        found.add(st_.variables[st_._lev[h]])
         stack += [st_._lo[h], st_._hi[h]]
     return found
 

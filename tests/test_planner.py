@@ -110,7 +110,7 @@ class TestBuildGradedTree:
                         == write_tree(plan(p, h), p).splitlines()[1:])
                 for order in (tree_var_order(padded, t),
                               diagram_var_order(padded)):
-                    assert sorted(order.variables) == sorted(
+                    assert sorted(order) == sorted(
                         p.all_clause_vars())
 
 

@@ -63,6 +63,12 @@ def last_exist(p, t) -> int:
     return max(root.projected)
 
 
+def half(fixed) -> int:
+    """The literal a split half's `_run` fixes: x* in the child, -x* here,
+    0 on an unsplit run."""
+    return sum(fixed)
+
+
 def answer(r):
     return r.maximum.hex(), r.maximizer
 
@@ -113,7 +119,8 @@ def test_counters_cover_both_halves():
         x = last_exist(p, t)
         s = executor._split_run(p, t, executor.choose_store(p, t), x).stats
         one, zero = (executor._run(p, t, executor.choose_store(p, t),
-                                   fixed=lit).stats for lit in (x, -x))
+                                   fixed=frozenset({lit})).stats
+                     for lit in (x, -x))
         assert s.split == x
         assert s.diagram_nodes == one.diagram_nodes + zero.diagram_nodes
         assert s.peak_live_nodes == one.peak_live_nodes + zero.peak_live_nodes
@@ -207,12 +214,12 @@ class TestFailures:
                                            monkeypatch):
         real, halves = executor._run, []
 
-        def late_child(p, t, store, obs=None, fixed=0):
-            if fixed > 0:  # the x* = 1 half, in the child
+        def late_child(p, t, store, obs=None, fixed=frozenset()):
+            if half(fixed) > 0:  # the x* = 1 half, in the child
                 time.sleep(max(0.0, store.deadline - time.monotonic()))
                 poll_deadline(store.deadline, "execution")
             r = real(p, t, store, obs, fixed)
-            halves.append(fixed)
+            halves.append(half(fixed))
             return r
         monkeypatch.setattr(executor, "_run", late_child)
         path = split_instance(tmp_path)
@@ -225,10 +232,10 @@ class TestFailures:
     def test_failure_here_kills_the_child(self, cpus, monkeypatch):
         real = executor._run
 
-        def fail_here(p, t, store, obs=None, fixed=0):
-            if fixed > 0:
+        def fail_here(p, t, store, obs=None, fixed=frozenset()):
+            if half(fixed) > 0:
                 time.sleep(60)
-            elif fixed < 0:
+            elif half(fixed) < 0:
                 raise ResourceLimitError("diagram store would hold more nodes")
             return real(p, t, store, obs, fixed)
         monkeypatch.setattr(executor, "_run", fail_here)
@@ -247,8 +254,8 @@ class TestFailures:
     def test_child_failure_raised_here(self, cpus, monkeypatch, error, raised):
         real = executor._run
 
-        def fail_there(p, t, store, obs=None, fixed=0):
-            if fixed > 0:
+        def fail_there(p, t, store, obs=None, fixed=frozenset()):
+            if half(fixed) > 0:
                 raise error
             return real(p, t, store, obs, fixed)
         monkeypatch.setattr(executor, "_run", fail_there)
@@ -257,17 +264,34 @@ class TestFailures:
             executor.solve(p, plan(p))
         assert_no_child()
 
-    def test_child_that_dies_without_a_result(self, cpus, monkeypatch):
+    @pytest.fixture
+    def child_dies(self, cpus, monkeypatch):
+        """The x* = 1 half's process ends without a result."""
         real = executor._run
 
-        def die(p, t, store, obs=None, fixed=0):
-            if fixed > 0:
+        def die(p, t, store, obs=None, fixed=frozenset()):
+            if half(fixed) > 0:
                 os._exit(1)
             return real(p, t, store, obs, fixed)
         monkeypatch.setattr(executor, "_run", die)
+
+    def test_child_that_dies_without_a_result(self, child_dies):
         _, p = RAND_EXIST[1]
-        with pytest.raises(RuntimeError, match="without a result"):
+        with pytest.raises(ResourceLimitError,
+                           match=r"without a result \(wait status 256\)"):
             executor.solve(p, plan(p))
+        assert_no_child()
+
+    def test_child_that_dies_without_a_result_exits_3(self, child_dies,
+                                                      tmp_path, capsys):
+        # a resource failure with its report, not a traceback with exit 1
+        path = split_instance(tmp_path)
+        code = cli.main(["solve", "--input", path])
+        out, err = capsys.readouterr()
+        report = json.loads(out)  # one JSON document
+        assert (code, report["status"]) == (3, "resource")
+        assert "without a result" in report["error"]
+        assert err == f"error: {report['error']}\n"
         assert_no_child()
 
     @pytest.mark.parametrize("call,error", [
@@ -304,7 +328,7 @@ def fork_and_tell():
     return pid
 
 
-def sleep(p, t, store, obs=None, fixed=0):
+def sleep(p, t, store, obs=None, fixed=frozenset()):
     time.sleep(60)
 
 
