@@ -26,7 +26,9 @@ kernel's, which does the same float arithmetic:
   as the kernel's `f == g` short-cut does;
 - the underflow flag follows the kernel's terminal rule: a product of two
   values outside {0, 1}, or a combination of unequal cofactors with a
-  nonzero term, that rounds to 0 or to a subnormal number;
+  nonzero term, that rounds to 0 or to a subnormal number; a floored join
+  counts only the entries it keeps, those at least its floor, as the
+  kernel, whose early stop never reaches the products the floor discards;
 - `support` is the true support: the axes along which the table varies.
 
 Each table also keeps `low`, a lower bound on its nonzero entries, so that
@@ -185,13 +187,15 @@ class DenseStore:
         """Pointwise product over the union of the two tables' variables,
         with every entry below `floor` set to 0, as the diagram kernel's
         floored product does."""
-        r = self._product(a, b)
+        r = self._product(a, b, floor)
         if r.low >= floor:  # no nonzero entry lies below the floor
             return r
         entries = [z if z >= floor else 0.0 for z in r.entries]
         return Table(r.vars, entries, floor)
 
-    def _product(self, a: Table, b: Table) -> Table:
+    def _product(self, a: Table, b: Table, floor: float = 0.0) -> Table:
+        """The pointwise product; an entry below `floor` sets no underflow
+        flag, since the floored join discards it."""
         if not b.vars and b.entries[0] == 1.0:
             return a
         if not a.vars and a.entries[0] == 1.0:
@@ -203,7 +207,7 @@ class DenseStore:
         r = list(map(mul, x, y))
         low = a.low * b.low
         if low < _MIN_NORMAL and not self.underflow:
-            self.underflow = any(z < _MIN_NORMAL
+            self.underflow = any(floor <= z < _MIN_NORMAL
                                  and u != 0.0 and u != 1.0 and v != 0.0 and v != 1.0
                                  for u, v, z in zip(x, y, r))
             low = min(filter(None, r), default=1.0)

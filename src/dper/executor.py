@@ -6,7 +6,8 @@ executor pushes its derivative sign on a stack: the variable and the function
 about to be projected.  Replaying the stack afterwards extends the empty
 assignment into a maximizing one, top projection first.  Fixed orders make the
 output reproducible: children are valuated in stored order and projection
-sets are processed in ascending variable id.
+sets are processed in ascending variable id, except that the root of a tree
+with a split variable x* (`heavy_var`) projects x* last (`projection_order`).
 
 Both solvers are the one valuation loop `valuate` plus the one stack replay
 `_replay_stack`: `solve`, and `debug_assert_mode` with an observer that
@@ -26,9 +27,12 @@ supports then yields a value v that the maximum is at least, and the bound
 L = v(1 - delta), whose margin delta covers the rounding between the
 search's product order and the tree's (`exist_bound`).  The second phase
 walks the region's nodes with every join floored at L: each value below L
-becomes 0.  Every value lies in [0, 1] and the region only multiplies and
-maxes, so a value below L <= maximum lies only on assignments whose value
-is below the maximum.  Every value on an optimal path is unchanged, and
+becomes 0.  On diagrams the floored join stops early: a pair of operands
+whose largest values multiply to less than L gives 0 at once, without a
+walk (`pbf`), so most of the big inputs' product is never visited.  Every
+value lies in [0, 1] and the region only multiplies and maxes, so a value
+below L <= maximum lies only on assignments whose value is below the
+maximum.  Every value on an optimal path is unchanged, and
 each derivative sign compares an unchanged optimal cofactor with one that
 can only fall, so the maximum's bits and the maximizer do not move, ties
 included.  A tree whose root projects a randomized variable, or whose
@@ -37,16 +41,19 @@ is the whole tree, unfloored, as is an observed run's, whose checks
 compare against the formula itself.
 
 When the root projects existential variables only, the one it projects
-last, x*, is the first its replay decides, and its two cofactors are two
-independent solves.  Where they carry nearly all of a large tree's work
-and a second CPU is free (`split_var`), `solve` runs them in two processes
-(`_split_run`), the cofactor split of parallel diagram packages (Sylvan,
-van Dijk & van de Pol, STTT 2017) and the first branch of DC-SSAT.  The
-answer is the unsplit run's, bit for bit.  Its counters then cover both
-processes: `diagram_nodes` and `peak_live_nodes` are the two halves' sums,
-`max_support` and `underflow` are taken over either half (whose functions
-lack x*, so `max_support` can read one less than unsplit), `exist_bound`
-is the larger of the two floors, and `split` is x* (0 on an unsplit solve).
+last is the first its replay decides, and its two cofactors are two
+independent solves.  In a large tree whose work nearly all joins one of the
+root's variables, x* (`heavy_var`), the root projects x* last, in every run
+of the tree.  Where a second CPU is free (`split_var`), `solve` then runs
+x*'s two cofactors in two processes (`_split_run`), the cofactor split of
+parallel diagram packages (Sylvan, van Dijk & van de Pol, STTT 2017) and
+the first branch of DC-SSAT.  The answer is the unsplit run's, bit for
+bit, since a one-process run pops x*'s sign first too.  Its counters then
+cover both processes: `diagram_nodes` and `peak_live_nodes` are the two
+halves' sums, `max_support` and `underflow` are taken over either half
+(whose functions lack x*, so `max_support` can read one less than
+unsplit), `exist_bound` is the larger of the two floors, and `split` is x*
+(0 on an unsplit solve).
 
 The loop and the replay run on either of two stores, chosen per solve before
 execution by `choose_store` (see DENSE_MAX_WORK): decision diagrams
@@ -124,8 +131,8 @@ SEARCH_KICK = 3  # variables flipped to restart the search
 # the benchmark's rand-verify among them, take 0.37-0.44 times as long.
 DENSE_MAX_WORK = 1 << 17
 
-# `solve` splits a tree into two processes (`split_var`) only when its
-# tables would hold at least SPLIT_MIN_ENTRIES entries.  That is
+# `solve` splits a tree into two processes (`heavy_var`, `split_var`) only
+# when its tables would hold at least SPLIT_MIN_ENTRIES entries.  That is
 # DENSE_MAX_WORK's value, so a split solve runs on diagrams, but it is its
 # own constant, so that a run forced onto diagrams by DENSE_MAX_WORK = 0
 # still solves small trees in one process.  On the benchmark's rand-exist
@@ -191,14 +198,15 @@ class SolveResult:
 
 
 def tree_var_order(p: Problem, t: PjTree) -> list[int]:
-    """Table order derived from the tree: projection order, then leftovers.
+    """Table order derived from the tree: projection order
+    (`projection_order`), then leftovers.
 
     Dense tables only; diagrams take `diagram_var_order`.  Clause variables
     only.  It tolerates malformed trees (leftovers, repeated projections) so
     that the annotated debug run reports the corruption.
     """
     seq = dict.fromkeys(v for nid in t.postorder()
-                        for v in sorted(t.nodes[nid].projected))
+                        for v in projection_order(p, t, nid))
     return [*seq, *sorted(p.all_clause_vars() - seq.keys())]
 
 
@@ -225,7 +233,7 @@ def valuate(p: Problem, t: PjTree, order: list[int], sigma: list[DsgnFunc],
     run computes the tree's values at every assignment that sets `fixed`
     true, with the same float operations.  An internal node joins its
     children's valuations in stored child order, each join floored at
-    `floor`, and then projects its variable set in ascending id order; each
+    `floor`, and then projects its variable set in `projection_order`; each
     existential variable's derivative sign is pushed before that variable
     is projected.  After every internal node the store takes its
     `node_done` step: a diagram store clears its op cache, which bounds its
@@ -269,7 +277,7 @@ def valuate(p: Problem, t: PjTree, order: list[int], sigma: list[DsgnFunc],
                     obs.joined(nid, prev, h, f)
             if obs is not None:
                 obs.joins_done(nid, f)
-            for x in sorted(n.projected):
+            for x in projection_order(p, t, nid):
                 prev = f
                 if x in p.X:
                     sigma.append(f.dsgn(x))
@@ -477,30 +485,58 @@ def choose_store(p: Problem, t: PjTree, node_limit: int | None = None,
                         deadline=deadline)
 
 
-def split_var(p: Problem, t: PjTree, node_limit: int | None = None) -> int:
-    """The variable x* on which `solve` splits `t` into two processes, or 0.
+def heavy_var(p: Problem, t: PjTree) -> int:
+    """x*, the variable the root of `t` projects last and a split solve
+    splits on, or 0 if the tree has none.
 
-    x* is the largest variable the root projects, so the root projects it
-    last and the replay pops its sign first.  The split needs: a root that
-    projects some existential variable and no randomized one; tables of at
-    least SPLIT_MIN_ENTRIES entries in all (`planner.table_entries`), at
-    least SPLIT_SHARE of them at nodes whose joined set holds x*, so that
-    fixing x* halves nearly all the work; no `node_limit`, which caps one
-    store; and `os.fork` with at least two CPUs this process may run on and
-    no other thread in it, whose locks a forked child could inherit held.
+    x* is the root's existential variable with the most table entries at
+    the internal nodes whose joined set holds it; ties go to the largest id.
+    The tree has an x* when its root projects some existential variable and
+    no randomized one, its tables hold at least SPLIT_MIN_ENTRIES entries in
+    all (`planner.table_entries`), and at least SPLIT_SHARE of them join
+    x*, so that fixing x* halves nearly all the work.  It reads the tree
+    alone, so every run of a tree projects its root in one order.
     """
     root = t.nodes[t.root]
-    affinity = getattr(os, "sched_getaffinity", None)
-    if (node_limit is not None or root.is_leaf or root.projected & p.Y
-            or not root.projected & p.X or not hasattr(os, "fork")
-            or affinity is None or len(affinity(0)) < 2
-            or threading.active_count() > 1):
+    if root.is_leaf or root.projected & p.Y or not root.projected & p.X:
         return 0
-    x = max(root.projected)
     total = table_entries(t, p)
-    near = sum(1 << len(vs) for nid, vs in t.joined_vars(p).items()
-               if x in vs and not t.nodes[nid].is_leaf)
-    return x if total >= SPLIT_MIN_ENTRIES and near >= SPLIT_SHARE * total else 0
+    if total < SPLIT_MIN_ENTRIES:
+        return 0
+    weight = dict.fromkeys(root.projected, 0)  # entries joining each variable
+    for nid, vs in t.joined_vars(p).items():
+        if not t.nodes[nid].is_leaf:
+            for x in weight.keys() & vs:
+                weight[x] += 1 << len(vs)
+    x = max(weight, key=lambda v: (weight[v], v))
+    return x if weight[x] >= SPLIT_SHARE * total else 0
+
+
+def projection_order(p: Problem, t: PjTree, nid: int) -> list[int]:
+    """The order node `nid` projects its variables in: ascending id, but
+    the root projects x* (`heavy_var`) last, so its sign is popped first."""
+    xs = sorted(t.nodes[nid].projected)
+    if nid == t.root:
+        x = heavy_var(p, t)
+        if x:
+            xs.remove(x)
+            xs.append(x)
+    return xs
+
+
+def split_var(p: Problem, t: PjTree, node_limit: int | None = None) -> int:
+    """The variable on which `solve` splits `t` into two processes, or 0.
+
+    It is x* (`heavy_var`), where the tree has one, the process has no
+    `node_limit`, which caps one store, and it has `os.fork`, at least two
+    CPUs it may run on and no other thread, whose locks a forked child
+    could inherit held.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if (node_limit is not None or not hasattr(os, "fork") or affinity is None
+            or len(affinity(0)) < 2 or threading.active_count() > 1):
+        return 0
+    return heavy_var(p, t)
 
 
 def _split_run(p: Problem, t: PjTree, store, x: int) -> SolveResult:

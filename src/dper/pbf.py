@@ -18,13 +18,20 @@ Unique-table and op-cache keys are packed ints; handles and levels take
 HANDLE_BITS each below an unbounded, signed top field (the level in a node
 key, the op id in a cache key), so keys never collide.
 
-A node holds only its level, its children and, on a terminal, its value,
-as in CUDD.  A support is found by one walk; `support_bound` reads a bound
-recorded for each function the store hands out (for a join the union of
-its operands', for a projection its operand's less the variable), so the
-executor's `max_support` stat walks only when the bound passes its running
-maximum, and a walk stops once it has met every level of the bound.  The
-op cache only saves work: the executor clears it per tree node.
+A node holds its level, its children and a value: on a terminal its own,
+on an inner node the largest terminal value below it, which `_mk` sets with
+one comparison when it makes the node.  The floored product reads it: a
+pair of operands whose largest values multiply to less than the floor
+gives ZERO at once, since rounding is monotone and so every product of the
+pair is below the floor too.  That is the function and the node the walk
+would have built, without the walk.
+
+A support is found by one walk; `support_bound` reads a bound recorded for
+each function the store hands out (for a join the union of its operands',
+for a projection its operand's less the variable), so the executor's
+`max_support` stat walks only when the bound passes its running maximum,
+and a walk stops once it has met every level of the bound.  The op cache
+only saves work: the executor clears it per tree node.
 
 `collect(roots)` is a non-moving mark-and-sweep, as in the ADD packages that
 reclaim dead nodes (Sylvan: van Dijk & van de Pol, STTT 2017).  It keeps the
@@ -45,7 +52,10 @@ max(f, 0) = f and max(f, 1) = 1 at once, without the recursion that would
 rebuild f, or ONE, out of existing nodes.
 
 A product or convex combination whose exact value is nonzero but rounds to
-0 or to a subnormal sets the store's `underflow` flag.
+0 or to a subnormal sets the store's `underflow` flag.  A floored product
+counts only the values it keeps, those at least its floor: a product the
+floor sets to 0 is discarded, so the pairs the early stop skips count for
+nothing either.
 
 A store and its diagrams belong to a single solve and are used by one worker
 at a time; diagrams are immutable once created.
@@ -100,8 +110,9 @@ class DiagramStore:
     """Hash-consed node store plus the op cache for one solve.
 
     Handles are indices into four parallel arrays: level, low and high
-    child, and terminal value.  The op cache may be cleared at any point
-    without changing results or handles.  A handle on the free list indexes
+    child, and value (a terminal's own, an inner node's largest below it).
+    The op cache may be cleared at any point without changing results or
+    handles.  A handle on the free list indexes
     a reclaimed slot whose entries are stale until `_new` reuses it.
     """
 
@@ -176,7 +187,8 @@ class DiagramStore:
         key = (level << HANDLE_BITS | lo) << HANDLE_BITS | hi
         h = self._unique.get(key)
         if h is None:
-            h = self._unique[key] = self._new(level, lo, hi, 0.0)
+            a, b = self._val[lo], self._val[hi]
+            h = self._unique[key] = self._new(level, lo, hi, a if a >= b else b)
         return h
 
     @property
@@ -281,7 +293,9 @@ class DiagramStore:
             if f == ZERO or g == ZERO:
                 return ZERO
         elif op < MUL:  # floored: no short-cut for ONE, so ONE * g floors g
-            if f == ZERO or g == ZERO:
+            # fl(a*b) <= fl(A*B) for a <= A, b <= B: if the largest values'
+            # product is below the floor, so is every product
+            if self._val[f] * self._val[g] < self._param[op]:
                 return ZERO
         elif f == g:
             return f
@@ -305,11 +319,11 @@ class DiagramStore:
                 return self._terminal(r)
             if op == MAX:
                 return self._terminal(max(a, b))
-            if op < MUL:
+            if op < MUL:  # r is at least the floor, so the join keeps it
                 r = a * b
                 if r < _MIN_NORMAL and a != 1.0 and b != 1.0:
                     self.underflow = True
-                return ZERO if r < self._param[op] else self._terminal(r)
+                return self._terminal(r)
             p = self._param[op]
             r = p * a + (1.0 - p) * b
             if r < _MIN_NORMAL and (p and a or p != 1.0 and b):

@@ -17,7 +17,7 @@ import pytest
 
 from dper import dense
 from dper.dense import DenseStore, Table, _varies
-from dper.pbf import DiagramStore, PbFunc
+from dper.pbf import _MIN_NORMAL, DiagramStore, PbFunc
 
 from conftest import all_assignments, diagram_from_table, tbl_eval, tbl_from_rows
 
@@ -96,24 +96,35 @@ def test_floored_joins_match_the_kernel():
     # a product floored at L is 0 wherever the product is below L, on
     # either store, with the same underflow flag; a floored join with a
     # constant 1 or with a clause floors too, as the kernel has no
-    # short-cut for ONE under a floor
+    # short-cut for ONE under a floor.  The flag counts only the products
+    # the join keeps: one below L is discarded, also where it underflows
     rng = random.Random(106)
+    kept = discarded = 0  # joins with an underflowing product kept, dropped
     for _ in range(400):
         ds, gs = stores(rng)
         fa, fb, c = random_table(rng), random_table(rng), random_clause(rng)
-        floor = rng.choice([1e-300, 0.1, 0.25, 0.3, 0.5, 1.0])
+        floor = rng.choice([1e-320, 1e-300, 0.1, 0.25, 0.3, 0.5, 1.0])
         others = [(ds.constant(1.0), gs.constant(1.0)),
                   (ds.clause_func(c), gs.clause_func(c)),
                   (dense_from_table(ds, fb), diagram_from_table(gs, fb))]
         variables = sorted(set(fa[0]) | set(fb[0]) | {abs(l) for l in c})
+        flagged = False  # the rule's flag over this store pair's joins so far
         for db, gb in others:
             da, ga = dense_from_table(ds, fa), diagram_from_table(gs, fa)
             dense, diagram = da.join(db, floor), ga.join(gb, floor)
             same(dense, diagram, variables)
-            assert ds.underflow == gs.underflow
+            under = set()  # whether each underflowing product is kept
             for a in all_assignments(variables):
-                z = ga.evaluate(a) * gb.evaluate(a)
+                u, v = ga.evaluate(a), gb.evaluate(a)
+                z = u * v
                 assert diagram.evaluate(a) == (z if z >= floor else 0.0), a
+                if z < _MIN_NORMAL and u not in (0.0, 1.0) and v not in (0.0, 1.0):
+                    under.add(z >= floor)
+            flagged = flagged or True in under
+            kept += True in under
+            discarded += False in under
+            assert ds.underflow == gs.underflow == flagged
+    assert kept and discarded
 
 
 def random_clause(rng):

@@ -3,10 +3,11 @@
 Every property runs 500 hypothesis cases over diagrams of up to 10 total
 variables.  Values are drawn from one small dyadic pool in [0, 1], the
 stores' value domain, so that products are exact in double precision and
-maximization distributes over every factor.  The last four tests check
+maximization distributes over every factor.  The last five tests check
 exact supports (against a DAG walk, and against cofactors across
-collections), projections under many distinct probabilities, and a solve
-whose every randomized variable has its own probability.
+collections), each inner node's value slot against the largest terminal
+below it (across collections too), projections under many distinct probabilities, and a solve whose
+every randomized variable has its own probability.
 """
 
 import random
@@ -347,6 +348,57 @@ def test_support_matches_cofactors_across_collections(tables, steps):
             g = diagram_from_table(store, args[0])
         check(g)
         pool.append(g)
+
+
+def largest_below(store, roots):
+    """handle -> the largest terminal value below it, for every node the
+    roots reach, by a walk that reads terminals' values only."""
+    lev, lo, hi, val = store._lev, store._lo, store._hi, store._val
+    largest = {}
+
+    def walk(h):
+        if h not in largest:
+            largest[h] = (val[h] if lev[h] == store._tlev
+                          else max(walk(lo[h]), walk(hi[h])))
+        return largest[h]
+    for h in roots:
+        walk(h)
+    return largest
+
+
+@CASES
+@given(st.lists(SMALL_TABLES, min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 99), st.one_of(
+           STEPS_WITH_COLLECT,
+           st.tuples(st.just("floor"), st.integers(0, 99),
+                     st.sampled_from(VALUES[1:])))),
+                min_size=1, max_size=16))
+def test_value_slot_holds_the_largest_terminal_below(tables, steps):
+    # the floored join stops where its operands' largest values multiply
+    # to less than the floor, so every inner node's value slot must hold
+    # the largest terminal below it, also in a slot a collection freed and
+    # a later node reused: each collection is followed by a rebuild
+    store = fresh_store(SUPPORT_POOL)
+    pool = [diagram_from_table(store, t) for t in tables]
+    for i, (op, *args) in steps:
+        f = pool[i % len(pool)]
+        if op == "collect":
+            pool = pool[-(args[0] % len(pool)) - 1:]
+            store.collect(g.root for g in pool)
+            g = diagram_from_table(store, tables[0])
+        elif op == "join":
+            g = f.join(pool[args[0] % len(pool)])
+        elif op == "floor":
+            g = f.join(pool[args[0] % len(pool)], args[1])
+        elif op == "exists":
+            g = f.exists_project(args[0])
+        elif op == "rand":
+            g = f.rand_project(*args)
+        else:
+            g = diagram_from_table(store, args[0])
+        pool.append(g)
+        for h, v in largest_below(store, (g.root for g in pool)).items():
+            assert store._val[h] == v, h
 
 
 def test_rand_project_keeps_each_probability_apart():

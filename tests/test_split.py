@@ -3,7 +3,9 @@ variable x*, solved in two processes (`executor.split_var`,
 `executor._split_run`).
 
 The halves must give the unsplit run's maximum, bit for bit, and its
-maximizer; `solve` must split exactly where the gate holds; a failure in
+maximizer; `solve` must split exactly where the gate holds, on the root
+variable that carries the tree's work, which the root projects last in
+every run (`executor.heavy_var`); a failure in
 either process must be the solve's failure, with its status and exit
 code; and no process may outlive a solve.
 """
@@ -55,12 +57,12 @@ def assert_no_child():
 
 
 def last_exist(p, t) -> int:
-    """x*, if the root projects an existential variable and no randomized
-    one, else 0."""
+    """The variable the root projects last, if it projects an existential
+    variable and no randomized one, else 0."""
     root = t.nodes[t.root]
     if root.is_leaf or root.projected & p.Y or not root.projected & p.X:
         return 0
-    return max(root.projected)
+    return executor.projection_order(p, t, t.root)[-1]
 
 
 def half(fixed) -> int:
@@ -136,10 +138,10 @@ class TestGate:
         for _, p in RAND_EXIST:
             t = plan(p)
             x = executor.split_var(p, t)
-            assert x in (0, last_exist(p, t))
+            assert x == executor.heavy_var(p, t) == last_exist(p, t)
             assert executor.solve(p, t).stats.split == x
             splits.append(x)
-        assert sum(map(bool, splits)) >= 4
+        assert all(splits)
         assert_no_child()
 
     def test_declines_with_one_cpu(self, cpus):
@@ -187,6 +189,58 @@ class TestGate:
             assert executor.split_var(p, plan(p)) == 0
 
 
+def entries_joining(p, t, x) -> int:
+    """Table entries at the internal nodes whose joined set holds x."""
+    return sum(1 << len(vs) for nid, vs in t.joined_vars(p).items()
+               if x in vs and not t.nodes[nid].is_leaf)
+
+
+class TestHeavyVar:
+    """A tree whose largest root variable carries almost none of its work:
+    rx_n28_m56_e19_4's, where x = 28 joins under 0.1% of the table entries
+    and another root variable nearly all of them."""
+
+    @pytest.fixture
+    def tree(self):
+        name, p = RAND_EXIST[4]
+        assert name == "rx_n28_m56_e19_4"
+        t = plan(p)
+        total = table_entries(t, p)
+        root = t.nodes[t.root]
+        light = max(root.projected)
+        assert entries_joining(p, t, light) < 0.001 * total
+        heavy = max(root.projected, key=lambda x: entries_joining(p, t, x))
+        assert entries_joining(p, t, heavy) >= executor.SPLIT_SHARE * total
+        return p, t, heavy
+
+    def test_split_var_picks_the_heavy_variable(self, cpus, tree):
+        p, t, heavy = tree
+        assert executor.heavy_var(p, t) == executor.split_var(p, t) == heavy
+
+    def test_the_root_projects_it_last(self, tree):
+        # with one CPU too: the order is the tree's, not the process's
+        p, t, heavy = tree
+        order = executor.projection_order(p, t, t.root)
+        assert order[-1] == heavy
+        assert order[:-1] == sorted(t.nodes[t.root].projected - {heavy})
+        sigma = []
+        store = DiagramStore(executor.diagram_var_order(p))
+        executor.valuate(p, t, t.postorder(), sigma, store)
+        assert sigma[-1].var == heavy  # the replay pops its sign first
+
+    def test_split_solve_equals_one_process(self, cpus, tree):
+        p, t, heavy = tree
+        split = executor.solve(p, t)
+        assert split.stats.split == heavy
+        whole = executor._run(p, t, executor.choose_store(p, t))
+        assert whole.stats.split == 0
+        assert answer(split) == answer(whole)
+        cpus(1)
+        one = executor.solve(p, t)
+        assert (answer(one), one.stats.split) == (answer(whole), 0)
+        assert_no_child()
+
+
 def split_instance(tmp_path):
     """A rand-exist pool instance the gate splits, as a file."""
     name, p = RAND_EXIST[1]
@@ -197,15 +251,17 @@ def split_instance(tmp_path):
 
 
 def test_solve_reads_one_joined_map(tmp_path, cpus, joined_reads):
-    # the width report, the store choice and the split gate read the one
-    # map the tree keeps; the re-count, a solve of its own, is off
+    # the width report, the store choice, the split gate and the root's
+    # projection order read the one map the tree keeps; the re-count, a
+    # solve of its own, is off
     path = split_instance(tmp_path)
     joined_reads.clear()
     report = cli.run_solve(path, cli.RunConfig(verify=False))
     assert report["status"] == "ok" and report["split"]
     assert {r[:2] for r in joined_reads} == {
         ("width", "_plan"), ("table_entries", "choose_store"),
-        ("table_entries", "split_var"), ("split_var", "solve")}
+        ("table_entries", "heavy_var"), ("heavy_var", "split_var"),
+        ("heavy_var", "projection_order")}
     assert all(r[2] is joined_reads[0][2] for r in joined_reads)
 
 
